@@ -52,7 +52,7 @@ bench-kernel:     ## kernel benches + wall-time regression gate
 	rm -rf benchmarks/reports/.baseline
 	mkdir -p benchmarks/reports/.baseline
 	cp benchmarks/reports/BENCH_*.json benchmarks/reports/.baseline/
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_kernel_scaling.py benchmarks/bench_three_systems.py benchmarks/bench_analysis.py benchmarks/bench_flight_overhead.py benchmarks/bench_compiled_backend.py benchmarks/bench_tv.py benchmarks/bench_explore.py
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_kernel_scaling.py benchmarks/bench_three_systems.py benchmarks/bench_analysis.py benchmarks/bench_flight_overhead.py benchmarks/bench_compiled_backend.py benchmarks/bench_tv.py benchmarks/bench_explore.py benchmarks/bench_fault_overhead.py
 	PYTHONPATH=src $(PYTHON) benchmarks/compare_baselines.py \
 		--baseline benchmarks/reports/.baseline \
 		--fresh benchmarks/reports

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.spec.types import ArrayType, BitType, DataType, IntType
 
@@ -117,9 +117,6 @@ class Interval:
 
     def contains_zero(self) -> bool:
         return self.contains(0)
-
-    def definitely_nonzero(self) -> bool:
-        return not self.is_bottom and not self.contains(0)
 
     def definitely_zero(self) -> bool:
         return self.lo == 0 and self.hi == 0
@@ -461,6 +458,28 @@ class AbsVal:
         return cls(Interval.const(value), Congruence.const(value))
 
     @classmethod
+    def join_consts(cls, values: Sequence[int]) -> "AbsVal":
+        """The join of ``const(v)`` over ``values`` in order, folded in
+        one integer pass.  The modulus is the gcd of the distances from
+        the first value; the residue follows :meth:`Congruence.join`,
+        which stops reducing it once the modulus reaches 1 (top)."""
+        if not values:
+            return cls.bottom()
+        first = values[0]
+        modulus, residue = 0, first
+        for value in values:
+            step = math.gcd(modulus, value - first)
+            if step == 1:
+                modulus = 1
+                break
+            if step > 1:
+                modulus, residue = step, first % step
+        if modulus == 0:
+            return cls.const(first)
+        return cls(Interval.of(min(values), max(values)),
+                   Congruence(modulus, residue))
+
+    @classmethod
     def range(cls, lo: Bound, hi: Bound) -> "AbsVal":
         return cls.make(Interval.of(lo, hi))
 
@@ -586,8 +605,3 @@ def type_range(dtype: DataType) -> Optional[Interval]:
     if isinstance(dtype, BitType):
         return Interval.of(0, (1 << dtype.width) - 1)
     return None
-
-
-def bits_for_unsigned(hi: int) -> int:
-    """Bits needed to carry the non-negative values ``0..hi``."""
-    return max(1, int(hi).bit_length())

@@ -50,9 +50,7 @@ from repro.spec.stmt import (
     ElementTarget,
     For,
     If,
-    Nop,
     Stmt,
-    WaitClocks,
     While,
     walk,
 )
@@ -126,6 +124,11 @@ class ValueAnalysis:
         """Finite ``(lo, hi)`` of a channel's data values, or ``None``."""
         return _finite_range(self.sent_ranges.get(channel_name))
 
+    def finite_sent_ranges(self) -> Dict[str, Tuple[int, int]]:
+        """Channel name -> finite ``(lo, hi)``, for channels that have one."""
+        return {name: finite for name in self.sent_ranges
+                if (finite := self.sent_range(name)) is not None}
+
     def trip_bounds(self, stmt: While) -> TripBounds:
         """Bounds of one analyzed ``While`` (defensively unbounded)."""
         return self.while_trips.get(id(stmt), TripBounds(0, None))
@@ -141,10 +144,7 @@ def _init_absval(variable: Variable) -> AbsVal:
     """Abstract initial value (array = join of element initializers)."""
     initial = variable.initial_value()
     if isinstance(initial, list):
-        out = AbsVal.bottom()
-        for element in initial:
-            out = out.join(AbsVal.const(element))
-        return out
+        return AbsVal.join_consts(initial)
     return AbsVal.const(initial)
 
 
@@ -293,8 +293,7 @@ class _Interpreter:
     def _assume(self, env: Env, cond: Expr, truth: bool) -> Optional[Env]:
         """Refined copy of ``env`` under ``cond == truth``; ``None`` when
         the assumption is infeasible (abstract bottom)."""
-        refined = self._refine(dict(env), cond, truth)
-        return refined
+        return self._refine(dict(env), cond, truth)
 
     def _refine(self, env: Env, cond: Expr, truth: bool) -> Optional[Env]:
         if isinstance(cond, UnOp) and cond.op == "not":
@@ -346,9 +345,6 @@ class _Interpreter:
         lhs_val = self._eval(cond.lhs, env)
         rhs_val = self._eval(cond.rhs, env)
         outcome = lhs_val.binop(op, rhs_val)
-        if outcome.is_bottom or outcome.interval == \
-                outcome.interval.const(0).__class__.const(0):
-            pass  # handled below via definite check
         # Definite contradiction?
         t = outcome.interval
         if t.is_const and t.lo == 0:
@@ -390,9 +386,7 @@ class _Interpreter:
             return self._exec_while(stmt, env)
         if isinstance(stmt, Call):
             return self._exec_call(stmt, env)
-        if isinstance(stmt, (WaitClocks, Nop)):
-            return env
-        return env
+        return env  # WaitClocks, Nop
 
     def _exec_assign(self, stmt: Assign, env: Env) -> Env:
         value = self._eval(stmt.expr, env)
@@ -690,18 +684,21 @@ def analyze_behaviors(behaviors: Sequence[Behavior],
     )
 
 
-def analyze_refined_values(spec, max_passes: int = MAX_GLOBAL_PASSES,
-                           ) -> ValueAnalysis:
+def analyze_refined_values(spec) -> ValueAnalysis:
     """Value analysis of a :class:`~repro.protogen.refine.RefinedSpec`.
 
     The store is seeded with every system variable's initial value;
     channel traffic (procedure calls) flows data through the served
-    variables exactly like direct accesses would.
+    variables exactly like direct accesses would.  The result is
+    memoized on the spec, so every pass and entry point shares one.
     """
-    store = {variable: _init_absval(variable)
-             for variable in spec.original.variables}
-    return analyze_behaviors(spec.behaviors, store=store,
-                             max_passes=max_passes, system=spec.name)
+    def compute() -> ValueAnalysis:
+        store = {variable: _init_absval(variable)
+                 for variable in spec.original.variables}
+        return analyze_behaviors(spec.behaviors, store=store,
+                                 system=spec.name)
+
+    return spec.memoized("values", compute)
 
 
 def analyze_behavior(behavior: Behavior,

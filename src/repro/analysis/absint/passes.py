@@ -23,12 +23,7 @@ Maps the engine's raw findings onto the standard diagnostics plumbing:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.analysis.absint.engine import (
-    ValueAnalysis,
-    analyze_refined_values,
-)
+from repro.analysis.absint.engine import analyze_refined_values
 from repro.analysis.absint.rates import (
     StaticRateModel,
     refined_channel_bounds,
@@ -55,12 +50,9 @@ _HINTS = {
 }
 
 
-def check_value_flow(spec: RefinedSpec, diagnostics: DiagnosticSet,
-                     analysis: Optional[ValueAnalysis] = None) -> None:
+def check_value_flow(spec: RefinedSpec, diagnostics: DiagnosticSet) -> None:
     """Report P5xx diagnostics for one refined spec."""
-    if analysis is None:
-        analysis = analyze_refined_values(spec)
-    for finding in analysis.findings:
+    for finding in analyze_refined_values(spec).findings:
         location = SourceLocation("behavior", finding.behavior)
         if finding.kind == "overflow":
             diagnostics.add("P501", Severity.ERROR, finding.message,
@@ -76,12 +68,11 @@ def check_value_flow(spec: RefinedSpec, diagnostics: DiagnosticSet,
                 else Severity.WARNING
             diagnostics.add("P504", severity, finding.message,
                             location, hint=_HINTS["div_by_zero"])
-    _check_rate_bounds(spec, diagnostics, analysis)
+    _check_rate_bounds(spec, diagnostics)
 
 
-def _check_rate_bounds(spec: RefinedSpec, diagnostics: DiagnosticSet,
-                       analysis: ValueAnalysis) -> None:
-    bounds = refined_channel_bounds(spec, analysis)
+def _check_rate_bounds(spec: RefinedSpec, diagnostics: DiagnosticSet) -> None:
+    bounds = refined_channel_bounds(spec)
     for bus in spec.buses:
         group_bounds = {channel.name: bounds[channel.name]
                         for channel in bus.group

@@ -39,6 +39,7 @@ from repro.analysis.absint.engine import (
     TripBounds,
     ValueAnalysis,
     analyze_behavior,
+    analyze_refined_values,
 )
 from repro.channels.channel import Channel
 from repro.channels.group import ChannelGroup
@@ -214,15 +215,19 @@ def _iter_call_counts(body: Sequence[Stmt], lo: int, hi: Optional[int],
                 stmt.body, lo * bounds.lo, _mul_hi(hi, bounds.hi), trips)
 
 
-def refined_channel_bounds(spec, analysis: ValueAnalysis,
-                           ) -> Dict[str, ChannelStaticBounds]:
+def refined_channel_bounds(spec) -> Dict[str, ChannelStaticBounds]:
     """Bounds on generated-procedure calls per channel of a refined spec.
 
     One accessor call is one bus transaction, so these bounds are what
     the simulator's transaction log must fall inside (the soundness
-    gate).  ``analysis`` must come from analyzing the *same* refined
-    spec (its ``While`` trip bounds are keyed by statement identity).
+    gate).  Trip bounds come from the spec's memoized value analysis;
+    the bounds are memoized on the spec as well.
     """
+    return spec.memoized("bounds", lambda: _refined_channel_bounds(spec))
+
+
+def _refined_channel_bounds(spec) -> Dict[str, ChannelStaticBounds]:
+    analysis = analyze_refined_values(spec)
     totals: Dict[str, Tuple[int, Optional[int]]] = {}
     channels: Dict[str, Channel] = {}
     for bus in spec.buses:

@@ -8,20 +8,18 @@ channel of a refined spec and returns a
 on).  :func:`check_temporal` adapts the same engine to the lint
 runner: refuted/unknown verdicts become P7xx diagnostics.
 
-``fsm_transform`` mirrors the handshake pass hook so the mutation
-corpus can seed controller-level defects; ``analysis`` lets the runner
-share one abstract-interpretation result instead of recomputing it for
-the cross-channel drive windows.
+Reports are memoized on the spec per ``witness_meta``, so lint's
+temporal pass and a later ``verify`` of it model-check once.
+``fsm_transform`` (the handshake pass hook the mutation corpus uses to
+seed controller-level defects) bypasses the memo via a spec copy.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
-from repro.analysis.absint import (
-    analyze_refined_values,
-    refined_channel_bounds,
-)
+from repro.analysis.absint import refined_channel_bounds
 from repro.analysis.deadlock import FsmTransform
 from repro.analysis.diagnostics import (
     DiagnosticSet,
@@ -66,10 +64,18 @@ HINTS = {
 
 def verify_refined(spec: RefinedSpec,
                    fsm_transform: Optional[FsmTransform] = None,
-                   analysis: Optional[object] = None,
                    witness_meta: Optional[Dict[str, Any]] = None,
                    ) -> VerificationReport:
     """Model-check every channel of ``spec``; returns all verdicts."""
+    if fsm_transform is not None:
+        # Transformed controllers are not this spec's design.
+        return _verify(replace(spec), fsm_transform, witness_meta)
+    key = ("verify", tuple(sorted((witness_meta or {}).items())))
+    return spec.memoized(key, lambda: _verify(spec, None, witness_meta))
+
+
+def _verify(spec: RefinedSpec, fsm_transform: Optional[FsmTransform],
+            witness_meta: Optional[Dict[str, Any]]) -> VerificationReport:
     report = VerificationReport(system=spec.name)
     meta = dict(witness_meta or {})
     for bus in spec.buses:
@@ -91,19 +97,15 @@ def verify_refined(spec: RefinedSpec,
                 bus_name=bus.name,
                 channel_name=channel.name,
                 witness_meta=meta_bus))
-        report.verdicts.extend(
-            _bus_race_verdicts(spec, bus, analysis))
+        report.verdicts.extend(_bus_race_verdicts(spec, bus))
     return report
 
 
-def _bus_race_verdicts(spec: RefinedSpec, bus, analysis):
+def _bus_race_verdicts(spec: RefinedSpec, bus):
     """Cross-channel drive-window race check for one bus."""
     if len(list(bus.group)) < 2:
         return []
-    if analysis is None:
-        analysis = analyze_refined_values(spec)
-    bounds = refined_channel_bounds(spec, analysis)
-    races = bus_window_races(bus, bounds)
+    races = bus_window_races(bus, refined_channel_bounds(spec))
     if not races:
         return [PropertyVerdict(
             property_id=PROP_RACE, bus=bus.name, channel=None,
@@ -119,11 +121,9 @@ def _bus_race_verdicts(spec: RefinedSpec, bus, analysis):
 
 
 def check_temporal(spec: RefinedSpec, diagnostics: DiagnosticSet,
-                   fsm_transform: Optional[FsmTransform] = None,
-                   analysis: Optional[object] = None) -> None:
+                   fsm_transform: Optional[FsmTransform] = None) -> None:
     """Lint adapter: refuted/unknown verdicts become P7xx findings."""
-    report = verify_refined(spec, fsm_transform=fsm_transform,
-                            analysis=analysis)
+    report = verify_refined(spec, fsm_transform=fsm_transform)
     for verdict in report.verdicts:
         if verdict.status == PROVED or verdict.code is None:
             continue

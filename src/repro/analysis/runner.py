@@ -5,18 +5,20 @@
 :class:`~repro.analysis.diagnostics.DiagnosticSet`.  Passes are pure
 readers: none of them simulates, and none of them mutates the spec.
 
-The abstract-interpretation pass runs first: its inferred value ranges
-feed the width pass (proven P301 truncation instead of declared-size
-pattern matching), and its trip bounds feed the P505 rate check.  After
-all passes, identical (code, location) findings are deduplicated --
-first report wins -- and JSON output is emitted in a stable sort order.
+The abstract-interpretation pass runs first.  Its result is memoized
+on the spec, so the width pass (proven P301 truncation instead of
+declared-size pattern matching), the P505 rate check and the temporal
+pass's drive windows share one analysis, and a later ``verify`` of the
+spec reuses the temporal pass's report.  After all passes, identical
+(code, location) findings are deduplicated -- first report wins -- and
+JSON output is emitted in a stable sort order.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
-from repro.analysis.absint.engine import analyze_refined_values
 from repro.analysis.absint.passes import check_value_flow
 from repro.analysis.contention import check_contention
 from repro.analysis.deadcode import check_dead_code
@@ -30,10 +32,10 @@ from repro.protogen.refine import RefinedSpec
 
 Pass = Callable[[RefinedSpec, DiagnosticSet], None]
 
-#: (name, pass) pairs in execution order.  The value-flow pass leads so
-#: later passes can consume its analysis; the remaining cheap arithmetic
-#: passes run before the product-automaton exploration so a broken
-#: structure is reported even when FSM synthesis itself would choke.
+#: (name, pass) pairs in execution order.  The value-flow pass leads;
+#: the remaining cheap arithmetic passes run before the
+#: product-automaton exploration so a broken structure is reported even
+#: when FSM synthesis itself would choke.
 PASSES: List[Tuple[str, Pass]] = [
     ("absint", check_value_flow),
     ("width", check_widths),
@@ -50,34 +52,18 @@ def analyze_refined(spec: RefinedSpec,
                     ) -> DiagnosticSet:
     """Run all static passes over ``spec``.
 
-    ``fsm_transform`` is forwarded to the handshake pass; the mutation
-    corpus uses it to seed controller-level defects.
+    ``fsm_transform`` is forwarded to the controller passes; the
+    mutation corpus uses it to seed controller-level defects.  Such a
+    run analyzes a memo-less copy of ``spec`` and leaves its memo alone.
     """
+    if fsm_transform is not None:
+        spec = replace(spec)
     diagnostics = DiagnosticSet(system=spec.name)
-    analysis = None
     with obs_span("analysis.analyze_refined", system=spec.name) as sp:
         for name, check in PASSES:
             with obs_span(f"analysis.pass.{name}", system=spec.name):
-                if check is check_value_flow:
-                    analysis = analyze_refined_values(spec)
-                    check_value_flow(spec, diagnostics, analysis)
-                elif check is check_widths:
-                    ranges = None
-                    if analysis is not None:
-                        ranges = {
-                            channel: finite
-                            for channel in analysis.sent_ranges
-                            if (finite := analysis.sent_range(channel))
-                            is not None
-                        }
-                    check_widths(spec, diagnostics, value_ranges=ranges)
-                elif check is check_handshakes:
-                    check_handshakes(spec, diagnostics,
-                                     fsm_transform=fsm_transform)
-                elif check is check_temporal:
-                    check_temporal(spec, diagnostics,
-                                   fsm_transform=fsm_transform,
-                                   analysis=analysis)
+                if name in ("handshake", "temporal"):
+                    check(spec, diagnostics, fsm_transform=fsm_transform)
                 else:
                     check(spec, diagnostics)
         deduped = diagnostics.dedupe()

@@ -26,7 +26,6 @@ Nothing here judges correctness -- that is
 from __future__ import annotations
 
 import ast
-import copy
 import re
 from typing import Dict, List, Optional
 
@@ -64,12 +63,17 @@ def is_temp(name: str) -> bool:
 
 
 def normalize(node: ast.AST, renamer: Renamer) -> str:
-    """Canonical dump of an AST fragment under ``renamer``."""
-    tree = copy.deepcopy(node)
-    for sub in ast.walk(tree):
-        if isinstance(sub, ast.Name):
-            sub.id = renamer.rename(sub.id)
-    return ast.dump(tree, annotate_fields=False)
+    """Canonical dump of an AST fragment under ``renamer`` (its names
+    are renamed in place for the dump, then restored)."""
+    names = [(sub, sub.id) for sub in ast.walk(node)
+             if isinstance(sub, ast.Name)]
+    try:
+        for name, _ in names:
+            name.id = renamer.rename(name.id)
+        return ast.dump(node, annotate_fields=False)
+    finally:
+        for name, original in reversed(names):
+            name.id = original
 
 
 def parse_expr(code: str) -> ast.expr:
@@ -85,12 +89,6 @@ def hint_of(name: str) -> str:
 
 def is_name(node: ast.AST, ident: str) -> bool:
     return isinstance(node, ast.Name) and node.id == ident
-
-
-def is_hinted_name(node: ast.AST, hint: str) -> bool:
-    """Is ``node`` a Name whose hint (after alpha-renaming) is
-    ``hint``?"""
-    return isinstance(node, ast.Name) and hint_of(node.id) == hint
 
 
 def is_const(node: ast.AST, value: object) -> bool:

@@ -22,8 +22,9 @@ structure:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
+from repro.analysis.absint.engine import analyze_refined_values
 from repro.analysis.diagnostics import (
     DiagnosticSet,
     Severity,
@@ -33,15 +34,12 @@ from repro.protogen.procedures import FieldKind, MessageLayout
 from repro.protogen.refine import RefinedBus, RefinedSpec
 from repro.spec.types import address_bits, clog2, data_bits
 
-ValueRanges = Dict[str, Tuple[int, int]]
 
-
-def check_widths(spec: RefinedSpec, diagnostics: DiagnosticSet,
-                 value_ranges: Optional[ValueRanges] = None) -> None:
-    """``value_ranges`` optionally maps channel names to statically
-    proven data-value intervals (from the abstract-interpretation
-    pass); with them, P301 truncation becomes a *proof* about the
-    values that actually flow rather than a declared-size comparison."""
+def check_widths(spec: RefinedSpec, diagnostics: DiagnosticSet) -> None:
+    """P301 judges each channel by its proven data-value interval: a
+    *proof* about the values that actually flow rather than a
+    declared-size comparison."""
+    value_ranges = analyze_refined_values(spec).finite_sent_ranges()
     for bus in spec.buses:
         _check_id_capacity(bus, diagnostics)
         _check_protocol_width(bus, diagnostics)
@@ -50,7 +48,7 @@ def check_widths(spec: RefinedSpec, diagnostics: DiagnosticSet,
             location = SourceLocation("channel", channel.name,
                                       detail=f"bus {bus.name}")
             _check_field_widths(channel, layout, location, diagnostics,
-                                (value_ranges or {}).get(channel.name))
+                                value_ranges.get(channel.name))
             _check_slice_coverage(layout, bus.structure.width, location,
                                   diagnostics)
 

@@ -245,10 +245,7 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
         from repro.analysis.absint import analyze_refined_values
         from repro.protogen.procedures import FieldKind
 
-        analysis = analyze_refined_values(refined)
-        ranges = {name: bounds
-                  for name in analysis.sent_ranges
-                  if (bounds := analysis.sent_range(name)) is not None}
+        ranges = analyze_refined_values(refined).finite_sent_ranges()
         if ranges:
             before = {
                 name: pair.layout.field(FieldKind.DATA).bits
@@ -407,7 +404,7 @@ def _build_refined(system_name: str, protocol, widths=None,
             # infeasible group is split across several buses, exactly
             # as `synth` does (Section 3 step 5).
             result = split_group(group, protocol=protocol)
-            print(f"note: {result.describe()}")
+            print(f"note: {result.describe()}", file=sys.stderr)
             plans.extend(result.designs)
     return refine_system(system, plans, protection=protection), schedule
 

@@ -29,7 +29,7 @@ procedure calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.busgen.algorithm import BusDesign
 from repro.channels.group import ChannelGroup
@@ -108,6 +108,18 @@ class RefinedSpec:
     #: Names of behaviors that were rewritten (touch at least one bus).
     #: Metadata for the static analyzer; simulation never reads it.
     rewritten: List[str] = field(default_factory=list)
+    #: Analysis results shared by every entry point (value analysis,
+    #: channel bounds, verification reports), filled lazily by
+    #: :meth:`memoized`.  The spec must not be edited once analyzed,
+    #: and callers must not mutate the shared results.
+    analysis_memo: Dict[Any, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def memoized(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()`` on the first call per ``key``, then its result."""
+        if key not in self.analysis_memo:
+            self.analysis_memo[key] = compute()
+        return self.analysis_memo[key]
 
     def behavior(self, name: str) -> Behavior:
         for behavior in self.behaviors:

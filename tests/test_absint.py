@@ -1,14 +1,17 @@
 """Abstract-interpretation engine: domain algebra and engine edge cases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.absint import (
     AbsVal,
+    Congruence,
     TripBounds,
     analyze_behavior,
     analyze_behaviors,
 )
-from repro.analysis.absint.engine import WHILE_UNROLL_CAP
+from repro.analysis.absint.engine import WHILE_UNROLL_CAP, _init_absval
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Const, Ref
 from repro.spec.stmt import Assign, For, If, While
@@ -52,6 +55,69 @@ def test_wrap_to_type_clamps_to_declared_range():
 def test_of_type_int16():
     full = AbsVal.of_type(IntType(16))
     assert (full.interval.lo, full.interval.hi) == (-32768, 32767)
+
+
+# ----------------------------------------------------------------------
+# Array initial values: one integer pass vs the element-wise join fold
+# ----------------------------------------------------------------------
+
+class _Initialized:
+    """Just enough of a Variable for ``_init_absval``."""
+
+    def __init__(self, initial):
+        self._initial = initial
+
+    def initial_value(self):
+        return list(self._initial)
+
+
+def _join_fold(values):
+    """The reference: join every element's constant, in order."""
+    out = AbsVal.bottom()
+    for value in values:
+        out = out.join(AbsVal.const(value))
+    return out
+
+
+def _assert_fold_matches(values):
+    folded = _init_absval(_Initialized(values))
+    expected = _join_fold(values)
+    assert folded == expected, values
+    # Congruence residues are plain ints: compare them exactly too.
+    assert repr(folded) == repr(expected), values
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [7],
+    [-3],
+    [5, 5, 5, 5],
+    [4, 8, 16, -12],
+    [-1, -7, 1, -4],   # top congruence keeps the residue 1
+    [-5, -4, 10],      # top on the first join keeps the raw residue
+    [3, 9, 6, 4],
+])
+def test_init_absval_fold_examples(values):
+    _assert_fold_matches(values)
+
+
+def test_init_absval_mixed_sign_top_residue():
+    folded = _init_absval(_Initialized([-1, -7, 1, -4]))
+    assert folded.congruence == Congruence(1, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-1000, 1000), max_size=12),
+    st.builds(lambda value, n: [value] * n,
+              st.integers(-1000, 1000), st.integers(1, 6)),
+    st.builds(lambda stride, offset, ks: [offset + stride * k
+                                          for k in ks],
+              st.integers(1, 12), st.integers(-50, 50),
+              st.lists(st.integers(-20, 20), min_size=1, max_size=10)),
+))
+def test_init_absval_matches_the_join_fold(values):
+    _assert_fold_matches(values)
 
 
 # ----------------------------------------------------------------------

@@ -43,8 +43,7 @@ def _build_refined(name):
 
 def test_flc_bounds_are_exact():
     refined, _ = _build_refined("flc")
-    analysis = analyze_refined_values(refined)
-    bounds = refined_channel_bounds(refined, analysis)
+    bounds = refined_channel_bounds(refined)
     for name in ("ch1", "ch2"):
         assert (bounds[name].accesses_lo,
                 bounds[name].accesses_hi) == (128, 128), name
@@ -55,8 +54,7 @@ def test_static_bounds_are_sound_against_the_simulator(name):
     """Soundness gate: simulated transaction counts and bit volumes
     must fall inside the statically proven bounds on every system."""
     refined, schedule = _build_refined(name)
-    analysis = analyze_refined_values(refined)
-    bounds = refined_channel_bounds(refined, analysis)
+    bounds = refined_channel_bounds(refined)
     result = simulate(refined, schedule=schedule)
     checked = 0
     for transactions in result.transactions.values():

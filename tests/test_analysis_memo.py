@@ -1,0 +1,114 @@
+"""One analysis per refined spec: the memo shared by lint and verify.
+
+``analyze_refined_values``, ``refined_channel_bounds`` and
+``verify_refined`` memoize their results on the
+:class:`~repro.protogen.refine.RefinedSpec`.  These differential tests
+check that a warm memo changes no result on the three case studies and
+the seeded-defect corpus, that ``fsm_transform`` calls bypass it, and
+that a traced lint + verify runs the abstract interpreter once.
+"""
+
+import pytest
+
+from repro import obs
+from repro.analysis import analyze_refined
+from repro.analysis.absint import analyze_refined_values
+from repro.analysis.mc import verify_refined
+from repro.analysis.mutations import CORPUS
+from repro.busgen.algorithm import generate_bus
+from repro.protogen.refine import refine_system
+
+SYSTEMS = ["flc", "answering-machine", "ethernet"]
+STRUCTURAL = [d for d in CORPUS if d.build().fsm_transform is None]
+CONTROLLER = [d for d in CORPUS if d not in STRUCTURAL]
+
+
+def _case_study(name):
+    from repro.cli import _load_system
+
+    system, groups, _schedule, _oracle = _load_system(name)
+    if not isinstance(groups, list):
+        groups = [groups]
+    return refine_system(system, [generate_bus(g) for g in groups])
+
+
+def _builders():
+    """(id, zero-argument builder of a fresh refined spec) pairs."""
+    cases = [(name, lambda name=name: _case_study(name))
+             for name in SYSTEMS]
+    cases += [(defect.name, lambda defect=defect: defect.build().spec)
+              for defect in STRUCTURAL]
+    return cases
+
+
+BUILDERS = _builders()
+IDS = [case_id for case_id, _ in BUILDERS]
+
+
+@pytest.mark.parametrize("build", [b for _, b in BUILDERS], ids=IDS)
+def test_verify_after_lint_matches_a_fresh_spec(build):
+    linted = build()
+    analyze_refined(linted)
+    assert verify_refined(linted).to_dict() \
+        == verify_refined(build()).to_dict()
+
+
+@pytest.mark.parametrize("build", [b for _, b in BUILDERS], ids=IDS)
+def test_lint_json_is_identical_with_a_warm_memo(build):
+    cold = analyze_refined(build()).render_json()
+    warm_spec = build()
+    verify_refined(warm_spec)
+    assert analyze_refined(warm_spec).render_json() == cold
+    assert analyze_refined(warm_spec).render_json() == cold
+
+
+def test_memo_keys_verification_by_witness_meta():
+    spec = _case_study("flc")
+    plain = verify_refined(spec)
+    tagged = verify_refined(spec, witness_meta={"system_arg": "flc"})
+    assert verify_refined(spec) is plain
+    assert verify_refined(spec, witness_meta={"system_arg": "flc"}) \
+        is tagged
+    assert tagged is not plain
+
+
+@pytest.mark.parametrize("defect", CONTROLLER, ids=lambda d: d.name)
+def test_fsm_transform_calls_never_read_or_fill_the_memo(defect):
+    design = defect.build()
+    expected_lint = analyze_refined(
+        design.spec, fsm_transform=design.fsm_transform).render_json()
+    expected_verify = verify_refined(
+        design.spec, fsm_transform=design.fsm_transform).to_dict()
+    assert design.spec.analysis_memo == {}
+
+    # Poison every entry a plain call would read: a transformed call
+    # that consulted the memo would crash or return the wrong report.
+    poison = object()
+    spec = design.spec
+    spec.analysis_memo.update({"values": poison, "bounds": poison,
+                               ("verify", ()): poison})
+    before = dict(spec.analysis_memo)
+    assert analyze_refined(
+        spec, fsm_transform=design.fsm_transform).render_json() \
+        == expected_lint
+    assert verify_refined(
+        spec, fsm_transform=design.fsm_transform).to_dict() \
+        == expected_verify
+    assert spec.analysis_memo == before
+
+
+@pytest.mark.parametrize("defect", CORPUS, ids=lambda d: d.name)
+def test_corpus_builders_return_unanalyzed_specs(defect):
+    assert defect.build().spec.analysis_memo == {}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_traced_lint_and_verify_run_absint_once(name):
+    spec = _case_study(name)
+    with obs.tracing() as tracer:
+        analyze_refined(spec)
+        verify_refined(spec)
+        analyze_refined_values(spec)
+    spans = [s for s in tracer.spans_named("absint.analyze")
+             if s.args.get("system") == spec.name]
+    assert len(spans) == 1

@@ -140,6 +140,20 @@ class TestLintCommand:
     def test_lint_designer_width(self, capsys):
         assert main(["lint", "flc", "--width", "20"]) == 0
 
+    @pytest.mark.parametrize("command", ["lint", "verify"])
+    def test_json_stdout_parses_when_the_group_splits(self, command,
+                                                      capsys):
+        # gcd's register-file group is infeasible on one bus; the split
+        # note belongs on stderr so stdout stays one JSON document.
+        import json
+
+        spec = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "specs", "gcd_accelerator.spec")
+        assert main([command, spec, "--json"]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert "note: group bus_DATAPATH_REGFILE" in captured.err
+
 
 class TestVerifyExitCodes:
     def test_verify_pass_exits_zero(self, capsys):

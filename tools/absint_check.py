@@ -58,7 +58,7 @@ def check_system(name: str) -> int:
     design = generate_bus(group)
     refined = refine_system(system, [design])
     analysis = analyze_refined_values(refined)
-    bounds = refined_channel_bounds(refined, analysis)
+    bounds = refined_channel_bounds(refined)
     result = simulate(refined, schedule=schedule)
 
     print(f"\n{name}: width {design.width}, "

@@ -29,10 +29,14 @@ lint:             ## static protocol analysis on the built-in systems
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint answering-machine
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint ethernet
 
-lint-examples:    ## static protocol analysis on the example .spec files
+lint-examples:    ## static protocol analysis on the example .spec files,
+                  ## plus their --json output and an instrumented profile
 	@for spec in examples/specs/*.spec; do \
 		echo "== $$spec"; \
 		PYTHONPATH=src $(PYTHON) -m repro.cli lint $$spec || exit 1; \
+		PYTHONPATH=src $(PYTHON) -m repro.cli lint $$spec --json \
+			| $(PYTHON) -m json.tool >/dev/null || exit 1; \
+		PYTHONPATH=src $(PYTHON) -m repro.cli profile $$spec || exit 1; \
 	done
 
 absint-check:     ## soundness gate: static bounds vs simulated counts

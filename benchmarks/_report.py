@@ -14,6 +14,15 @@ from typing import Iterable, List, Sequence
 
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
+#: The paper's three case studies: report label -> system name for
+#: :func:`repro.explore.systems.load_system`.  The labels key the
+#: ``BENCH_*.json`` payloads the regression gate compares, so they stay.
+CASE_STUDIES = {
+    "fuzzy logic controller": "flc",
+    "answering machine": "answering-machine",
+    "ethernet coprocessor": "ethernet",
+}
+
 
 def write_report(name: str, lines: Iterable[str]) -> str:
     """Print a report and persist it; returns the file path."""

@@ -15,33 +15,26 @@ model checker unguarded.
 
 import time
 
-from benchmarks._report import format_table, write_json_report, write_report
+from benchmarks._report import (
+    CASE_STUDIES,
+    format_table,
+    write_json_report,
+    write_report,
+)
 from repro.analysis import analyze_refined
 from repro.analysis.mc import verify_refined
 from repro.analysis.mutations import CORPUS
-from repro.apps.answering_machine import build_answering_machine
-from repro.apps.ethernet import build_ethernet
-from repro.apps.flc import build_flc
-from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
+from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
-
-
-def _cases():
-    flc = build_flc()
-    am = build_answering_machine()
-    eth = build_ethernet()
-    return [
-        ("fuzzy logic controller", flc.system, flc.bus_b),
-        ("answering machine", am.system, am.bus),
-        ("ethernet coprocessor", eth.system, eth.bus),
-    ]
 
 
 def test_analysis_and_verification_walltime():
     rows = []
     systems_json = {}
-    for name, system, group in _cases():
-        refined = refine_system(system, [generate_bus(group)])
+    for name, system_name in CASE_STUDIES.items():
+        loaded = load_system(system_name)
+        refined = refine_system(loaded.system, plan_buses(loaded.groups))
 
         started = time.perf_counter()
         diagnostics = analyze_refined(refined)
@@ -50,7 +43,7 @@ def test_analysis_and_verification_walltime():
             f"{name}: clean build must lint clean\n"
             + diagnostics.render_text())
 
-        fresh = refine_system(system, [generate_bus(group)])
+        fresh = refine_system(loaded.system, plan_buses(loaded.groups))
         started = time.perf_counter()
         report = verify_refined(fresh)
         verify_seconds = time.perf_counter() - started

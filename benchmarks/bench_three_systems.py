@@ -15,48 +15,30 @@ import time
 
 import pytest
 
-from benchmarks._report import format_table, write_json_report, write_report
-from repro.sim.analysis import analyze_bus
-from repro.apps.answering_machine import (
-    build_answering_machine,
-    reference_state as am_reference,
+from benchmarks._report import (
+    CASE_STUDIES,
+    format_table,
+    write_json_report,
+    write_report,
 )
-from repro.apps.ethernet import (
-    build_ethernet,
-    reference_state as eth_reference,
-)
-from repro.apps.flc import build_flc, reference_ctrl_output
 from repro.busgen.algorithm import generate_bus
+from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
+from repro.sim.analysis import analyze_bus
 from repro.sim.runtime import simulate
 
 
-def flc_case():
-    model = build_flc(250, 180)
-    oracle = {"ctrl_out": reference_ctrl_output(250, 180)}
-    return ("fuzzy logic controller", model.system, model.bus_b,
-            model.schedule, oracle)
+def _case(label, name):
+    """(label, system, its one channel group, schedule, oracle)."""
+    loaded = load_system(name)
+    group, = loaded.groups
+    return label, loaded.system, group, loaded.schedule, loaded.oracle
 
 
-def am_case():
-    model = build_answering_machine()
-    return ("answering machine", model.system, model.bus, model.schedule,
-            am_reference())
-
-
-def eth_case():
-    model = build_ethernet()
-    return ("ethernet coprocessor", model.system, model.bus,
-            model.schedule, eth_reference())
-
-
-CASES = [flc_case, am_case, eth_case]
-
-
-@pytest.fixture(scope="module", params=CASES,
-                ids=lambda c: c.__name__)
+@pytest.fixture(scope="module", params=list(CASE_STUDIES.items()),
+                ids=lambda case: case[1])
 def case(request):
-    return request.param()
+    return _case(*request.param)
 
 
 class TestThreeSystems:
@@ -83,10 +65,9 @@ class TestThreeSystems:
 def test_report_and_benchmark(benchmark):
     def run_all():
         out = []
-        for factory in CASES:
-            name, system, group, schedule, oracle = factory()
-            design = generate_bus(group)
-            out.append((name, system, group, schedule, oracle, design))
+        for label, name in CASE_STUDIES.items():
+            case = _case(label, name)
+            out.append(case + (generate_bus(case[2]),))
         return out
 
     results = benchmark(run_all)

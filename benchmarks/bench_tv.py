@@ -14,33 +14,30 @@ regression gate (``benchmarks/compare_baselines.py``).
 
 import time
 
-from benchmarks._report import format_table, write_json_report, write_report
-from repro.analysis.tv import validate_refined
+from benchmarks._report import (
+    CASE_STUDIES,
+    format_table,
+    write_json_report,
+    write_report,
+)
+from repro.analysis.tv import checker, validate_refined
 from repro.analysis.tv.mutations import check_corpus
-from repro.apps.answering_machine import build_answering_machine
-from repro.apps.ethernet import build_ethernet
-from repro.apps.flc import build_flc
-from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
+from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
-
-
-def _cases():
-    flc = build_flc()
-    am = build_answering_machine()
-    eth = build_ethernet()
-    return [
-        ("fuzzy logic controller", flc.system, flc.bus_b, flc.schedule),
-        ("answering machine", am.system, am.bus, am.schedule),
-        ("ethernet coprocessor", eth.system, eth.bus, eth.schedule),
-    ]
 
 
 def test_translation_validation_walltime():
     rows = []
     systems_json = {}
-    for name, system, group, schedule in _cases():
-        refined = refine_system(system, [generate_bus(group)])
+    for name, system_name in CASE_STUDIES.items():
+        loaded = load_system(system_name)
+        schedule = loaded.schedule
+        refined = refine_system(loaded.system, plan_buses(loaded.groups))
 
+        # Cold means cold: earlier benches in the same session (the
+        # compiled-backend bench among them) fill the verdict cache.
+        checker._CACHE.clear()
         started = time.perf_counter()
         report = validate_refined(refined, schedule=schedule)
         cold_seconds = time.perf_counter() - started

@@ -15,12 +15,15 @@ algorithm:
 3. Repeat until every sub-group is feasible or each channel sits on its
    own bus and still fails (then the spec itself over-constrains the
    technology and we re-raise).
+
+:func:`plan_buses` is the flow's front door to bus generation: one bus
+per channel group, splitting only the groups no single bus can carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.busgen.algorithm import BusDesign, generate_bus
 from repro.busgen.constraints import ConstraintSet
@@ -145,6 +148,32 @@ def split_group(group: ChannelGroup,
         demand=last_error.demand,
         best_rate=last_error.best_rate,
     )
+
+
+def plan_buses(groups: Sequence[ChannelGroup],
+               protocol: Protocol = FULL_HANDSHAKE,
+               widths: Optional[Sequence[int]] = None,
+               on_note: Optional[Callable[[str], None]] = None,
+               ) -> List[BusDesign]:
+    """Generate one bus per channel group; split infeasible groups.
+
+    A group no single bus can carry is split across several buses
+    (Section 3 step 5) and the split is described to ``on_note``.  A
+    designer-specified ``widths`` range that violates Equation 1 is
+    the designer's problem to resolve, so its error is re-raised.
+    """
+    designs: List[BusDesign] = []
+    for group in groups:
+        try:
+            designs.append(generate_bus(group, protocol, widths=widths))
+        except InfeasibleBusError:
+            if widths is not None:
+                raise
+            result = split_group(group, protocol=protocol)
+            if on_note is not None:
+                on_note(f"note: {result.describe()}")
+            designs.extend(result.designs)
+    return designs
 
 
 def _restrict_constraints(constraints: ConstraintSet,

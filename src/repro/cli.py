@@ -30,8 +30,13 @@ from repro.busgen.constraints import (
     min_buswidth,
     min_peak_rate,
 )
-from repro.busgen.split import split_group
-from repro.errors import InfeasibleBusError, ReproError, SimulationError
+from repro.busgen.split import plan_buses, split_group
+from repro.errors import (
+    AnalysisError,
+    InfeasibleBusError,
+    ReproError,
+    SimulationError,
+)
 from repro.estimate.area import estimate_bus_area
 from repro.estimate.perf import PerformanceEstimator
 from repro.hdl.validate import validate_vhdl
@@ -41,49 +46,10 @@ from repro.protogen.refine import refine_system
 from repro.sim.runtime import BACKENDS, simulate
 
 
-def _load_system(name: str):
-    """Returns (system, group, schedule, oracle_dict_or_None).
-
-    ``name`` may also be a path to a ``.spec`` source file; its
-    partition block (or an automatic 2-way clustering when absent)
-    supplies the channels, grouped one bus per module pair.
-    """
-    import os
-
-    if os.path.exists(name):
-        from repro.frontend.parser import parse_spec_file
-        from repro.partition.channels import default_bus_groups
-        from repro.partition.partitioner import cluster_partition
-
-        parsed = parse_spec_file(name)
-        partition = parsed.partition
-        if partition is None:
-            print("note: no partition block; clustering into 2 modules")
-            partition = cluster_partition(parsed.system, 2)
-        groups = default_bus_groups(partition)
-        if not groups:
-            raise SystemExit(
-                "the partition produces no cross-module channels"
-            )
-        return parsed.system, groups, parsed.behavior_order, None
-    if name == "flc":
-        from repro.apps.flc import build_flc, reference_ctrl_output
-        model = build_flc()
-        return (model.system, model.bus_b, model.schedule,
-                {"ctrl_out": reference_ctrl_output(250, 180)})
-    if name == "answering-machine":
-        from repro.apps.answering_machine import (
-            build_answering_machine,
-            reference_state,
-        )
-        model = build_answering_machine()
-        return model.system, model.bus, model.schedule, reference_state()
-    if name == "ethernet":
-        from repro.apps.ethernet import build_ethernet, reference_state
-        model = build_ethernet()
-        return model.system, model.bus, model.schedule, reference_state()
-    raise SystemExit(f"unknown system {name!r}; choose from flc, "
-                     "answering-machine, ethernet")
+def _note(message: str) -> None:
+    """Informational notes of the loader and the bus planner go to
+    stderr, so stdout (and every ``--json`` payload) stays clean."""
+    print(message, file=sys.stderr)
 
 
 def cmd_info(_args: argparse.Namespace) -> int:
@@ -164,15 +130,16 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
         print("error: --emit-sim-source dumps the code generated for "
               "the simulation and requires --simulate", file=sys.stderr)
         return 2
-    system, groups, schedule, oracle = _load_system(args.system)
-    if not isinstance(groups, list):
-        groups = [groups]
-    if len(groups) > 1:
-        print(f"{len(groups)} module-pair buses to synthesize")
+    from repro.explore.systems import load_system
+
+    loaded = load_system(args.system, on_note=_note)
+    system, schedule = loaded.system, loaded.schedule
+    if len(loaded.groups) > 1:
+        print(f"{len(loaded.groups)} module-pair buses to synthesize")
     protocol = get_protocol(args.protocol)
 
     plans = []
-    for group in groups:
+    for group in loaded.groups:
         print(group.describe())
         constraints = ConstraintSet()
         if args.min_width is not None:
@@ -308,9 +275,9 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
             for record in result.fault_records:
                 print(f"  clock {record.clock}: {record.bus}."
                       f"{record.line} {record.detail}")
-        if oracle:
+        if loaded.oracle:
             ok = all(result.final_values[k] == v
-                     for k, v in oracle.items())
+                     for k, v in loaded.oracle.items())
             print(f"oracle check: {'OK' if ok else 'MISMATCH'}")
             if not ok:
                 return 1
@@ -376,54 +343,45 @@ def _verification_blocks(report) -> bool:
         for verdict in report.verdicts)
 
 
-def _build_refined(system_name: str, protocol, widths=None,
-                   protection=None):
+def _build_refined(system_name: str, protocol: str,
+                   width: Optional[int] = None,
+                   protection: Optional[str] = None):
     """Build the refined spec the flow would synthesize for a system.
 
-    Shared by ``lint`` and ``verify``: generates one bus per group
-    (splitting infeasible groups exactly as ``synth`` does) and refines
-    at the requested protocol/protection.  Returns ``(refined,
-    schedule)`` -- the schedule matters to analyses (translation
-    validation among them) whose contention facts depend on which
-    behaviors run concurrently.
+    Shared by ``lint``, ``verify``, ``explain`` and ``profile``: loads
+    the system, plans one bus per group (splitting infeasible groups
+    exactly as ``synth`` does; a designer ``width`` is never split) and
+    refines at the requested protocol/protection (``"none"`` or
+    ``None`` for none).  Returns ``(refined, loaded)`` -- the loaded
+    system's schedule matters to analyses (translation validation among
+    them) whose contention facts depend on which behaviors run
+    concurrently, and its oracle to the simulating commands.
     """
-    system, groups, schedule, oracle = _load_system(system_name)
-    if not isinstance(groups, list):
-        groups = [groups]
-    plans = []
-    for group in groups:
-        try:
-            plans.append(generate_bus(group, protocol=protocol,
-                                      widths=widths))
-        except InfeasibleBusError:
-            if widths is not None:
-                # A designer-specified width that violates Equation 1
-                # is the designer's problem to resolve; keep the error.
-                raise
-            # Analyze the design the flow would actually build: an
-            # infeasible group is split across several buses, exactly
-            # as `synth` does (Section 3 step 5).
-            result = split_group(group, protocol=protocol)
-            print(f"note: {result.describe()}", file=sys.stderr)
-            plans.extend(result.designs)
-    return refine_system(system, plans, protection=protection), schedule
+    from repro.explore.systems import load_system
+
+    loaded = load_system(system_name, on_note=_note)
+    plans = plan_buses(loaded.groups, get_protocol(protocol),
+                       widths=None if width is None else [width],
+                       on_note=_note)
+    refined = refine_system(
+        loaded.system, plans,
+        protection=None if protection == "none" else protection)
+    return refined, loaded
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import Severity, analyze_refined
     from repro.analysis.tv import validate_refined
 
-    protocol = get_protocol(args.protocol)
-    widths = [args.width] if args.width is not None else None
-    refined, schedule = _build_refined(args.system, protocol,
-                                       widths=widths)
+    refined, loaded = _build_refined(args.system, args.protocol,
+                                     args.width)
 
     diagnostics = analyze_refined(refined)
     # Translation validation rides along: lint judges the exact
     # compiled sources the simulator would run, so a miscompile
     # surfaces here as a P8xx before anyone simulates.
     diagnostics.extend(
-        validate_refined(refined, schedule=schedule).diagnostics())
+        validate_refined(refined, schedule=loaded.schedule).diagnostics())
     if args.json:
         print(diagnostics.render_json())
     else:
@@ -446,7 +404,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.replay:
         return _replay_witness_file(args.replay)
 
-    protection = args.protection if args.protection != "none" else None
     transform = None
     meta = {}
     if args.mutate:
@@ -455,8 +412,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         defect = next((d for d in CORPUS if d.name == args.mutate), None)
         if defect is None:
             names = ", ".join(sorted(d.name for d in CORPUS))
-            raise SystemExit(f"unknown mutation {args.mutate!r}; "
-                             f"choose from: {names}")
+            raise AnalysisError(f"unknown mutation {args.mutate!r}; "
+                                f"choose from: {names}")
         design = defect.build()
         refined, transform = design.spec, design.fsm_transform
         schedule = None
@@ -464,11 +421,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"seeded defect {defect.name} [{defect.code}]: "
               f"{defect.description}")
     else:
-        protocol = get_protocol(args.protocol)
-        widths = [args.width] if args.width is not None else None
-        refined, schedule = _build_refined(args.system, protocol,
-                                           widths=widths,
-                                           protection=protection)
+        refined, loaded = _build_refined(args.system, args.protocol,
+                                         args.width, args.protection)
+        schedule = loaded.schedule
         # The loadable name (may differ from spec.name): lets --replay
         # rebuild the exact design later.
         meta["system_arg"] = args.system
@@ -539,18 +494,18 @@ def _replay_witness_file(path: str) -> int:
 
         defect = next((d for d in CORPUS if d.name == mutation), None)
         if defect is None:
-            raise SystemExit(
+            raise AnalysisError(
                 f"witness references unknown mutation {mutation!r}")
         design = defect.build()
         refined, transform = design.spec, design.fsm_transform
         print(f"rebuilding seeded defect {mutation}")
     else:
         name = witness.meta.get("system_arg", witness.system)
-        refined, _ = _build_refined(name, get_protocol(witness.protocol),
+        refined, _ = _build_refined(name, witness.protocol,
                                     protection=witness.protection)
     bus = next((b for b in refined.buses if b.name == witness.bus), None)
     if bus is None or witness.channel not in bus.procedures:
-        raise SystemExit(
+        raise AnalysisError(
             f"witness names {witness.bus}/{witness.channel}, which the "
             f"rebuilt {refined.name} does not contain")
     pair = bus.procedures[witness.channel]
@@ -578,26 +533,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
                                   render_explain_text,
                                   write_flight_trace)
 
-    protocol = get_protocol(args.protocol)
-    widths = [args.width] if args.width is not None else None
-    protection = args.protection if args.protection != "none" else None
-
-    system, groups, schedule, oracle = _load_system(args.system)
-    if not isinstance(groups, list):
-        groups = [groups]
-    plans = []
-    for group in groups:
-        try:
-            plans.append(generate_bus(group, protocol=protocol,
-                                      widths=widths))
-        except InfeasibleBusError:
-            if widths is not None:
-                raise
-            split = split_group(group, protocol=protocol)
-            if not args.json:
-                print(f"note: {split.describe()}")
-            plans.extend(split.designs)
-    refined = refine_system(system, plans, protection=protection)
+    refined, loaded = _build_refined(args.system, args.protocol,
+                                     args.width, args.protection)
 
     sim_kwargs = {}
     if args.faults:
@@ -612,8 +549,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     aborted: Optional[str] = None
     result = None
     try:
-        result = simulate(refined, schedule=schedule, metrics=metrics,
-                          recorder=recorder,
+        result = simulate(refined, schedule=loaded.schedule,
+                          metrics=metrics, recorder=recorder,
                           backend=getattr(args, "backend", "interp"),
                           **sim_kwargs)
     except SimulationError as error:
@@ -653,11 +590,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 2 if aborted is not None else 0
 
 
-#: Systems `repro-synth profile` covers when asked for "all".
-PROFILE_SYSTEMS = ("flc", "answering-machine", "ethernet")
-
-
-def _profile_once(args: argparse.Namespace, systems, protocol):
+def _profile_once(args: argparse.Namespace, systems):
     """One instrumented synth+sim sweep over ``systems``.
 
     Returns ``(tracer, simulations, sim_runs, summary_rows, exit_code)``
@@ -675,12 +608,7 @@ def _profile_once(args: argparse.Namespace, systems, protocol):
     with obs.tracing(tracer):
         for name in systems:
             with obs.span("profile.system", system=name):
-                system, groups, schedule, oracle = _load_system(name)
-                if not isinstance(groups, list):
-                    groups = [groups]
-                plans = [generate_bus(group, protocol=protocol)
-                         for group in groups]
-                refined = refine_system(system, plans)
+                refined, loaded = _build_refined(name, args.protocol)
                 analyze_refined(refined)
                 text = emit_refined_spec(refined)
                 validate_vhdl(
@@ -688,14 +616,14 @@ def _profile_once(args: argparse.Namespace, systems, protocol):
                     structures=[b.structure for b in refined.buses],
                 ).raise_if_failed()
                 metrics = obs.SimMetrics()
-                result = simulate(refined, schedule=schedule,
+                result = simulate(refined, schedule=loaded.schedule,
                                   metrics=metrics,
                                   backend=getattr(args, "backend",
                                                   "interp"))
                 ok = True
-                if oracle:
+                if loaded.oracle:
                     ok = all(result.final_values[k] == v
-                             for k, v in oracle.items())
+                             for k, v in loaded.oracle.items())
                     if not ok:
                         exit_code = 1
                 simulations.append(
@@ -715,9 +643,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Instrumented synth+sim sweep with a stage-by-stage breakdown."""
     import statistics
 
-    systems = list(PROFILE_SYSTEMS) if args.system == "all" \
+    from repro.explore.systems import BUILTIN_SYSTEMS
+
+    systems = list(BUILTIN_SYSTEMS) if args.system == "all" \
         else [args.system]
-    protocol = get_protocol(args.protocol)
     repeat = max(1, args.repeat)
 
     stage_order: List[str] = []
@@ -725,7 +654,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     stage_calls = {}
     for _ in range(repeat):
         (tracer, simulations, sim_runs,
-         summary_rows, exit_code) = _profile_once(args, systems, protocol)
+         summary_rows, exit_code) = _profile_once(args, systems)
         for entry in tracer.breakdown():
             name = entry["name"]
             if name not in stage_samples:
@@ -906,14 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
         .set_defaults(func=cmd_info)
 
     synth = sub.add_parser("synth", help="run the synthesis pipeline")
-    synth.add_argument("system",
-                       help="flc, answering-machine, ethernet, or a "
-                            "path to a .spec file")
-    synth.add_argument("--protocol", default="full_handshake",
-                       choices=sorted(PROTOCOLS))
-    synth.add_argument("--width", type=int,
-                       help="designer-specified buswidth "
-                            "(default: run bus generation)")
+    _add_system_options(synth, "--protocol", "--width", "--protection",
+                        "--backend")
     synth.add_argument("--min-width", type=int)
     synth.add_argument("--max-width", type=int)
     synth.add_argument("--min-peak", type=float,
@@ -932,11 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--tighten-fields", action="store_true",
                        help="re-refine with statically proven value "
                             "ranges to narrow message data fields")
-    synth.add_argument("--protection", default="none",
-                       choices=["none", "parity", "crc8"],
-                       help="fault-tolerant protocol variant: add a "
-                            "check field plus NACK/timeout/retry to "
-                            "every full-handshake bus")
     synth.add_argument("--faults", metavar="PLAN.json",
                        help="inject wire faults from a JSON fault plan "
                             "during --simulate")
@@ -944,12 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="abort --simulate with an error after N "
                             "clocks instead of spinning (guards "
                             "against faulty designs that hang)")
-    synth.add_argument("--backend", default="interp",
-                       choices=list(BACKENDS),
-                       help="simulation backend for --simulate: the "
-                            "reference interpreter or the compiled "
-                            "backend (lowers the refined spec to "
-                            "specialized Python; default: interp)")
     synth.add_argument("--emit-sim-source", metavar="DIR",
                        help="with --backend compiled, dump the "
                             "generated per-process Python into DIR "
@@ -973,14 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static protocol analysis: deadlock, contention, width "
              "and dead-code checks without simulating")
-    lint.add_argument("system",
-                      help="flc, answering-machine, ethernet, or a "
-                           "path to a .spec file")
-    lint.add_argument("--protocol", default="full_handshake",
-                      choices=sorted(PROTOCOLS))
-    lint.add_argument("--width", type=int,
-                      help="designer-specified buswidth "
-                           "(default: run bus generation)")
+    _add_system_options(lint, "--protocol", "--width")
     lint.add_argument("--json", action="store_true",
                       help="machine-readable diagnostics on stdout")
     lint.add_argument("--fail-on", default="error",
@@ -996,18 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
              "termination, race- and starvation-freedom for every "
              "generated channel; refutations carry replayable "
              "witnesses")
-    verify.add_argument("system", nargs="?", default="flc",
-                        help="flc, answering-machine, ethernet, or a "
-                             "path to a .spec file (default: flc)")
-    verify.add_argument("--protocol", default="full_handshake",
-                        choices=sorted(PROTOCOLS))
-    verify.add_argument("--protection", default="none",
-                        choices=["none", "parity", "crc8"],
-                        help="verify the fault-tolerant variant "
-                             "(NACK/timeout/retry controllers)")
-    verify.add_argument("--width", type=int,
-                        help="designer-specified buswidth "
-                             "(default: run bus generation)")
+    _add_system_options(verify, "--protocol", "--protection", "--width",
+                        default="flc")
     verify.add_argument("--json", action="store_true",
                         help="machine-readable verdicts on stdout")
     verify.add_argument("--witness-dir", metavar="DIR",
@@ -1032,17 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="run synth+sim fully instrumented and report a "
-             "stage-by-stage time/cycle breakdown")
-    profile.add_argument("system", nargs="?", default="all",
-                         help="flc, answering-machine, ethernet, a "
-                              ".spec path, or 'all' (default) for the "
-                              "three built-in systems")
-    profile.add_argument("--protocol", default="full_handshake",
-                         choices=sorted(PROTOCOLS))
-    profile.add_argument("--backend", default="interp",
-                         choices=list(BACKENDS),
-                         help="simulation backend to profile "
-                              "(default: interp)")
+             "stage-by-stage time/cycle breakdown ('all': the three "
+             "built-in systems)")
+    _add_system_options(profile, "--protocol", "--backend", default="all")
     profile.add_argument("--repeat", type=int, default=1, metavar="N",
                          help="run the sweep N times and report "
                               "min/median stage timings; observability "
@@ -1056,24 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate with the causal flight recorder attached and "
              "explain where every clock went: attribution buckets, "
              "critical path, anomalies")
-    explain.add_argument("system",
-                         help="flc, answering-machine, ethernet, or a "
-                              "path to a .spec file")
-    explain.add_argument("--protocol", default="full_handshake",
-                         choices=sorted(PROTOCOLS))
-    explain.add_argument("--width", type=int,
-                         help="designer-specified buswidth "
-                              "(default: run bus generation)")
-    explain.add_argument("--protection", default="none",
-                         choices=["none", "parity", "crc8"],
-                         help="explain the fault-tolerant protocol "
-                              "variant")
-    explain.add_argument("--backend", default="interp",
-                         choices=list(BACKENDS),
-                         help="simulation backend (the flight recorder "
-                              "keeps bus transfers on their exact-clock "
-                              "paths on either backend; default: "
-                              "interp)")
+    _add_system_options(explain, "--protocol", "--width", "--protection",
+                        "--backend")
     explain.add_argument("--faults", metavar="PLAN.json",
                          help="inject wire faults from a JSON fault "
                               "plan and attribute their cost")
@@ -1096,9 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoized design-space sweep: expand a parameter grid, "
              "run every point through a content-addressed stage "
              "cache, rank the Pareto front (clocks/pins/area)")
-    explore.add_argument("system",
-                         help="flc, answering-machine, ethernet, or a "
-                              "path to a .spec file")
+    _add_system_options(explore, "--backend")
     explore.add_argument("--grid", nargs="+", metavar="AXIS=V1,V2",
                          help="grid axes: width=4,8,auto "
                               "protocol=... protection=none,parity,"
@@ -1110,9 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--cache", metavar="DIR",
                          help="content-addressed stage cache directory "
                               "(omit to recompute everything)")
-    explore.add_argument("--backend", default="interp",
-                         choices=list(BACKENDS),
-                         help="simulation backend (default: interp)")
     explore.add_argument("--check", action="store_true",
                          help="differentially verify every cache "
                               "entry against a fresh compute "
@@ -1131,6 +997,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fig8", help="print the Figure 8 designs") \
         .set_defaults(func=cmd_fig8)
     return parser
+
+
+#: The options several subcommands share, each declared once (flag ->
+#: ``add_argument`` keywords) and attached by :func:`_add_system_options`.
+SHARED_OPTIONS = {
+    "--protocol": dict(default="full_handshake", choices=sorted(PROTOCOLS),
+                       help="protocol of every generated bus "
+                            "(default: full_handshake)"),
+    "--width": dict(type=int, help="designer-specified buswidth "
+                                   "(default: run bus generation)"),
+    "--protection": dict(default="none", choices=["none", "parity", "crc8"],
+                         help="fault-tolerant protocol variant: a check "
+                              "field plus NACK/timeout/retry on every "
+                              "full-handshake bus (default: none)"),
+    "--backend": dict(default="interp", choices=list(BACKENDS),
+                      help="simulation backend: the reference "
+                           "interpreter or the compiled backend, which "
+                           "lowers the refined spec to specialized "
+                           "Python (default: interp)"),
+}
+
+
+def _add_system_options(parser: argparse.ArgumentParser, *options: str,
+                        default: Optional[str] = None) -> None:
+    """Attach the positional ``system`` (optional when it has a
+    ``default``) and the named :data:`SHARED_OPTIONS` to a subcommand."""
+    help_text = "flc, answering-machine, ethernet, or a path to a .spec file"
+    if default is None:
+        parser.add_argument("system", help=help_text)
+    else:
+        parser.add_argument("system", nargs="?", default=default,
+                            help=f"{help_text} (default: %(default)s)")
+    for option in options:
+        parser.add_argument(option, **SHARED_OPTIONS[option])
 
 
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:

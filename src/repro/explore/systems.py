@@ -1,10 +1,13 @@
-"""Loadable systems for the explorer (and the CLI front end).
+"""The single system loader of the pipeline.
 
-One place that turns a system argument -- ``flc``,
+The one place that turns a system argument -- ``flc``,
 ``answering-machine``, ``ethernet``, a ``.spec`` file path, or the
-test-sized ``_demo`` system -- into the tuple every pipeline stage
-needs: the spec, its channel groups, the canonical schedule and the
-oracle values (when the system has reference outputs).
+test-sized ``_demo`` system -- into what every pipeline stage needs:
+the spec, its channel groups (always a list), the canonical schedule
+and the oracle values (when the system has reference outputs).  The
+CLI, the explorer, the CI tools under ``tools/`` and the benches all
+load through :func:`load_system`; an unknown system raises
+:class:`~repro.errors.ExploreError`.
 
 Worker processes call :func:`load_system` once per grid point;
 :func:`cached_load` memoizes the built models per process so a sweep
@@ -19,6 +22,10 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExploreError
+
+
+#: The paper's three case studies, loadable by name.
+BUILTIN_SYSTEMS = ("flc", "answering-machine", "ethernet")
 
 
 @dataclass

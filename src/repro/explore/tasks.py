@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.busgen.algorithm import generate_bus
-from repro.busgen.split import split_group
+from repro.busgen.split import plan_buses
 from repro.channels.group import ChannelGroup
-from repro.errors import ExploreError, InfeasibleBusError, ReproError
+from repro.errors import ExploreError, ReproError
 from repro.estimate.area import estimate_bus_area
 from repro.explore.grid import WIDTH_AUTO, GridPoint
 from repro.explore.keys import TaskSpec, fingerprint_system
@@ -184,12 +183,7 @@ class PointContext:
                     "width": int(width), "forced": True,
                 })
                 continue
-            try:
-                designs = [generate_bus(group, protocol=protocol)]
-            except InfeasibleBusError:
-                designs = list(split_group(group,
-                                           protocol=protocol).designs)
-            for design in designs:
+            for design in plan_buses([group], protocol):
                 plans.append({
                     "group": group.name, "bus": design.group.name,
                     "channels": [c.name for c in design.group.channels],

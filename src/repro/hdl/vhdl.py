@@ -26,6 +26,7 @@ tests against the paper's Figure 4 landmarks.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.errors import HdlError
@@ -118,10 +119,16 @@ def _var_type_txt(variable: Variable) -> str:
 # ---------------------------------------------------------------------------
 
 def emit_bus_declaration(structure: BusStructure,
-                         writer: Optional[SourceWriter] = None) -> str:
-    """The record type and global signal of one generated bus."""
+                         writer: Optional[SourceWriter] = None,
+                         type_name: Optional[str] = None) -> str:
+    """The record type and global signal of one generated bus.
+
+    ``type_name`` overrides the protocol's record type name, which two
+    buses of one protocol but different shapes cannot share.
+    """
     w = writer or SourceWriter()
-    w.line(f"type {structure.record_type_name} is record")
+    type_name = type_name or structure.record_type_name
+    w.line(f"type {type_name} is record")
     with w.indented():
         if structure.control_lines:
             w.line(", ".join(structure.control_lines) + " : bit ;")
@@ -130,7 +137,7 @@ def emit_bus_declaration(structure: BusStructure,
         w.line(f"DATA : bit_vector({structure.width - 1} downto 0) ;")
     w.line("end record ;")
     w.blank()
-    w.line(f"signal {structure.name} : {structure.record_type_name} ;")
+    w.line(f"signal {structure.name} : {type_name} ;")
     return w.text()
 
 
@@ -460,14 +467,25 @@ def _emit_strobed_procedure(proc: CommProcedure, structure: BusStructure,
 
 def emit_variable_process(process: VariableProcess,
                           structure: BusStructure,
-                          writer: Optional[SourceWriter] = None) -> str:
-    """Emit a generated server process (Figure 5's Xproc / MEMproc)."""
+                          writer: Optional[SourceWriter] = None,
+                          shared: bool = False) -> str:
+    """Emit a generated server process (Figure 5's Xproc / MEMproc).
+
+    A ``shared`` variable is served over several buses: each bus gets
+    its own server process (labelled ``<bus>_<process>``) and the
+    storage is an architecture-level shared variable instead of a
+    process-local one.
+    """
     w = writer or SourceWriter()
     bus = structure.name
     variable = process.variable
-    w.line(f"{process.name} : process")
-    with w.indented():
-        w.line(f"variable {variable.name} : {_var_type_txt(variable)} ;")
+    if shared:
+        w.line(f"{bus}_{process.name} : process")
+    else:
+        w.line(f"{process.name} : process")
+        with w.indented():
+            w.line(f"variable {variable.name} : "
+                   f"{_var_type_txt(variable)} ;")
     w.line("begin")
     with w.indented():
         watch = f"{bus}.ID" if structure.id_lines else f"{bus}.START" \
@@ -662,9 +680,23 @@ def _emit_refined_spec(spec: RefinedSpec,
         if isinstance(variable.dtype, ArrayType):
             w.line(f"type {variable.name}_type is "
                    f"{vhdl_type(variable.dtype)} ;")
+    # A variable served over several buses keeps one storage, shared by
+    # the server processes of all of them.
+    served = Counter(vproc.variable.name
+                     for vproc in spec.all_variable_processes())
+    shared = {name for name, count in served.items() if count > 1}
+    for variable in spec.served_variables():
+        if variable.name in shared:
+            w.line(f"shared variable {variable.name} : "
+                   f"{_var_type_txt(variable)} ;")
     w.blank()
+    type_names = Counter(bus.structure.record_type_name
+                         for bus in spec.buses)
     for bus in spec.buses:
-        emit_bus_declaration(bus.structure, w)
+        type_name = bus.structure.record_type_name
+        if type_names[type_name] > 1:
+            type_name = f"{type_name}_{bus.structure.name}"
+        emit_bus_declaration(bus.structure, w, type_name)
         w.blank()
         for pair in bus.procedures.values():
             emit_procedure(pair.accessor, bus.structure, w)
@@ -679,7 +711,8 @@ def _emit_refined_spec(spec: RefinedSpec,
         w.blank()
     for bus in spec.buses:
         for vproc in bus.variable_processes:
-            emit_variable_process(vproc, bus.structure, w)
+            emit_variable_process(vproc, bus.structure, w,
+                                  shared=vproc.variable.name in shared)
             w.blank()
     w.dedent()
     w.line("end refined ;")

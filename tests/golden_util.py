@@ -22,7 +22,7 @@ from repro.obs.simmetrics import SimMetrics
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-#: system slug -> builder returning (system, group, schedule, oracle).
+#: Golden slugs: loadable system names with ``_`` for ``-``.
 GOLDEN_SYSTEMS = ("flc", "answering_machine", "ethernet")
 
 
@@ -55,26 +55,6 @@ GOLDEN_VARIANTS = {
 }
 
 
-def _load_case(slug: str):
-    if slug == "flc":
-        from repro.apps.flc import build_flc, reference_ctrl_output
-        model = build_flc(250, 180)
-        oracle = {"ctrl_out": reference_ctrl_output(250, 180)}
-        return model.system, model.bus_b, model.schedule, oracle
-    if slug == "answering_machine":
-        from repro.apps.answering_machine import (
-            build_answering_machine,
-            reference_state,
-        )
-        model = build_answering_machine()
-        return model.system, model.bus, model.schedule, reference_state()
-    if slug == "ethernet":
-        from repro.apps.ethernet import build_ethernet, reference_state
-        model = build_ethernet()
-        return model.system, model.bus, model.schedule, reference_state()
-    raise ValueError(f"unknown golden system {slug!r}")
-
-
 def capture_system(slug: str, protection: Any = None,
                    faults: Any = None,
                    recorder: Any = None,
@@ -96,20 +76,22 @@ def capture_system(slug: str, protection: Any = None,
     ``kernel`` counters section may differ from an interpreter capture
     (``tests/test_compiled_backend.py`` pins everything else).
     """
-    from repro.busgen.algorithm import generate_bus
+    from repro.busgen.split import plan_buses
+    from repro.explore.systems import load_system
     from repro.protogen.refine import refine_system
     from repro.sim.runtime import simulate
 
-    system, group, schedule, oracle = _load_case(slug)
-    design = generate_bus(group)
-    refined = refine_system(system, [design], protection=protection)
+    loaded = load_system(slug.replace("_", "-"))
+    refined = refine_system(loaded.system, plan_buses(loaded.groups),
+                            protection=protection)
     metrics = SimMetrics()
     if faults is not None:
         faults.reset()
-    result = simulate(refined, schedule=schedule, metrics=metrics,
+    result = simulate(refined, schedule=loaded.schedule, metrics=metrics,
                       faults=faults, recorder=recorder, backend=backend)
 
-    oracle_ok = all(result.final_values[k] == v for k, v in oracle.items())
+    oracle_ok = all(result.final_values[k] == v
+                    for k, v in loaded.oracle.items())
     kernel = metrics.kernel
     extended = protection is not None or faults is not None
     record = {

@@ -13,11 +13,11 @@ from repro.analysis.diagnostics import (
     Severity,
     SourceLocation,
 )
-from repro.apps.answering_machine import build_answering_machine
-from repro.apps.ethernet import build_ethernet
 from repro.apps.flc import build_flc, reference_ctrl_output
 from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
 from repro.errors import InfeasibleBusError
+from repro.explore.systems import load_system
 from repro.protogen.procedures import FieldKind
 from repro.protogen.refine import refine_system
 from repro.sim.analysis import analyze_bus
@@ -27,18 +27,9 @@ SYSTEMS = ["flc", "answering-machine", "ethernet"]
 
 
 def _build_refined(name):
-    if name == "flc":
-        model = build_flc()
-        group = model.bus_b
-    elif name == "answering-machine":
-        model = build_answering_machine()
-        group = model.bus
-    else:
-        model = build_ethernet()
-        group = model.bus
-    design = generate_bus(group)
-    refined = refine_system(model.system, [design])
-    return refined, model.schedule
+    loaded = load_system(name)
+    return (refine_system(loaded.system, plan_buses(loaded.groups)),
+            loaded.schedule)
 
 
 def test_flc_bounds_are_exact():

@@ -15,7 +15,8 @@ from repro.analysis import analyze_refined
 from repro.analysis.absint import analyze_refined_values
 from repro.analysis.mc import verify_refined
 from repro.analysis.mutations import CORPUS
-from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
+from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
 
 SYSTEMS = ["flc", "answering-machine", "ethernet"]
@@ -24,12 +25,8 @@ CONTROLLER = [d for d in CORPUS if d not in STRUCTURAL]
 
 
 def _case_study(name):
-    from repro.cli import _load_system
-
-    system, groups, _schedule, _oracle = _load_system(name)
-    if not isinstance(groups, list):
-        groups = [groups]
-    return refine_system(system, [generate_bus(g) for g in groups])
+    loaded = load_system(name)
+    return refine_system(loaded.system, plan_buses(loaded.groups))
 
 
 def _builders():

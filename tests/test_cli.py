@@ -19,9 +19,18 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
 
-    def test_unknown_system_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["synth", "nope"])
+    def test_unknown_system_rejected(self, capsys):
+        assert main(["synth", "nope"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown system 'nope'")
+
+    @pytest.mark.parametrize("command", ["lint", "verify", "explain",
+                                         "profile"])
+    def test_every_command_rejects_an_unknown_system(self, command,
+                                                     capsys):
+        assert main([command, "nope"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown system 'nope'")
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -153,6 +162,39 @@ class TestLintCommand:
         captured = capsys.readouterr()
         json.loads(captured.out)
         assert "note: group bus_DATAPATH_REGFILE" in captured.err
+
+
+    @pytest.mark.parametrize("command", ["lint", "verify", "explain"])
+    def test_json_stdout_parses_with_the_clustering_note(
+            self, command, tmp_path, capsys):
+        # A spec without a partition block is clustered automatically;
+        # that note belongs on stderr too.
+        import json
+
+        spec = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "specs", "fig3.spec")
+        with open(spec, encoding="utf-8") as handle:
+            source = handle.read()
+        start = source.index("  partition is")
+        end = source.index("end partition ;\n") + len("end partition ;\n")
+        unpartitioned = tmp_path / "fig3_unpartitioned.spec"
+        unpartitioned.write_text(source[:start] + source[end:])
+
+        assert main([command, str(unpartitioned), "--json"]) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert "note: no partition block" in captured.err
+
+
+class TestProfile:
+    def test_profile_splits_infeasible_groups(self, capsys):
+        # gcd's register-file group needs two buses, exactly as in
+        # synth/lint/explain; the split buses must also emit valid VHDL.
+        spec = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "specs", "gcd_accelerator.spec")
+        assert main(["profile", spec]) == 0
+        captured = capsys.readouterr()
+        assert "note: group bus_DATAPATH_REGFILE: 2 bus(es)" in captured.err
 
 
 class TestVerifyExitCodes:

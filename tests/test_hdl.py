@@ -1,8 +1,12 @@
 """Unit tests for the VHDL backend (Figures 4-5) and its validator."""
 
+import os
+
 import pytest
 
+from repro.busgen.split import plan_buses
 from repro.errors import HdlError
+from repro.explore.systems import load_system
 from repro.hdl.validate import (
     count_procedures_per_channel,
     validate_vhdl,
@@ -18,7 +22,7 @@ from repro.hdl.vhdl import (
 )
 from repro.hdl.writer import SourceWriter
 from repro.protocols import FULL_HANDSHAKE, HALF_HANDSHAKE
-from repro.protogen.refine import generate_protocol
+from repro.protogen.refine import generate_protocol, refine_system
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Const, Index, Ref, UnOp, vmax, vmin
 from repro.spec.stmt import Assign, For, If, Nop, WaitClocks, While
@@ -215,6 +219,30 @@ class TestFullDesign:
     def test_named_array_types_declared(self, fig3_refined):
         text = emit_refined_spec(fig3_refined)
         assert "type MEM_type is array (0 to 63)" in text
+
+    @pytest.mark.parametrize("spec", ["gcd_accelerator", "pipeline_dsp"])
+    def test_multi_bus_design_validates(self, spec):
+        # gcd splits one group over two buses, pipeline_dsp has one bus
+        # per module pair: each bus gets its own record type, and a
+        # variable served over several buses keeps one shared storage.
+        path = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "specs", f"{spec}.spec")
+        loaded = load_system(path)
+        refined = refine_system(loaded.system, plan_buses(loaded.groups))
+        assert len(refined.buses) > 1
+        text = emit_refined_spec(refined)
+        report = validate_vhdl(
+            text, structures=[bus.structure for bus in refined.buses])
+        assert report.ok, report.errors
+        assert len(report.records) == len(refined.buses)
+        served = [vproc.variable.name
+                  for vproc in refined.all_variable_processes()]
+        shared = {name for name in served if served.count(name) > 1}
+        assert shared
+        for name in shared:
+            assert text.count(f"shared variable {name} :") == 1
+            assert f"variable {name} :" not in text.replace(
+                f"shared variable {name} :", "")
 
 
 class TestValidator:

@@ -15,8 +15,9 @@ from repro.analysis import (
     explore_product,
 )
 from repro.analysis.mutations import build_target
-from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
 from repro.errors import AnalysisError, DIAGNOSTIC_CODES, diagnostic_summary
+from repro.explore.systems import load_system
 from repro.protocols import (
     BURST_HANDSHAKE,
     FIXED_DELAY,
@@ -171,12 +172,8 @@ class TestCleanApps:
     @pytest.mark.parametrize("name", ["flc", "answering-machine",
                                       "ethernet"])
     def test_builtin_systems_lint_clean(self, name):
-        from repro.cli import _load_system
-
-        system, groups, schedule, oracle = _load_system(name)
-        if not isinstance(groups, list):
-            groups = [groups]
-        spec = refine_system(system, [generate_bus(g) for g in groups])
+        loaded = load_system(name)
+        spec = refine_system(loaded.system, plan_buses(loaded.groups))
         ds = analyze_refined(spec)
         assert ds.clean, ds.render_text()
 

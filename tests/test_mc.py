@@ -368,11 +368,12 @@ class TestCli:
         assert main(["verify", "--mutate", "server_stutter_loop",
                      "--fail-on", "warning"]) == 1
 
-    def test_unknown_mutation_rejected(self):
+    def test_unknown_mutation_rejected(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["verify", "--mutate", "not_a_defect"])
+        assert main(["verify", "--mutate", "not_a_defect"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown mutation 'not_a_defect'")
 
 
 class TestSynthGate:

@@ -31,8 +31,9 @@ from repro.analysis.tv.mutations import (
     _counter_spec,
     check_defect,
 )
-from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
 from repro.errors import DIAGNOSTIC_CODES, SimulationError
+from repro.explore.systems import load_system
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
 from repro.protocols import FIXED_DELAY
@@ -48,23 +49,6 @@ from repro.spec.types import IntType
 from repro.spec.variable import Variable
 
 P8XX = ("P801", "P802", "P803", "P804", "P805", "P806")
-
-
-def _build_system(name):
-    if name == "flc":
-        from repro.apps.flc import build_flc
-
-        model = build_flc()
-        return model.system, model.bus_b, model.schedule
-    if name == "answering-machine":
-        from repro.apps.answering_machine import build_answering_machine
-
-        model = build_answering_machine()
-        return model.system, model.bus, model.schedule
-    from repro.apps.ethernet import build_ethernet
-
-    model = build_ethernet()
-    return model.system, model.bus, model.schedule
 
 
 def _single_behavior_refined(body, locals_, shared, protocol=FIXED_DELAY):
@@ -92,10 +76,10 @@ def _single_behavior_refined(body, locals_, shared, protocol=FIXED_DELAY):
 def test_every_builtin_process_validates(system_name, protection):
     """No spurious refutation, no silent demotion, on any system at
     any protection level."""
-    system, group, schedule = _build_system(system_name)
-    refined = refine_system(system, [generate_bus(group)],
+    loaded = load_system(system_name)
+    refined = refine_system(loaded.system, plan_buses(loaded.groups),
                             protection=protection)
-    report = validate_refined(refined, schedule=schedule)
+    report = validate_refined(refined, schedule=loaded.schedule)
     assert report.all_validated, report.render_text()
     assert not report.diagnostics()
     for verdict in report.verdicts.values():
@@ -104,10 +88,11 @@ def test_every_builtin_process_validates(system_name, protection):
 
 
 def test_gated_compiled_run_agrees_with_interpreter():
-    system, group, schedule = _build_system("flc")
-    refined = refine_system(system, [generate_bus(group)])
-    interp = simulate(refined, schedule=schedule, backend="interp")
-    compiled = simulate(refined, schedule=schedule, backend="compiled")
+    loaded = load_system("flc")
+    refined = refine_system(loaded.system, plan_buses(loaded.groups))
+    interp = simulate(refined, schedule=loaded.schedule, backend="interp")
+    compiled = simulate(refined, schedule=loaded.schedule,
+                        backend="compiled")
     assert compiled.fallbacks == {}
     assert compiled.final_values == interp.final_values
     assert compiled.end_time == interp.end_time

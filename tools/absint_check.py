@@ -25,43 +25,25 @@ from repro.analysis.absint import (
     analyze_refined_values,
     refined_channel_bounds,
 )
-from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
+from repro.errors import ReproError
+from repro.explore.systems import BUILTIN_SYSTEMS, load_system
 from repro.protogen.refine import refine_system
 from repro.sim.analysis import analyze_bus
 from repro.sim.runtime import simulate
 
-SYSTEMS = ("flc", "answering-machine", "ethernet")
-
-
-def _build(name: str):
-    if name == "flc":
-        from repro.apps.flc import build_flc
-
-        model = build_flc()
-        return model.system, model.bus_b, model.schedule
-    if name == "answering-machine":
-        from repro.apps.answering_machine import build_answering_machine
-
-        model = build_answering_machine()
-        return model.system, model.bus, model.schedule
-    if name == "ethernet":
-        from repro.apps.ethernet import build_ethernet
-
-        model = build_ethernet()
-        return model.system, model.bus, model.schedule
-    raise SystemExit(f"unknown system {name!r}; choose from {SYSTEMS}")
-
 
 def check_system(name: str) -> int:
     """Prints the bound-vs-observed table; returns violation count."""
-    system, group, schedule = _build(name)
-    design = generate_bus(group)
-    refined = refine_system(system, [design])
+    loaded = load_system(name)
+    designs = plan_buses(loaded.groups)
+    refined = refine_system(loaded.system, designs)
     analysis = analyze_refined_values(refined)
     bounds = refined_channel_bounds(refined)
-    result = simulate(refined, schedule=schedule)
+    result = simulate(refined, schedule=loaded.schedule)
 
-    print(f"\n{name}: width {design.width}, "
+    widths = ", ".join(str(design.width) for design in designs)
+    print(f"\n{name}: width {widths}, "
           f"{len(bounds)} channel(s), analysis converged in "
           f"{analysis.passes} pass(es)")
     header = (f"  {'channel':<12} {'static accesses':>16} "
@@ -95,19 +77,24 @@ def check_system(name: str) -> int:
             if not ok:
                 violations += 1
 
-    model = StaticRateModel(group, design.protocol)
-    if not model.is_provably_feasible(design.width):
-        print(f"  chosen width {design.width} is not provably "
-              "feasible under the static bounds: VIOLATION")
-        violations += 1
+    for design in designs:
+        model = StaticRateModel(design.group, design.protocol)
+        if not model.is_provably_feasible(design.width):
+            print(f"  chosen width {design.width} is not provably "
+                  "feasible under the static bounds: VIOLATION")
+            violations += 1
     return violations
 
 
 def main(argv) -> int:
-    names = argv or list(SYSTEMS)
+    names = argv or list(BUILTIN_SYSTEMS)
     total = 0
-    for name in names:
-        total += check_system(name)
+    try:
+        for name in names:
+            total += check_system(name)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if total:
         print(f"\nabsint-check: {total} soundness violation(s)")
         return 1

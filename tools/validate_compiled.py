@@ -31,31 +31,13 @@ import sys
 
 from repro.analysis.tv import validate_refined
 from repro.analysis.tv.mutations import check_corpus
-from repro.busgen.algorithm import generate_bus
+from repro.busgen.split import plan_buses
+from repro.errors import ReproError
+from repro.explore.systems import BUILTIN_SYSTEMS, load_system
 from repro.protogen.refine import refine_system
 from repro.sim.runtime import simulate
 
-SYSTEMS = ("flc", "answering-machine", "ethernet")
 PROTECTIONS = (None, "parity", "crc8")
-
-
-def _build(name: str):
-    if name == "flc":
-        from repro.apps.flc import build_flc
-
-        model = build_flc()
-        return model.system, model.bus_b, model.schedule
-    if name == "answering-machine":
-        from repro.apps.answering_machine import build_answering_machine
-
-        model = build_answering_machine()
-        return model.system, model.bus, model.schedule
-    if name == "ethernet":
-        from repro.apps.ethernet import build_ethernet
-
-        model = build_ethernet()
-        return model.system, model.bus, model.schedule
-    raise SystemExit(f"unknown system {name!r}; choose from {SYSTEMS}")
 
 
 def _agreement_failures(interp, compiled):
@@ -75,11 +57,12 @@ def _agreement_failures(interp, compiled):
 def check_system(name: str) -> int:
     """Proof + agreement for one system; returns failure count."""
     failures = 0
-    system, group, schedule = _build(name)
+    loaded = load_system(name)
+    schedule = loaded.schedule
     for protection in PROTECTIONS:
         label = f"{name:<18} protection={protection or 'none':<6}"
-        design = generate_bus(group)
-        refined = refine_system(system, [design], protection=protection)
+        refined = refine_system(loaded.system, plan_buses(loaded.groups),
+                                protection=protection)
 
         report = validate_refined(refined, schedule=schedule)
         refuted = [n for n, v in report.verdicts.items() if v.refuted]
@@ -125,10 +108,14 @@ def check_mutations() -> int:
 
 
 def main(argv) -> int:
-    systems = argv or list(SYSTEMS)
+    systems = argv or list(BUILTIN_SYSTEMS)
     failures = 0
-    for name in systems:
-        failures += check_system(name)
+    try:
+        for name in systems:
+            failures += check_system(name)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     failures += check_mutations()
     if failures:
         print(f"\n{failures} check(s) FAILED")

@@ -103,12 +103,21 @@ verify-all:       ## verify every built-in system's refinement
 	repro-synth synth answering-machine --verify
 	repro-synth synth ethernet --verify
 
-verify-examples:  ## temporal model checking on the built-in systems
+verify-examples:  ## temporal model checking on the built-in systems,
+                  ## plus a witness write/replay round trip
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify flc
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify answering-machine
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify ethernet
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify flc --protection parity
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify flc --protection crc8
+	rm -rf observability/witnesses
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify --mutate ack_never_raised \
+		--witness-dir observability/witnesses; status=$$?; \
+		test $$status -eq 1 || { echo "expected exit 1 (refuted), got $$status"; exit 1; }
+	@for witness in observability/witnesses/*.json; do \
+		echo "== replay $$witness"; \
+		PYTHONPATH=src $(PYTHON) -m repro.cli verify --replay $$witness || exit 1; \
+	done
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/reports

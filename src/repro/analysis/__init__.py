@@ -13,11 +13,7 @@ Distinct from :mod:`repro.sim.analysis`, which post-processes
 
 from repro.analysis.contention import check_contention
 from repro.analysis.deadcode import check_dead_code
-from repro.analysis.deadlock import (
-    FsmTransform,
-    check_fsm_pair,
-    check_handshakes,
-)
+from repro.analysis.deadlock import check_fsm_pair, check_handshakes
 from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticSet,
@@ -31,7 +27,11 @@ from repro.analysis.mc import (
     check_temporal,
     verify_refined,
 )
-from repro.analysis.product import ProductResult, explore_product
+from repro.analysis.product import (
+    FsmTransform,
+    ProductResult,
+    explore_product,
+)
 from repro.analysis.runner import PASSES, analyze_refined
 from repro.analysis.width import check_widths
 

@@ -1,9 +1,10 @@
 """Handshake deadlock / livelock detection (P1xx).
 
-For every channel of every generated bus, synthesize the accessor and
-server controller FSMs and explore their product automaton
-(:mod:`repro.analysis.product`).  Four defect classes fall out of the
-exploration:
+For every channel of every generated bus, explore the product
+automaton of the channel's controller model
+(:func:`~repro.analysis.product.channel_models`: the accessor/server
+pair synthesized once per spec, whose explored product the temporal
+checker shares).  Four defect classes fall out of the exploration:
 
 * **P101 deadlock** -- a reachable product state offers no move: each
   side waits on a line level the other will never produce (the classic
@@ -15,40 +16,29 @@ exploration:
 * **P104 dead guard** -- a transition whose guard no peer behavior can
   ever satisfy although its source state is visited (e.g. a server
   keyed to an ID code the accessor never drives).
-
-``fsm_transform`` lets callers intercept each synthesized FSM before
-analysis; the mutation corpus uses it to seed controller-level defects.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 from repro.analysis.diagnostics import (
     DiagnosticSet,
     Severity,
     SourceLocation,
 )
-from repro.analysis.product import ProductResult, explore_product
-from repro.protogen.fsm import ProtocolFsm, synthesize_fsm
-from repro.protogen.refine import RefinedBus, RefinedSpec
+from repro.analysis.product import (
+    ProductResult,
+    channel_models,
+    describe_state,
+    explore_product,
+)
+from repro.protogen.fsm import ProtocolFsm
+from repro.protogen.refine import RefinedSpec
 
-FsmTransform = Callable[[ProtocolFsm], ProtocolFsm]
 
-
-def check_handshakes(spec: RefinedSpec, diagnostics: DiagnosticSet,
-                     fsm_transform: Optional[FsmTransform] = None) -> None:
+def check_handshakes(spec: RefinedSpec, diagnostics: DiagnosticSet) -> None:
     """Run the product-automaton pass over every channel of the spec."""
-    for bus in spec.buses:
-        for channel in bus.group:
-            pair = bus.procedures[channel.name]
-            accessor = synthesize_fsm(pair.accessor, bus.structure)
-            server = synthesize_fsm(pair.server, bus.structure)
-            if fsm_transform is not None:
-                accessor = fsm_transform(accessor)
-                server = fsm_transform(server)
-            result = explore_product(accessor, server)
-            _report(bus, channel.name, result, diagnostics)
+    for (bus_name, channel_name), model in channel_models(spec).items():
+        _report(bus_name, channel_name, model.explore(), diagnostics)
 
 
 def check_fsm_pair(accessor: ProtocolFsm, server: ProtocolFsm,
@@ -57,18 +47,12 @@ def check_fsm_pair(accessor: ProtocolFsm, server: ProtocolFsm,
                    channel_name: str = "?") -> ProductResult:
     """Analyze one pre-synthesized controller pair directly."""
     result = explore_product(accessor, server)
-    _report_result(bus_name, channel_name, result, diagnostics)
+    _report(bus_name, channel_name, result, diagnostics)
     return result
 
 
-def _report(bus: RefinedBus, channel_name: str, result: ProductResult,
+def _report(bus_name: str, channel_name: str, result: ProductResult,
             diagnostics: DiagnosticSet) -> None:
-    _report_result(bus.name, channel_name, result, diagnostics)
-
-
-def _report_result(bus_name: str, channel_name: str,
-                   result: ProductResult,
-                   diagnostics: DiagnosticSet) -> None:
     location = SourceLocation("channel", channel_name,
                               detail=f"bus {bus_name}")
     if result.deadlocks:
@@ -77,7 +61,7 @@ def _report_result(bus_name: str, channel_name: str,
             "P101", Severity.ERROR,
             f"handshake deadlock between {result.accessor.name} and "
             f"{result.server.name}: no transition enabled at "
-            f"{result.describe_state(state)}"
+            f"{describe_state(state)}"
             + (f" (+{len(result.deadlocks) - 1} more state(s))"
                if len(result.deadlocks) > 1 else ""),
             location,
@@ -90,7 +74,7 @@ def _report_result(bus_name: str, channel_name: str,
             "P102", Severity.ERROR,
             f"livelock: {len(result.livelocked)} reachable state(s) of "
             f"{result.accessor.name} x {result.server.name} can never "
-            f"return to rest, e.g. {result.describe_state(state)}",
+            f"return to rest, e.g. {describe_state(state)}",
             location,
             hint="the controllers cycle without reaching their "
                  "initial/final states again",

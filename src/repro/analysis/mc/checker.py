@@ -39,12 +39,11 @@ from repro.analysis.mc.graph import (
     EdgeLabel,
     TemporalGraph,
     XState,
-    attempt_starts,
     build_temporal_graph,
 )
-from repro.analysis.mc.races import RaceFinding, channel_races
+from repro.analysis.mc.races import channel_races
 from repro.analysis.mc.witness import Witness, WitnessStep
-from repro.analysis.product import parse_actions
+from repro.analysis.product import _Explorer, co_reachable
 from repro.protocols import ProtectionPlan, Protocol
 from repro.protogen.fsm import FsmTransition, ProtocolFsm
 
@@ -335,9 +334,11 @@ def check_channel(accessor: ProtocolFsm, server: ProtocolFsm, *,
                   system: str = "design", bus_name: str = "?",
                   channel_name: str = "?",
                   witness_meta: Optional[Dict[str, Any]] = None,
+                  model: Optional[_Explorer] = None,
                   ) -> List[PropertyVerdict]:
-    """Run every temporal property over one controller pair."""
-    graph = build_temporal_graph(accessor, server, plan)
+    """Run every temporal property over one controller pair (and its
+    shared controller ``model``, if the caller has one)."""
+    graph = build_temporal_graph(accessor, server, plan, model=model)
     protocol_name = accessor.protocol_name or (
         protocol.name if protocol is not None else "?")
     protection_name = plan.protection.name if plan is not None else None
@@ -376,7 +377,7 @@ def check_channel(accessor: ProtocolFsm, server: ProtocolFsm, *,
     doomed = _doomed(graph, in_flight_set)
 
     # --- cycles ------------------------------------------------------
-    attempt = attempt_starts(accessor)
+    attempt = graph.model.a.attempt_starts
     fair_plain: List[Tuple[List[XState], List[EdgeLabel]]] = []
     fair_retry: List[Tuple[List[XState], List[EdgeLabel]]] = []
     unfair: List[Tuple[List[XState], List[EdgeLabel], Set[str]]] = []
@@ -515,21 +516,12 @@ def _doomed(graph: TemporalGraph,
             in_flight: Set[XState]) -> List[XState]:
     """In-flight states from which no rest state is reachable,
     excluding terminal states (those are deadlocks)."""
-    reverse: Dict[XState, List[XState]] = {x: [] for x in graph.states}
-    for source, targets in graph.edges.items():
-        for target, _ in targets:
-            reverse[target].append(source)
-    seeds = [x for x in graph.states if graph.is_rest(x)]
-    co_reachable = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for predecessor in reverse[stack.pop()]:
-            if predecessor not in co_reachable:
-                co_reachable.add(predecessor)
-                stack.append(predecessor)
+    edges = {x: [target for target, _ in out]
+             for x, out in graph.edges.items()}
+    alive = co_reachable(edges, [x for x in graph.states
+                                 if graph.is_rest(x)])
     return [x for x in graph.states
-            if x in in_flight and x not in co_reachable
-            and graph.edges.get(x)]
+            if x in in_flight and x not in alive and graph.edges.get(x)]
 
 
 def _nack_commit_state(graph: TemporalGraph,
@@ -540,12 +532,10 @@ def _nack_commit_state(graph: TemporalGraph,
     if plan is None:
         return None
     nack = plan.nack_line
-    asserting = set()
-    for state in graph.server.states:
-        if (nack, 1) in parse_actions(state.actions).drives:
-            asserting.add(state.name)
+    asserting = {name for name, effects in graph.model.s.effects.items()
+                 if (nack, 1) in effects.drives}
     committing = set()
-    for state in graph.accessor.states:
+    for state in graph.model.accessor.states:
         latches = any(a.startswith("latch ") for a in state.actions)
         if latches or state.name.endswith("_ACK"):
             committing.add(state.name)

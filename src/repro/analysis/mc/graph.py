@@ -25,7 +25,6 @@ abstraction cannot bound the loop at all (P705).
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -34,67 +33,20 @@ from repro.analysis.product import (
     MAX_PRODUCT_STATES,
     ProductState,
     _Explorer,
+    _FsmIndex,
+    describe_state,
+    product_model,
 )
 from repro.errors import AnalysisError
 from repro.protocols import ProtectionPlan
-from repro.protogen.fsm import FsmState, FsmTransition, ProtocolFsm
+from repro.protogen.fsm import FsmTransition, ProtocolFsm
 
 #: Hard cap on the retry counter: a budget beyond this would blow the
 #: extended state space up instead of abstracting it (P705).
 COUNTER_CAP = 64
 
-#: ``drive DATA(hi:lo) <= field`` actions, at bit granularity.
-_DATA_DRIVE_RE = re.compile(r"^drive DATA\((\d+):(\d+)\)")
-
-#: Word index embedded in synthesized state names (W3_REQ, W3 ...).
-_WORD_RE = re.compile(r"W(\d+)")
-
 #: An extended state: (base product state, retry counter).
 XState = Tuple[ProductState, int]
-
-
-# ---------------------------------------------------------------------------
-# Drive sets (race granularity)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DriveSet:
-    """Everything one FSM state puts on the wires while occupied."""
-
-    #: Control lines driven (START, DONE, NACK ...), regardless of level:
-    #: two simultaneous drivers on one wire conflict even when they
-    #: agree on the value.
-    controls: FrozenSet[str] = frozenset()
-    #: OR of all driven DATA bit ranges, as a wire mask.
-    data_mask: int = 0
-    #: True when the state drives the ID lines.
-    drives_id: bool = False
-    #: Word index the state serves, when the name encodes one.  The
-    #: strobe master clears the shared word before each strobe
-    #: (``_clear_word`` in :mod:`repro.sim.bus`), so DATA drives of
-    #: *different* words are temporally separated and never conflict.
-    word: Optional[int] = None
-
-
-def drive_set(state: FsmState) -> DriveSet:
-    """Parse one state's actions into a :class:`DriveSet`."""
-    controls = set()
-    mask = 0
-    drives_id = False
-    for action in state.actions:
-        match = _DATA_DRIVE_RE.match(action)
-        if match:
-            hi, lo = int(match.group(1)), int(match.group(2))
-            mask |= ((1 << (hi - lo + 1)) - 1) << lo
-        elif action.startswith("drive ID = "):
-            drives_id = True
-        elif " <= '" in action and not action.startswith(("drive ",
-                                                          "latch ")):
-            controls.add(action.split(" <= ", 1)[0].strip())
-    word_match = _WORD_RE.match(state.name)
-    word = int(word_match.group(1)) if word_match else None
-    return DriveSet(controls=frozenset(controls), data_mask=mask,
-                    drives_id=drives_id, word=word)
 
 
 # ---------------------------------------------------------------------------
@@ -104,27 +56,7 @@ def drive_set(state: FsmState) -> DriveSet:
 def attempt_starts(fsm: ProtocolFsm) -> FrozenSet[str]:
     """Targets of the environment's ``invoke`` transitions: the states
     where a fresh message attempt begins (W0_REQ / W0 / GRANT)."""
-    from repro.analysis.product import parse_guard
-
-    initial = fsm.initial_state().name
-    starts = set()
-    for transition in fsm.successors(initial):
-        if parse_guard(transition.guard).invoke:
-            starts.add(transition.target)
-    return frozenset(starts)
-
-
-def retry_shaped(fsm: ProtocolFsm) -> List[FsmTransition]:
-    """In-flight back-edges into an attempt-start state.
-
-    These re-enter the word cycle without passing through rest --
-    the structural signature of a retransmission loop, whether or not
-    synthesis marked them ``is_retry``.
-    """
-    starts = attempt_starts(fsm)
-    initial = fsm.initial_state().name
-    return [t for t in fsm.transitions
-            if t.target in starts and t.source != initial]
+    return _FsmIndex(fsm).attempt_starts
 
 
 def retry_budget(plan: Optional[ProtectionPlan]) -> Optional[int]:
@@ -162,8 +94,8 @@ class EdgeLabel:
 class TemporalGraph:
     """The explored counter-extended product graph of one channel."""
 
-    accessor: ProtocolFsm
-    server: ProtocolFsm
+    #: The pair's controller model, whose cached moves the graph unrolls.
+    model: _Explorer
     plan: Optional[ProtectionPlan]
     budget: Optional[int]
     #: Reason the counter abstraction could not be built, or None.
@@ -177,12 +109,9 @@ class TemporalGraph:
     #: BFS tree: state -> (parent state, edge label), None at the root.
     parents: Dict[XState, Optional[Tuple[XState, EdgeLabel]]] = \
         field(default_factory=dict)
-    a_rest: str = ""
-    s_rest: str = ""
 
     def is_rest(self, xstate: XState) -> bool:
-        base, _ = xstate
-        return base[0] == self.a_rest and base[1] == self.s_rest
+        return self.model.is_rest(xstate[0])
 
     def path_to(self, xstate: XState) -> List[EdgeLabel]:
         """Edge labels along the BFS tree from the initial state."""
@@ -198,14 +127,8 @@ class TemporalGraph:
         return labels
 
     def describe_state(self, xstate: XState) -> str:
-        (a_state, s_state, lines, id_code), k = xstate
-        levels = ", ".join(f"{line}={value}"
-                           for line, value in sorted(lines))
-        text = f"accessor@{a_state}, server@{s_state}"
-        if levels:
-            text += f", {levels}"
-        if id_code is not None:
-            text += f', ID="{id_code}"'
+        base, k = xstate
+        text = describe_state(base)
         if k:
             text += f", retries={k}"
         return text
@@ -213,12 +136,21 @@ class TemporalGraph:
 
 def build_temporal_graph(accessor: ProtocolFsm, server: ProtocolFsm,
                          plan: Optional[ProtectionPlan] = None,
+                         model: Optional[_Explorer] = None,
                          ) -> TemporalGraph:
-    """BFS the counter-extended product graph of one channel pair."""
-    explorer = _Explorer(accessor, server)
-    a_rest = accessor.initial_state().name
-    s_rest = server.initial_state().name
-    shaped = {(t.source, t.target, t.guard) for t in retry_shaped(accessor)}
+    """BFS the counter-extended product graph of one channel pair,
+    unrolling the cached moves of its controller ``model`` (a fresh
+    one for hand-built pairs)."""
+    if model is None:
+        model = product_model(accessor, server)
+    a_rest = model.a.initial
+    starts = model.a.attempt_starts
+    # Retry-shaped edges: in-flight back-edges into an attempt-start
+    # state, re-entering the word cycle without passing through rest
+    # -- the structural signature of a retransmission loop, whether or
+    # not synthesis marked them ``is_retry``.
+    shaped = {(t.source, t.target, t.guard) for t in accessor.transitions
+              if t.target in starts and t.source != a_rest}
     marked = any(t.is_retry for t in accessor.transitions)
     has_retry = marked or bool(shaped)
 
@@ -232,11 +164,9 @@ def build_temporal_graph(accessor: ProtocolFsm, server: ProtocolFsm,
                    f"abstraction cap ({COUNTER_CAP})")
         budget = None
 
-    graph = TemporalGraph(accessor=accessor, server=server, plan=plan,
-                          budget=budget, abstraction_failure=failure,
-                          has_retry=has_retry,
-                          a_rest=a_rest, s_rest=s_rest)
-    initial: XState = (explorer._initial(), 0)
+    graph = TemporalGraph(model=model, plan=plan, budget=budget,
+                          abstraction_failure=failure, has_retry=has_retry)
+    initial: XState = (model._initial(), 0)
     graph.initial = initial
     graph.states.append(initial)
     graph.parents[initial] = None
@@ -248,8 +178,7 @@ def build_temporal_graph(accessor: ProtocolFsm, server: ProtocolFsm,
         xstate = frontier.popleft()
         base, counter = xstate
         out: List[Tuple[XState, EdgeLabel]] = []
-        for move in explorer._moves(base):
-            t_a, t_s = move
+        for (t_a, t_s), plain_target in model.successors(base):
             # Only *marked* retry edges consume budget: synthesis
             # guarantees the mark, and a retry-shaped edge that lost it
             # bypasses the counter -- exactly the defect P702 reports.
@@ -267,9 +196,13 @@ def build_temporal_graph(accessor: ProtocolFsm, server: ProtocolFsm,
                     # returns to rest (the simulator raises here).
                     redirect = True
                     next_counter = 0
-            fired_a = replace(t_a, target=a_rest) if redirect else t_a
-            next_base = explorer._fire(base, (fired_a, t_s))
-            if next_base[0] == a_rest and next_base[1] == s_rest:
+            if redirect:
+                # Give-up targets can lie outside the plain product.
+                fired_a = replace(t_a, target=a_rest)
+                next_base = model._fire(base, (fired_a, t_s))
+            else:
+                fired_a, next_base = t_a, plain_target
+            if model.is_rest(next_base):
                 next_counter = 0
             target: XState = (next_base, next_counter)
             # Witness steps record the transition that actually fired:

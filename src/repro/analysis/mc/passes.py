@@ -9,18 +9,19 @@ on).  :func:`check_temporal` adapts the same engine to the lint
 runner: refuted/unknown verdicts become P7xx diagnostics.
 
 Reports are memoized on the spec per ``witness_meta``, so lint's
-temporal pass and a later ``verify`` of it model-check once.
-``fsm_transform`` (the handshake pass hook the mutation corpus uses to
-seed controller-level defects) bypasses the memo via a spec copy.
+temporal pass and a later ``verify`` of it model-check once, and every
+channel is checked on its shared controller model
+(:func:`~repro.analysis.product.channel_models`), whose product the
+handshake pass explores too.  ``fsm_transform`` (the hook the mutation
+corpus uses to seed controller-level defects) bypasses the memo via a
+spec copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.analysis.absint import refined_channel_bounds
-from repro.analysis.deadlock import FsmTransform
 from repro.analysis.diagnostics import (
     DiagnosticSet,
     Severity,
@@ -35,7 +36,11 @@ from repro.analysis.mc.checker import (
     check_channel,
 )
 from repro.analysis.mc.races import bus_window_races
-from repro.protogen.fsm import synthesize_fsm
+from repro.analysis.product import (
+    FsmTransform,
+    channel_models,
+    with_fsm_transform,
+)
 from repro.protogen.refine import RefinedSpec
 
 #: Diagnostic severity per P7xx code.  Starvation is a warning: the
@@ -67,29 +72,24 @@ def verify_refined(spec: RefinedSpec,
                    witness_meta: Optional[Dict[str, Any]] = None,
                    ) -> VerificationReport:
     """Model-check every channel of ``spec``; returns all verdicts."""
-    if fsm_transform is not None:
-        # Transformed controllers are not this spec's design.
-        return _verify(replace(spec), fsm_transform, witness_meta)
+    spec = with_fsm_transform(spec, fsm_transform)
     key = ("verify", tuple(sorted((witness_meta or {}).items())))
-    return spec.memoized(key, lambda: _verify(spec, None, witness_meta))
+    return spec.memoized(key, lambda: _verify(spec, witness_meta))
 
 
-def _verify(spec: RefinedSpec, fsm_transform: Optional[FsmTransform],
+def _verify(spec: RefinedSpec,
             witness_meta: Optional[Dict[str, Any]]) -> VerificationReport:
     report = VerificationReport(system=spec.name)
     meta = dict(witness_meta or {})
+    models = channel_models(spec)
     for bus in spec.buses:
         meta_bus = dict(meta, width=bus.structure.width)
         for channel in bus.group:
+            model = models[(bus.name, channel.name)]
             pair = bus.procedures[channel.name]
-            accessor = synthesize_fsm(pair.accessor, bus.structure)
-            server = synthesize_fsm(pair.server, bus.structure)
-            if fsm_transform is not None:
-                accessor = fsm_transform(accessor)
-                server = fsm_transform(server)
             words = len(pair.layout.words(bus.structure.width))
             report.verdicts.extend(check_channel(
-                accessor, server,
+                model.accessor, model.server, model=model,
                 plan=bus.structure.protection,
                 protocol=bus.structure.protocol,
                 words=words,
@@ -120,10 +120,9 @@ def _bus_race_verdicts(spec: RefinedSpec, bus):
                 f"{race.line} in overlapping windows: {race.detail}")]
 
 
-def check_temporal(spec: RefinedSpec, diagnostics: DiagnosticSet,
-                   fsm_transform: Optional[FsmTransform] = None) -> None:
+def check_temporal(spec: RefinedSpec, diagnostics: DiagnosticSet) -> None:
     """Lint adapter: refuted/unknown verdicts become P7xx findings."""
-    report = verify_refined(spec, fsm_transform=fsm_transform)
+    report = verify_refined(spec)
     for verdict in report.verdicts:
         if verdict.status == PROVED or verdict.code is None:
             continue

@@ -3,8 +3,8 @@
 Two granularities:
 
 * **Intra-channel** -- over the reachable states of the counter-extended
-  product graph, intersect the accessor's and server's per-state drive
-  sets (:func:`repro.analysis.mc.graph.drive_set`).  A control line
+  product graph, intersect the accessor's and server's per-state wire
+  effects (:class:`repro.analysis.product.StateEffects`).  A control line
   driven by both sides in one reachable state is a race outright (two
   drivers on one wire conflict even when the levels agree); DATA bit
   ranges conflict when the masks overlap on the *same* word -- the
@@ -27,10 +27,22 @@ Two granularities:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.mc.graph import TemporalGraph, XState, drive_set
+from repro.analysis.mc.graph import TemporalGraph, XState
+
+#: Word index embedded in synthesized state names (W3_REQ, W3 ...).
+#: The strobe master clears the shared word before each strobe
+#: (``_clear_word`` in :mod:`repro.sim.bus`), so DATA drives of
+#: *different* words are temporally separated and never conflict.
+_WORD_RE = re.compile(r"W(\d+)")
+
+
+def _word(state_name: str) -> Optional[int]:
+    match = _WORD_RE.match(state_name)
+    return int(match.group(1)) if match else None
 
 
 @dataclass(frozen=True)
@@ -53,9 +65,9 @@ def _mask_span(mask: int) -> str:
 
 
 def channel_races(graph: TemporalGraph) -> List[RaceFinding]:
-    """Reachable simultaneous drive-set overlaps of one channel pair."""
-    a_sets = {s.name: drive_set(s) for s in graph.accessor.states}
-    s_sets = {s.name: drive_set(s) for s in graph.server.states}
+    """Reachable simultaneous drive overlaps of one channel pair."""
+    a_sets = graph.model.a.effects
+    s_sets = graph.model.s.effects
     findings: List[RaceFinding] = []
     reported = set()
     seen_bases = set()
@@ -67,35 +79,35 @@ def channel_races(graph: TemporalGraph) -> List[RaceFinding]:
         seen_bases.add(pair)
         a_ds = a_sets[base[0]]
         s_ds = s_sets[base[1]]
+        drivers = (f"{graph.model.accessor.name}@{base[0]}",
+                   f"{graph.model.server.name}@{base[1]}")
         for line in sorted(a_ds.controls & s_ds.controls):
             if ("control", line) in reported:
                 continue
             reported.add(("control", line))
             findings.append(RaceFinding(
                 line=line,
-                drivers=(f"{graph.accessor.name}@{base[0]}",
-                         f"{graph.server.name}@{base[1]}"),
+                drivers=drivers,
                 state=xstate,
                 detail="both sides drive the line in one reachable "
                        "state"))
         overlap = a_ds.data_mask & s_ds.data_mask
-        same_word = (a_ds.word is None or s_ds.word is None
-                     or a_ds.word == s_ds.word)
+        a_word, s_word = _word(base[0]), _word(base[1])
+        same_word = a_word is None or s_word is None or a_word == s_word
         if overlap and same_word and ("data",) not in reported:
             reported.add(("data",))
             findings.append(RaceFinding(
                 line=_mask_span(overlap),
-                drivers=(f"{graph.accessor.name}@{base[0]}",
-                         f"{graph.server.name}@{base[1]}"),
+                drivers=drivers,
                 state=xstate,
                 detail="accessor and server word slices overlap on "
                        "the same bus word"))
-        if a_ds.drives_id and s_ds.drives_id and ("id",) not in reported:
+        if (a_ds.id_code is not None and s_ds.id_code is not None
+                and ("id",) not in reported):
             reported.add(("id",))
             findings.append(RaceFinding(
                 line="ID",
-                drivers=(f"{graph.accessor.name}@{base[0]}",
-                         f"{graph.server.name}@{base[1]}"),
+                drivers=drivers,
                 state=xstate,
                 detail="both sides drive the ID lines"))
     return findings

@@ -110,29 +110,39 @@ class Witness:
         return path
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Witness":
-        if data.get("schema") != SCHEMA:
+    def from_dict(cls, data: Any) -> "Witness":
+        """Parse a witness; :class:`AnalysisError` if it is malformed."""
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != SCHEMA:
             raise AnalysisError(
-                f"not a {SCHEMA} witness: schema="
-                f"{data.get('schema')!r}")
-        return cls(
-            system=data["system"],
-            bus=data["bus"],
-            channel=data["channel"],
-            protocol=data["protocol"],
-            protection=data.get("protection"),
-            property_id=data["property"],
-            code=data["code"],
-            kind=data["kind"],
-            claim=dict(data.get("claim") or {}),
-            loop_start=data.get("loop_start"),
-            steps=[WitnessStep.from_dict(s) for s in data["steps"]],
-            meta=dict(data.get("meta") or {}),
-        )
+                f"not a {SCHEMA} witness: schema={schema!r}")
+        try:
+            return cls(
+                system=data["system"],
+                bus=data["bus"],
+                channel=data["channel"],
+                protocol=data["protocol"],
+                protection=data.get("protection"),
+                property_id=data["property"],
+                code=data["code"],
+                kind=data["kind"],
+                claim=dict(data.get("claim") or {}),
+                loop_start=data.get("loop_start"),
+                steps=[WitnessStep.from_dict(s) for s in data["steps"]],
+                meta=dict(data.get("meta") or {}),
+            )
+        except (KeyError, AttributeError, TypeError, ValueError) as error:
+            raise AnalysisError(f"malformed {SCHEMA} witness: missing "
+                                f"or invalid field {error}") from None
 
     @classmethod
     def load(cls, path) -> "Witness":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as error:
+            raise AnalysisError(
+                f"cannot load witness {path}: {error}") from None
+        return cls.from_dict(data)
 
     @property
     def cycle(self) -> List[WitnessStep]:

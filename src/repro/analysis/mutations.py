@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
-from repro.analysis.deadlock import FsmTransform
+from repro.analysis.product import FsmTransform
 from repro.busgen.algorithm import generate_bus
 from repro.protocols import (
     FULL_HANDSHAKE,

@@ -19,24 +19,35 @@ together with an accessor transition leaving a state that emits the
 strobe (and is *forced* to, modelling the lockstep of the
 one-clock-per-word protocols).  Everything else interleaves freely.
 
-Exploration is a plain BFS; the product of two message-transfer
+Exploration is a plain DFS; the product of two message-transfer
 controllers is tiny (tens of states), and a hard cap guards against
 pathological hand-built inputs.
+
+Each channel of a refined spec has one **controller model**
+(:func:`channel_models`, memoized on the spec): its synthesized pair
+and one explorer that computes each product state's successors once,
+shared by the handshake (P1xx) and temporal (P7xx) passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+import re
+from dataclasses import dataclass, field, replace
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Set,
+                    Tuple)
 
 from repro.errors import AnalysisError
-from repro.protogen.fsm import FsmTransition, ProtocolFsm
+from repro.protogen.fsm import FsmTransition, ProtocolFsm, synthesize_fsm
+from repro.protogen.refine import RefinedSpec
 
 #: Events that synchronize the two sides instead of testing a level.
 STROBE_TOKENS = ("strobe", "REQ toggle", "schedule tick")
 
 #: Safety cap on explored product states.
 MAX_PRODUCT_STATES = 20_000
+
+#: ``drive DATA(hi:lo) <= field`` actions, at bit granularity.
+_DATA_DRIVE_RE = re.compile(r"^drive DATA\((\d+):(\d+)\)")
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +66,6 @@ class Guard:
     strobes: Tuple[str, ...] = ()
     #: True for the environment's ``invoke`` event.
     invoke: bool = False
-
-    @property
-    def is_tick(self) -> bool:
-        return not (self.levels or self.id_code or self.strobes
-                    or self.invoke)
 
 
 def parse_guard(guard: Optional[str]) -> Guard:
@@ -91,7 +97,7 @@ def parse_guard(guard: Optional[str]) -> Guard:
 
 @dataclass(frozen=True)
 class StateEffects:
-    """Control-line effects of sitting in one FSM state."""
+    """Everything one FSM state puts on the wires while occupied."""
 
     #: Line assignments, e.g. {"START": 1}.
     drives: Tuple[Tuple[str, int], ...] = ()
@@ -99,19 +105,32 @@ class StateEffects:
     id_code: Optional[str] = None
     #: Strobe events emitted by this state.
     strobes: Tuple[str, ...] = ()
+    #: OR of all driven DATA bit ranges, as a wire mask.
+    data_mask: int = 0
+
+    @property
+    def controls(self) -> FrozenSet[str]:
+        """Control lines driven, regardless of level: two simultaneous
+        drivers on one wire conflict even when they agree."""
+        return frozenset(line for line, _ in self.drives)
 
 
 def parse_actions(actions: Tuple[str, ...]) -> StateEffects:
-    """Extract the control-line effects from a state's action strings.
+    """Extract the wire effects from a state's action strings.
 
-    Data moves (``drive DATA(...)``, ``latch ...``, ``commit/...``) are
-    irrelevant to the control structure and ignored.
+    DATA drives count only as a bit mask; latches and commits leave
+    the wires alone and are ignored.
     """
     drives: List[Tuple[str, int]] = []
     id_code: Optional[str] = None
     strobes: List[str] = []
+    data_mask = 0
     for action in actions:
-        if action in STROBE_TOKENS:
+        match = _DATA_DRIVE_RE.match(action)
+        if match:
+            hi, lo = int(match.group(1)), int(match.group(2))
+            data_mask |= ((1 << (hi - lo + 1)) - 1) << lo
+        elif action in STROBE_TOKENS:
             strobes.append(action)
         elif action.startswith("drive ID = "):
             id_code = action[len("drive ID = "):].strip('"')
@@ -120,7 +139,7 @@ def parse_actions(actions: Tuple[str, ...]) -> StateEffects:
             line, value = action.split(" <= ", 1)
             drives.append((line.strip(), int(value.strip("'"))))
     return StateEffects(drives=tuple(drives), id_code=id_code,
-                        strobes=tuple(strobes))
+                        strobes=tuple(strobes), data_mask=data_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +151,22 @@ ProductState = Tuple[str, str, FrozenSet[Tuple[str, int]], Optional[str]]
 
 #: A fired move: (accessor transition or None, server transition or None)
 Move = Tuple[Optional[FsmTransition], Optional[FsmTransition]]
+
+#: Hook applied to every synthesized FSM before analysis; the mutation
+#: corpus uses it to seed controller-level defects.
+FsmTransform = Callable[[ProtocolFsm], ProtocolFsm]
+
+
+def describe_state(state: ProductState) -> str:
+    """The one human-readable form of a product state (P1xx and P7xx
+    messages)."""
+    a_state, s_state, lines, id_code = state
+    levels = ", ".join(f"{line}={value}" for line, value in sorted(lines))
+    text = (f"accessor@{a_state}, server@{s_state}"
+            + (f", {levels}" if levels else ""))
+    if id_code is not None:
+        text += f', ID="{id_code}"'
+    return text
 
 
 @dataclass
@@ -159,54 +194,56 @@ class ProductResult:
                     or self.unreachable_accessor or self.unreachable_server
                     or self.never_fired)
 
-    def describe_state(self, state: ProductState) -> str:
-        a_state, s_state, lines, id_code = state
-        levels = ", ".join(f"{line}={value}"
-                           for line, value in sorted(lines))
-        text = (f"accessor@{a_state}, server@{s_state}"
-                + (f", {levels}" if levels else ""))
-        if id_code is not None:
-            text += f', ID="{id_code}"'
-        return text
+
+class _FsmIndex:
+    """One FSM read once: initial state, per-state wire effects and
+    outgoing transitions with parsed guards."""
+
+    def __init__(self, fsm: ProtocolFsm):
+        self.initial = fsm.initial_state().name
+        self.effects = {s.name: parse_actions(s.actions)
+                        for s in fsm.states}
+        self.out: Dict[str, List[Tuple[FsmTransition, Guard]]] = {}
+        for transition in fsm.transitions:
+            self.out.setdefault(transition.source, []).append(
+                (transition, parse_guard(transition.guard)))
+        #: Targets of the environment's ``invoke`` transitions: the
+        #: states where a fresh message attempt begins.
+        self.attempt_starts = frozenset(
+            t.target for t, guard in self.out.get(self.initial, ())
+            if guard.invoke)
 
 
 class _Explorer:
-    """BFS over the product automaton of one FSM pair."""
+    """The controller model of one FSM pair: its product automaton,
+    with each state's labelled successors computed once."""
 
     def __init__(self, accessor: ProtocolFsm, server: ProtocolFsm):
         self.accessor = accessor
         self.server = server
-        self.a_effects = {s.name: parse_actions(s.actions)
-                          for s in accessor.states}
-        self.s_effects = {s.name: parse_actions(s.actions)
-                          for s in server.states}
-        self.a_guards = {id(t): parse_guard(t.guard)
-                         for t in accessor.transitions}
-        self.s_guards = {id(t): parse_guard(t.guard)
-                         for t in server.transitions}
-        self.fired: Set[int] = set()
-        self.edges: Dict[ProductState, List[ProductState]] = {}
+        self.a = _FsmIndex(accessor)
+        self.s = _FsmIndex(server)
+        self._successors: Dict[ProductState,
+                               List[Tuple[Move, ProductState]]] = {}
 
     # -- state helpers ------------------------------------------------------
 
-    def _apply(self, lines: Dict[str, int], id_code: Optional[str],
-               effects: StateEffects) -> Tuple[Dict[str, int],
-                                               Optional[str]]:
-        updated = dict(lines)
-        for line, value in effects.drives:
-            updated[line] = value
-        if effects.id_code is not None:
-            id_code = effects.id_code
-        return updated, id_code
+    @staticmethod
+    def _apply(lines: Dict[str, int], id_code: Optional[str],
+               effects: StateEffects) -> Optional[str]:
+        """Drive ``effects`` onto ``lines`` in place; the new ID code."""
+        lines.update(effects.drives)
+        return id_code if effects.id_code is None else effects.id_code
 
     def _initial(self) -> ProductState:
-        a0 = self.accessor.initial_state().name
-        s0 = self.server.initial_state().name
+        a0, s0 = self.a.initial, self.s.initial
         lines: Dict[str, int] = {}
-        id_code: Optional[str] = None
-        lines, id_code = self._apply(lines, id_code, self.a_effects[a0])
-        lines, id_code = self._apply(lines, id_code, self.s_effects[s0])
+        id_code = self._apply(lines, None, self.a.effects[a0])
+        id_code = self._apply(lines, id_code, self.s.effects[s0])
         return (a0, s0, frozenset(lines.items()), id_code)
+
+    def is_rest(self, state: ProductState) -> bool:
+        return state[0] == self.a.initial and state[1] == self.s.initial
 
     def _satisfied(self, guard: Guard, lines: Dict[str, int],
                    id_code: Optional[str]) -> bool:
@@ -226,10 +263,10 @@ class _Explorer:
         lines = dict(frozen)
         moves: List[Move] = []
 
-        emitted = self.a_effects[a_state].strobes
-        server_resting = s_state == self.server.initial_state().name
-        for t_a in self.accessor.successors(a_state):
-            guard_a = self.a_guards[id(t_a)]
+        emitted = self.a.effects[a_state].strobes
+        server_resting = s_state == self.s.initial
+        s_out = self.s.out.get(s_state, ())
+        for t_a, guard_a in self.a.out.get(a_state, ()):
             if guard_a.strobes or not self._satisfied(guard_a, lines,
                                                       id_code):
                 continue
@@ -240,8 +277,7 @@ class _Explorer:
             # Forced synchronization with strobe-waiting server moves.
             syncs = []
             if emitted:
-                for t_s in self.server.successors(s_state):
-                    guard_s = self.s_guards[id(t_s)]
+                for t_s, guard_s in s_out:
                     if not guard_s.strobes:
                         continue
                     if not set(guard_s.strobes) <= set(emitted):
@@ -253,8 +289,7 @@ class _Explorer:
             else:
                 moves.append((t_a, None))
 
-        for t_s in self.server.successors(s_state):
-            guard_s = self.s_guards[id(t_s)]
+        for t_s, guard_s in s_out:
             if guard_s.strobes:
                 continue  # only fires through synchronization
             if self._satisfied(guard_s, lines, id_code):
@@ -266,16 +301,22 @@ class _Explorer:
         lines = dict(frozen)
         t_a, t_s = move
         if t_a is not None:
-            self.fired.add(id(t_a))
             a_state = t_a.target
-            lines, id_code = self._apply(lines, id_code,
-                                         self.a_effects[a_state])
+            id_code = self._apply(lines, id_code, self.a.effects[a_state])
         if t_s is not None:
-            self.fired.add(id(t_s))
             s_state = t_s.target
-            lines, id_code = self._apply(lines, id_code,
-                                         self.s_effects[s_state])
+            id_code = self._apply(lines, id_code, self.s.effects[s_state])
         return (a_state, s_state, frozenset(lines.items()), id_code)
+
+    def successors(self, state: ProductState,
+                   ) -> List[Tuple[Move, ProductState]]:
+        """``[(move, target)]`` of ``state``, computed on first use."""
+        cached = self._successors.get(state)
+        if cached is None:
+            cached = [(move, self._fire(state, move))
+                      for move in self._moves(state)]
+            self._successors[state] = cached
+        return cached
 
     # -- exploration --------------------------------------------------------
 
@@ -284,15 +325,11 @@ class _Explorer:
         initial = self._initial()
         frontier = [initial]
         result.reachable.add(initial)
-        a0 = self.accessor.initial_state().name
-        s0 = self.server.initial_state().name
 
         while frontier:
             state = frontier.pop()
-            successors: List[ProductState] = []
-            for move in self._moves(state):
-                target = self._fire(state, move)
-                successors.append(target)
+            successors = self.successors(state)
+            for _, target in successors:
                 if target not in result.reachable:
                     if len(result.reachable) >= MAX_PRODUCT_STATES:
                         raise AnalysisError(
@@ -301,42 +338,34 @@ class _Explorer:
                             f"{MAX_PRODUCT_STATES} states")
                     result.reachable.add(target)
                     frontier.append(target)
-            self.edges[state] = successors
-            if not successors and not (state[0] == a0 and state[1] == s0):
+            if not successors and not self.is_rest(state):
                 result.deadlocks.append(state)
 
-        self._find_livelocks(result, a0, s0)
+        self._find_livelocks(result)
         self._find_unvisited(result)
         return result
 
-    def _find_livelocks(self, result: ProductResult, a0: str,
-                        s0: str) -> None:
+    def _find_livelocks(self, result: ProductResult) -> None:
         """States that can never again reach a rest (both-idle) state."""
-        rests = {state for state in result.reachable
-                 if state[0] == a0 and state[1] == s0}
-        reverse: Dict[ProductState, List[ProductState]] = {
-            state: [] for state in result.reachable}
-        for source, targets in self.edges.items():
-            for target in targets:
-                reverse[target].append(source)
+        edges = {state: [target for _, target in self._successors[state]]
+                 for state in result.reachable}
         # Seed with deadlock states too: a path doomed to deadlock is
         # already reported as P101, not a second time as livelock.
-        seeds = rests | set(result.deadlocks)
-        co_reachable: Set[ProductState] = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for predecessor in reverse[stack.pop()]:
-                if predecessor not in co_reachable:
-                    co_reachable.add(predecessor)
-                    stack.append(predecessor)
+        seeds = [s for s in result.reachable if self.is_rest(s)]
+        alive = co_reachable(edges, seeds + result.deadlocks)
         result.livelocked = sorted(
-            (state for state in result.reachable
-             if state not in co_reachable),
+            (state for state in result.reachable if state not in alive),
             key=lambda s: (s[0], s[1]))
 
     def _find_unvisited(self, result: ProductResult) -> None:
+        """P103/P104 from the plain-reachable states' moves only: the
+        temporal checker also caches states outside the plain product."""
         seen_a = {state[0] for state in result.reachable}
         seen_s = {state[1] for state in result.reachable}
+        fired = {id(transition)
+                 for state in result.reachable
+                 for move, _ in self._successors[state]
+                 for transition in move if transition is not None}
         result.unreachable_accessor = sorted(
             s.name for s in self.accessor.states if s.name not in seen_a)
         result.unreachable_server = sorted(
@@ -344,13 +373,82 @@ class _Explorer:
         for side, fsm, seen in (("accessor", self.accessor, seen_a),
                                 ("server", self.server, seen_s)):
             for transition in fsm.transitions:
-                if id(transition) in self.fired:
+                if id(transition) in fired:
                     continue
                 if transition.source in seen:
                     result.never_fired.append((side, transition))
 
 
+def co_reachable(edges: Dict[Any, List[Any]], seeds: List[Any]) -> Set[Any]:
+    """Nodes of the graph ``edges`` from which some seed is reachable
+    (every edge target must be a node)."""
+    reverse: Dict[Any, List[Any]] = {node: [] for node in edges}
+    for source, targets in edges.items():
+        for target in targets:
+            reverse[target].append(source)
+    found = set(seeds)
+    stack = list(found)
+    while stack:
+        for predecessor in reverse[stack.pop()]:
+            if predecessor not in found:
+                found.add(predecessor)
+                stack.append(predecessor)
+    return found
+
+
+def product_model(accessor: ProtocolFsm, server: ProtocolFsm) -> _Explorer:
+    """The controller model of one (hand-built or synthesized) pair."""
+    return _Explorer(accessor, server)
+
+
 def explore_product(accessor: ProtocolFsm,
                     server: ProtocolFsm) -> ProductResult:
     """Build and explore the product automaton of one channel pair."""
-    return _Explorer(accessor, server).explore()
+    return product_model(accessor, server).explore()
+
+
+# ---------------------------------------------------------------------------
+# One controller model per channel
+# ---------------------------------------------------------------------------
+
+#: ``RefinedSpec.analysis_memo`` key of the per-channel models.
+_MODELS_KEY = "controller_models"
+
+ChannelModels = Dict[Tuple[str, str], _Explorer]
+
+
+def channel_models(spec: RefinedSpec) -> ChannelModels:
+    """``{(bus, channel): model}`` for every channel of ``spec``,
+    memoized on the spec."""
+    return spec.memoized(_MODELS_KEY, lambda: _synthesize_models(spec))
+
+
+def with_fsm_transform(spec: RefinedSpec,
+                       fsm_transform: Optional[FsmTransform],
+                       ) -> RefinedSpec:
+    """``spec`` itself when ``fsm_transform`` is None, else a memo-less
+    copy whose channel models hold the transformed controllers (they
+    are not ``spec``'s design, so its memo is left alone)."""
+    if fsm_transform is None:
+        return spec
+    copy = replace(spec)
+    copy.analysis_memo[_MODELS_KEY] = _synthesize_models(copy,
+                                                         fsm_transform)
+    return copy
+
+
+def _synthesize_models(spec: RefinedSpec,
+                       fsm_transform: Optional[FsmTransform] = None,
+                       ) -> ChannelModels:
+    models: ChannelModels = {}
+    for bus in spec.buses:
+        for channel in bus.group:
+            pair = bus.procedures[channel.name]
+            accessor = synthesize_fsm(pair.accessor, bus.structure)
+            server = synthesize_fsm(pair.server, bus.structure)
+            if fsm_transform is not None:
+                accessor = fsm_transform(accessor)
+                server = fsm_transform(server)
+            models[(bus.name, channel.name)] = product_model(accessor,
+                                                             server)
+    return models

@@ -16,15 +16,15 @@ JSON output is emitted in a stable sort order.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.analysis.absint.passes import check_value_flow
 from repro.analysis.contention import check_contention
 from repro.analysis.deadcode import check_dead_code
-from repro.analysis.deadlock import FsmTransform, check_handshakes
+from repro.analysis.deadlock import check_handshakes
 from repro.analysis.diagnostics import DiagnosticSet
 from repro.analysis.mc.passes import check_temporal
+from repro.analysis.product import FsmTransform, with_fsm_transform
 from repro.analysis.protection import check_protection
 from repro.analysis.width import check_widths
 from repro.obs.tracer import span as obs_span
@@ -52,20 +52,17 @@ def analyze_refined(spec: RefinedSpec,
                     ) -> DiagnosticSet:
     """Run all static passes over ``spec``.
 
-    ``fsm_transform`` is forwarded to the controller passes; the
-    mutation corpus uses it to seed controller-level defects.  Such a
-    run analyzes a memo-less copy of ``spec`` and leaves its memo alone.
+    ``fsm_transform`` rewrites every synthesized controller the
+    handshake and temporal passes read; the mutation corpus uses it to
+    seed controller-level defects.  Such a run analyzes a memo-less
+    copy of ``spec`` and leaves its memo alone.
     """
-    if fsm_transform is not None:
-        spec = replace(spec)
+    spec = with_fsm_transform(spec, fsm_transform)
     diagnostics = DiagnosticSet(system=spec.name)
     with obs_span("analysis.analyze_refined", system=spec.name) as sp:
         for name, check in PASSES:
             with obs_span(f"analysis.pass.{name}", system=spec.name):
-                if name in ("handshake", "temporal"):
-                    check(spec, diagnostics, fsm_transform=fsm_transform)
-                else:
-                    check(spec, diagnostics)
+                check(spec, diagnostics)
         deduped = diagnostics.dedupe()
         sp.set(diagnostics=len(diagnostics), deduplicated=deduped)
     return diagnostics

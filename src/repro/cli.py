@@ -404,18 +404,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.replay:
         return _replay_witness_file(args.replay)
 
-    transform = None
     meta = {}
     if args.mutate:
-        from repro.analysis.mutations import CORPUS
-
-        defect = next((d for d in CORPUS if d.name == args.mutate), None)
-        if defect is None:
-            names = ", ".join(sorted(d.name for d in CORPUS))
-            raise AnalysisError(f"unknown mutation {args.mutate!r}; "
-                                f"choose from: {names}")
-        design = defect.build()
-        refined, transform = design.spec, design.fsm_transform
+        defect, refined = _mutated_spec(args.mutate)
         schedule = None
         meta["mutation"] = defect.name
         print(f"seeded defect {defect.name} [{defect.code}]: "
@@ -428,8 +419,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # rebuild the exact design later.
         meta["system_arg"] = args.system
 
-    report = verify_refined(refined, fsm_transform=transform,
-                            witness_meta=meta)
+    report = verify_refined(refined, witness_meta=meta)
     # Translation validation joins the verification gate: the compiled
     # lowering of every process must be proven clock- and
     # effect-equivalent (skipped for --mutate, which verifies seeded
@@ -478,44 +468,45 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _mutated_spec(name: str):
+    """``(defect, spec)`` of a named seeded defect, the spec carrying
+    the defect's (possibly transformed) controller models."""
+    from repro.analysis.mutations import CORPUS
+    from repro.analysis.product import with_fsm_transform
+
+    defect = next((d for d in CORPUS if d.name == name), None)
+    if defect is None:
+        names = ", ".join(sorted(d.name for d in CORPUS))
+        raise AnalysisError(f"unknown mutation {name!r}; "
+                            f"choose from: {names}")
+    design = defect.build()
+    return defect, with_fsm_transform(design.spec, design.fsm_transform)
+
+
 def _replay_witness_file(path: str) -> int:
-    """Re-synthesize the witnessed pair and run the schedule through
-    the event kernel.  Exit 0 when the violation reproduces, 2 when
-    the kernel run does not confirm it."""
+    """Rebuild the witnessed controller pair and run the schedule
+    through the event kernel.  Exit 0 when the violation reproduces, 2
+    when the kernel run does not confirm it."""
     from repro.analysis.mc import Witness
-    from repro.protogen.fsm import synthesize_fsm
+    from repro.analysis.product import channel_models
     from repro.sim.replay import replay_witness
 
     witness = Witness.load(path)
-    transform = None
     mutation = witness.meta.get("mutation")
     if mutation:
-        from repro.analysis.mutations import CORPUS
-
-        defect = next((d for d in CORPUS if d.name == mutation), None)
-        if defect is None:
-            raise AnalysisError(
-                f"witness references unknown mutation {mutation!r}")
-        design = defect.build()
-        refined, transform = design.spec, design.fsm_transform
+        _, refined = _mutated_spec(mutation)
         print(f"rebuilding seeded defect {mutation}")
     else:
         name = witness.meta.get("system_arg", witness.system)
         refined, _ = _build_refined(name, witness.protocol,
                                     protection=witness.protection)
-    bus = next((b for b in refined.buses if b.name == witness.bus), None)
-    if bus is None or witness.channel not in bus.procedures:
+    model = channel_models(refined).get((witness.bus, witness.channel))
+    if model is None:
         raise AnalysisError(
             f"witness names {witness.bus}/{witness.channel}, which the "
             f"rebuilt {refined.name} does not contain")
-    pair = bus.procedures[witness.channel]
-    accessor = synthesize_fsm(pair.accessor, bus.structure)
-    server = synthesize_fsm(pair.server, bus.structure)
-    if transform is not None:
-        accessor = transform(accessor)
-        server = transform(server)
-    result = replay_witness(witness, accessor, server,
-                            width=bus.structure.width)
+    result = replay_witness(witness, model.accessor, model.server,
+                            width=refined.bus(witness.bus).structure.width)
     print(f"replaying {witness.property_id} [{witness.code}] on "
           f"{witness.bus}/{witness.channel} ({witness.kind})")
     print(result.render_text())

@@ -100,19 +100,6 @@ class ProtocolFsm:
     def successors(self, name: str) -> List[FsmTransition]:
         return [t for t in self.transitions if t.source == name]
 
-    def final_states(self) -> List[FsmState]:
-        return [s for s in self.states if s.is_final]
-
-    def describe_origin(self) -> str:
-        """Provenance string for diagnostics (``bus B / channel ch1``)."""
-        parts = []
-        if self.bus_name:
-            parts.append(f"bus {self.bus_name}")
-        if self.channel_name:
-            parts.append(f"channel {self.channel_name}")
-        parts.append(f"fsm {self.name}")
-        return " / ".join(parts)
-
     def validate(self) -> None:
         """Well-formedness: unique names, endpoints exist, every
         non-final state has a way out, all states reachable."""
@@ -430,9 +417,3 @@ def _synth_burst(fsm: ProtocolFsm, procedure: CommProcedure,
             "RELEASE", actions=("DONE <= '0'", "commit/None")))
         fsm.transitions.append(FsmTransition("RELEASE", "WAIT",
                                              guard="START = '0'"))
-
-
-def fsm_state_count(procedure: CommProcedure,
-                    structure: BusStructure) -> int:
-    """State count of the synthesized controller (area model input)."""
-    return synthesize_fsm(procedure, structure).state_count

@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from repro.estimate.area import estimate_bus_area
 from repro.estimate.perf import PerformanceEstimator
-from repro.protogen.fsm import synthesize_fsm
 from repro.protogen.refine import RefinedBus, RefinedSpec
 
 
@@ -68,16 +67,18 @@ def bus_report(bus: RefinedBus,
             f"{words:>6} {pair.accessor.transfer_clocks(structure.width):>8}"
         )
 
+    # The area estimate synthesizes every controller; its state counts
+    # feed the procedure listing too.
+    area = estimate_bus_area(bus)
+    fsm_states = {p.procedure_name: p.fsm_states for p in area.procedures}
     lines.append("")
     lines.append("generated procedures (controller FSM states):")
     for channel in group:
         pair = bus.procedures[channel.name]
-        accessor_fsm = synthesize_fsm(pair.accessor, structure)
-        server_fsm = synthesize_fsm(pair.server, structure)
         lines.append(
             f"  {channel.name}: {pair.accessor.name} "
-            f"({accessor_fsm.state_count} states) / {pair.server.name} "
-            f"({server_fsm.state_count} states)"
+            f"({fsm_states[pair.accessor.name]} states) / "
+            f"{pair.server.name} ({fsm_states[pair.server.name]} states)"
         )
 
     lines.append("")
@@ -86,7 +87,6 @@ def bus_report(bus: RefinedBus,
         served = ", ".join(s.channel.name for s in vproc.services)
         lines.append(f"  {vproc.name}: serves [{served}]")
 
-    area = estimate_bus_area(bus)
     lines.append("")
     lines.append(f"interface area  : {area.wires} wires, "
                  f"{area.controller_gates} controller gates + "

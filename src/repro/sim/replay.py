@@ -110,19 +110,14 @@ class _Bench:
         so levels persist (registered outputs) and any cross-role
         overlap raises :class:`SimulationError` from the kernel layer.
         """
-        from repro.analysis.mc.graph import drive_set
-
-        name = self.state[side]
-        fsm = self.accessor if side == "accessor" else self.server
-        eff = self.effects[side][name]
+        eff = self.effects[side][self.state[side]]
         for line, level in eff.drives:
             self.controls[line].drive(side, level, 1)
             self.lines[line] = level
         if eff.id_code is not None:
             self.id_code = eff.id_code
-        ds = drive_set(fsm.state(name))
-        if ds.data_mask:
-            self.data.drive(side, 0, ds.data_mask)
+        if eff.data_mask:
+            self.data.drive(side, 0, eff.data_mask)
         else:
             # DATA is tristate, not registered: the runtime releases a
             # role's word before the next driver takes the bus

@@ -12,6 +12,10 @@ from repro.channels.channel import Channel
 from repro.channels.group import ChannelGroup
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
+from repro.protogen.fsm import synthesize_fsm
+from repro.protogen.procedures import make_procedures
+from repro.protogen.structure import make_structure
+from repro.spec.access import Direction
 from repro.spec.behavior import Behavior
 from repro.spec.expr import Index, Ref
 from repro.spec.stmt import Assign
@@ -95,3 +99,21 @@ def assert_fig3_values(final_values) -> None:
     assert final_values["X"] == 32
     assert final_values["MEM"][5] == 39
     assert final_values["MEM"][60] == 42
+
+
+def make_pair(protocol, width=8, direction=Direction.WRITE, count=2,
+              plan=None):
+    """Synthesized (accessor, server, structure) of the first of
+    ``count`` array channels sharing a hand-built bus."""
+    channels = []
+    for i in range(count):
+        arr = Variable("arr", ArrayType(IntType(16), 128))
+        channels.append(Channel(f"ch{i}", Behavior(f"B{i}"), arr,
+                                direction, 1))
+    group = ChannelGroup("g", channels)
+    structure = make_structure("B", group, width, protocol,
+                               protection=plan)
+    pair = make_procedures(channels[0], protocol)
+    accessor = synthesize_fsm(pair.accessor, structure)
+    server = synthesize_fsm(pair.server, structure)
+    return accessor, server, structure

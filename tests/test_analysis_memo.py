@@ -1,17 +1,18 @@
 """One analysis per refined spec: the memo shared by lint and verify.
 
-``analyze_refined_values``, ``refined_channel_bounds`` and
-``verify_refined`` memoize their results on the
+``analyze_refined_values``, ``refined_channel_bounds``,
+``channel_models`` and ``verify_refined`` memoize their results on the
 :class:`~repro.protogen.refine.RefinedSpec`.  These differential tests
 check that a warm memo changes no result on the three case studies and
 the seeded-defect corpus, that ``fsm_transform`` calls bypass it, and
-that a traced lint + verify runs the abstract interpreter once.
+that a lint + verify runs the abstract interpreter once, synthesizes
+each controller once and explores each product state once.
 """
 
 import pytest
 
 from repro import obs
-from repro.analysis import analyze_refined
+from repro.analysis import analyze_refined, product
 from repro.analysis.absint import analyze_refined_values
 from repro.analysis.mc import verify_refined
 from repro.analysis.mutations import CORPUS
@@ -24,9 +25,10 @@ STRUCTURAL = [d for d in CORPUS if d.build().fsm_transform is None]
 CONTROLLER = [d for d in CORPUS if d not in STRUCTURAL]
 
 
-def _case_study(name):
+def _case_study(name, protection=None):
     loaded = load_system(name)
-    return refine_system(loaded.system, plan_buses(loaded.groups))
+    return refine_system(loaded.system, plan_buses(loaded.groups),
+                         protection=protection)
 
 
 def _builders():
@@ -109,3 +111,30 @@ def test_traced_lint_and_verify_run_absint_once(name):
     spans = [s for s in tracer.spans_named("absint.analyze")
              if s.args.get("system") == spec.name]
     assert len(spans) == 1
+
+
+@pytest.mark.parametrize("protection", [None, "parity"])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_lint_and_verify_share_one_controller_model_per_channel(
+        name, protection, monkeypatch):
+    spec = _case_study(name, protection)
+    channels = sum(len(list(bus.group)) for bus in spec.buses)
+    calls = {"synthesize_fsm": [], "__init__": [], "_moves": []}
+
+    def counting(owner, attr):
+        real = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[attr].append(args)
+            return real(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(product, "synthesize_fsm")
+    counting(product._Explorer, "__init__")
+    counting(product._Explorer, "_moves")
+    analyze_refined(spec)
+    verify_refined(spec)
+    assert len(calls["synthesize_fsm"]) == 2 * channels
+    assert len(calls["__init__"]) == channels
+    moved = [(id(model), state) for model, state in calls["_moves"]]
+    assert moved and len(moved) == len(set(moved))

@@ -270,27 +270,21 @@ class TestCorrelation:
         correlation id and REPLAY_START/REPLAY_END bracket."""
         from repro.analysis.mc import verify_refined
         from repro.analysis.mutations import CORPUS
-        from repro.protogen.fsm import synthesize_fsm
+        from repro.analysis.product import (channel_models,
+                                            with_fsm_transform)
         from repro.sim.replay import replay_witness
 
         defect = next(d for d in CORPUS
                       if d.name == "ack_never_raised")
         design = defect.build()
-        report = verify_refined(design.spec,
-                                fsm_transform=design.fsm_transform)
-        witness = next(w for w in report.witnesses
+        spec = with_fsm_transform(design.spec, design.fsm_transform)
+        witness = next(w for w in verify_refined(spec).witnesses
                        if w.claim.get("type") == "deadlock")
-        bus = next(b for b in design.spec.buses
-                   if b.name == witness.bus)
-        pair = bus.procedures[witness.channel]
-        accessor = design.fsm_transform(
-            synthesize_fsm(pair.accessor, bus.structure))
-        server = design.fsm_transform(
-            synthesize_fsm(pair.server, bus.structure))
+        model = channel_models(spec)[(witness.bus, witness.channel)]
 
         recorder = FlightRecorder()
-        result = replay_witness(witness, accessor, server,
-                                width=bus.structure.width,
+        result = replay_witness(witness, model.accessor, model.server,
+                                width=spec.bus(witness.bus).structure.width,
                                 recorder=recorder)
         assert result.confirmed, result.render_text()
         assert result.correlation_id is not None

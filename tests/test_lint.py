@@ -25,32 +25,11 @@ from repro.protocols import (
     HALF_HANDSHAKE,
     HARDWIRED,
 )
-from repro.protogen.fsm import synthesize_fsm
-from repro.protogen.procedures import make_procedures
 from repro.protogen.refine import refine_system
-from repro.protogen.structure import make_structure
-from repro.channels.channel import Channel
-from repro.channels.group import ChannelGroup
 from repro.spec.access import Direction
-from repro.spec.behavior import Behavior
-from repro.spec.types import ArrayType, IntType
-from repro.spec.variable import Variable
+from tests.conftest import make_pair
 
 SHAREABLE = [FULL_HANDSHAKE, HALF_HANDSHAKE, FIXED_DELAY, BURST_HANDSHAKE]
-
-
-def make_pair(protocol, width=8, direction=Direction.WRITE, count=2):
-    channels = []
-    for i in range(count):
-        arr = Variable("arr", ArrayType(IntType(16), 128))
-        channels.append(Channel(f"ch{i}", Behavior(f"B{i}"), arr,
-                                direction, 1))
-    group = ChannelGroup("g", channels)
-    structure = make_structure("B", group, width, protocol)
-    pair = make_procedures(channels[0], protocol)
-    accessor = synthesize_fsm(pair.accessor, structure)
-    server = synthesize_fsm(pair.server, structure)
-    return accessor, server
 
 
 class TestRegistry:
@@ -134,20 +113,20 @@ class TestProductEngine:
                                            Direction.READ],
                              ids=["write", "read"])
     def test_clean_pairs_have_no_defects(self, protocol, direction):
-        accessor, server = make_pair(protocol, direction=direction)
+        accessor, server, _ = make_pair(protocol, direction=direction)
         result = explore_product(accessor, server)
         assert result.ok, (result.deadlocks, result.livelocked,
                            result.unreachable_accessor,
                            result.unreachable_server, result.never_fired)
 
     def test_hardwired_pair_clean(self):
-        accessor, server = make_pair(HARDWIRED, width=23, count=1)
+        accessor, server, _ = make_pair(HARDWIRED, width=23, count=1)
         result = explore_product(accessor, server)
         assert result.ok
 
     @pytest.mark.parametrize("width", [1, 4, 8, 16, 23])
     def test_widths_explore_cleanly(self, width):
-        accessor, server = make_pair(FULL_HANDSHAKE, width=width)
+        accessor, server, _ = make_pair(FULL_HANDSHAKE, width=width)
         result = explore_product(accessor, server)
         assert result.ok
         assert len(result.reachable) >= 2
@@ -155,7 +134,7 @@ class TestProductEngine:
     def test_check_fsm_pair_reports_into_set(self):
         from dataclasses import replace
 
-        accessor, server = make_pair(FULL_HANDSHAKE)
+        accessor, server, _ = make_pair(FULL_HANDSHAKE)
         # Drop every DONE drive from the server: classic dropped-ack.
         server = replace(server, states=[
             replace(s, actions=tuple(a for a in s.actions

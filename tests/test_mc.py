@@ -16,7 +16,6 @@ from repro.analysis.mc.checker import (
     PROP_RACE,
     PROP_RESPONSE,
     PROP_RETRY,
-    PROP_STARVATION,
     PROVED,
     REFUTED,
     UNKNOWN,
@@ -24,9 +23,7 @@ from repro.analysis.mc.checker import (
 )
 from repro.analysis.mc.graph import attempt_starts, retry_budget
 from repro.analysis.mutations import CORPUS, build_target
-from repro.busgen.algorithm import generate_bus
-from repro.channels.channel import Channel
-from repro.channels.group import ChannelGroup
+from repro.analysis.product import channel_models, with_fsm_transform
 from repro.errors import AnalysisError
 from repro.protocols import (
     BURST_HANDSHAKE,
@@ -35,15 +32,8 @@ from repro.protocols import (
     HALF_HANDSHAKE,
     as_protection_plan,
 )
-from repro.protogen.fsm import synthesize_fsm
-from repro.protogen.procedures import make_procedures
-from repro.protogen.refine import refine_system
-from repro.protogen.structure import make_structure
 from repro.sim.replay import replay_witness
-from repro.spec.access import Direction
-from repro.spec.behavior import Behavior
-from repro.spec.types import ArrayType, IntType
-from repro.spec.variable import Variable
+from tests.conftest import make_pair
 
 SHAREABLE = [FULL_HANDSHAKE, HALF_HANDSHAKE, FIXED_DELAY, BURST_HANDSHAKE]
 
@@ -62,22 +52,6 @@ TEMPORAL_DEFECTS = {
 
 def _defect(name):
     return next(d for d in CORPUS if d.name == name)
-
-
-def make_pair(protocol, width=8, direction=Direction.WRITE, count=2,
-              plan=None):
-    channels = []
-    for i in range(count):
-        arr = Variable("arr", ArrayType(IntType(16), 128))
-        channels.append(Channel(f"ch{i}", Behavior(f"B{i}"), arr,
-                                direction, 1))
-    group = ChannelGroup("g", channels)
-    structure = make_structure("B", group, width, protocol,
-                               protection=plan)
-    pair = make_procedures(channels[0], protocol)
-    accessor = synthesize_fsm(pair.accessor, structure)
-    server = synthesize_fsm(pair.server, structure)
-    return accessor, server, structure
 
 
 @pytest.fixture(scope="module")
@@ -237,15 +211,12 @@ class TestWitness:
 
 
 def _witnessed_pair(design, witness):
-    """Re-synthesize the (mutated) controller pair a witness names."""
-    bus = next(b for b in design.spec.buses if b.name == witness.bus)
-    pair = bus.procedures[witness.channel]
-    accessor = synthesize_fsm(pair.accessor, bus.structure)
-    server = synthesize_fsm(pair.server, bus.structure)
-    if design.fsm_transform is not None:
-        accessor = design.fsm_transform(accessor)
-        server = design.fsm_transform(server)
-    return accessor, server, bus.structure.width
+    """The (mutated) controller pair a witness names, from the design's
+    channel models."""
+    spec = with_fsm_transform(design.spec, design.fsm_transform)
+    model = channel_models(spec)[(witness.bus, witness.channel)]
+    return (model.accessor, model.server,
+            spec.bus(witness.bus).structure.width)
 
 
 class TestReplay:
@@ -275,13 +246,11 @@ class TestReplay:
         confirm -- the defect is in the mutation, not the design."""
         design, report = temporal_reports["ack_never_raised"]
         witness = report.witnesses[0]
-        bus = next(b for b in design.spec.buses
-                   if b.name == witness.bus)
-        pair = bus.procedures[witness.channel]
-        accessor = synthesize_fsm(pair.accessor, bus.structure)
-        server = synthesize_fsm(pair.server, bus.structure)
-        result = replay_witness(witness, accessor, server,
-                                width=bus.structure.width)
+        model = channel_models(design.spec)[(witness.bus,
+                                             witness.channel)]
+        result = replay_witness(
+            witness, model.accessor, model.server,
+            width=design.spec.bus(witness.bus).structure.width)
         assert not result.confirmed
 
 
@@ -360,6 +329,23 @@ class TestCli:
         assert main(["verify", "--replay", str(witness)]) == 0
         out = capsys.readouterr().out
         assert "CONFIRMED" in out
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot load witness"),
+        ("xx", "cannot load witness"),
+        ('["steps"]', "not a repro.mc/witness/v1 witness"),
+        ('{"schema": "repro.mc/witness/v1"}', "invalid field 'system'"),
+    ])
+    def test_replay_of_a_bad_file_is_a_clean_error(self, tmp_path, capsys,
+                                                   content, message):
+        from repro.cli import main
+
+        path = tmp_path / "witness.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["verify", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_warning_only_defect_respects_fail_on(self, capsys):
         from repro.cli import main

@@ -25,9 +25,9 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.analysis.mc import verify_refined
 from repro.analysis.mc.checker import PROP_RETRY, PROVED, REFUTED
 from repro.analysis.mutations import CORPUS
+from repro.analysis.product import channel_models, with_fsm_transform
 from repro.apps.flc import build_flc, reference_ctrl_output
 from repro.busgen.algorithm import generate_bus
-from repro.protogen.fsm import synthesize_fsm
 from repro.protogen.refine import refine_system
 from repro.sim.replay import replay_witness
 from repro.sim.runtime import simulate
@@ -48,19 +48,11 @@ def witness_pool():
     for name in TEMPORAL_NAMES:
         defect = next(d for d in CORPUS if d.name == name)
         design = defect.build()
-        report = verify_refined(design.spec,
-                                fsm_transform=design.fsm_transform)
-        for witness in report.witnesses:
-            bus = next(b for b in design.spec.buses
-                       if b.name == witness.bus)
-            pair = bus.procedures[witness.channel]
-            accessor = synthesize_fsm(pair.accessor, bus.structure)
-            server = synthesize_fsm(pair.server, bus.structure)
-            if design.fsm_transform is not None:
-                accessor = design.fsm_transform(accessor)
-                server = design.fsm_transform(server)
-            pool.append((name, witness, accessor, server,
-                         bus.structure.width))
+        spec = with_fsm_transform(design.spec, design.fsm_transform)
+        for witness in verify_refined(spec).witnesses:
+            model = channel_models(spec)[(witness.bus, witness.channel)]
+            pool.append((name, witness, model.accessor, model.server,
+                         spec.bus(witness.bus).structure.width))
     return pool
 
 

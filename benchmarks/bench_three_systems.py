@@ -24,7 +24,6 @@ from benchmarks._report import (
 from repro.busgen.algorithm import generate_bus
 from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
-from repro.sim.analysis import analyze_bus
 from repro.sim.runtime import simulate
 
 
@@ -80,7 +79,7 @@ def test_report_and_benchmark(benchmark):
         sim = simulate(refined, schedule=schedule)
         wall_seconds = time.perf_counter() - started
         ok = all(sim.final_values[k] == v for k, v in oracle.items())
-        stats = analyze_bus(sim.transactions[group.name])
+        stats = sim.buses[group.name]
         systems_json[name] = {
             "wall_seconds_refine_and_simulate": round(wall_seconds, 4),
             "sim_clocks": sim.end_time,

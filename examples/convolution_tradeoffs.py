@@ -22,7 +22,7 @@ from repro.apps.convolution import (
     build_convolution,
     reference_checksum,
 )
-from repro.sim.analysis import analyze_bus, format_bus_stats
+from repro.sim.analysis import format_bus_stats
 
 
 def main() -> None:
@@ -59,8 +59,7 @@ def main() -> None:
     print("\n=== bus analysis (full handshake, width 8) ===")
     refined = refine_system(model.system, [(model.bus, 8)])
     result = simulate(refined, schedule=model.schedule)
-    stats = analyze_bus(result.transactions[model.bus.name])
-    print(format_bus_stats(stats))
+    print(format_bus_stats(result.buses[model.bus.name]))
 
     # ------------------------------------------------------------------
     # The generated (split) implementation the algorithm would pick.

@@ -263,15 +263,13 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
                           **sim_kwargs)
         if captured is not None:
             captured["result"] = result
+        buses = result.buses.values()
         print(f"\nsimulated {result.end_time} clocks; "
-              f"{sum(len(t) for t in result.transactions.values())} "
+              f"{sum(bus.transactions for bus in buses)} "
               "bus transactions")
         if result.fault_records:
-            retries = sum(t.retries
-                          for log in result.transactions.values()
-                          for t in log)
             print(f"faults injected: {len(result.fault_records)}; "
-                  f"message retries: {retries}")
+                  f"message retries: {sum(b.retries for b in buses)}")
             for record in result.fault_records:
                 print(f"  clock {record.clock}: {record.bus}."
                       f"{record.line} {record.detail}")
@@ -620,14 +618,18 @@ def _profile_once(args: argparse.Namespace, systems):
                 simulations.append(
                     obs_report.sim_section(name, result, metrics))
                 sim_runs.append((name, result.transactions))
-                transfers = sum(len(t)
-                                for t in result.transactions.values())
-                utilization = max(result.utilization.values()) \
-                    if result.utilization else 0.0
-                summary_rows.append((name, result.end_time, transfers,
-                                     utilization,
-                                     "OK" if ok else "MISMATCH"))
+                summary_rows.append(_profile_row(name, result, ok))
     return tracer, simulations, sim_runs, summary_rows, exit_code
+
+
+def _profile_row(name: str, result, ok: bool) -> tuple:
+    """One ``profile`` summary row: ``(system, clocks, transfers, bus
+    util, oracle)``, where bus util is the busiest bus's
+    :attr:`~repro.sim.analysis.BusStats.utilization`."""
+    buses = result.buses.values()
+    return (name, result.end_time, sum(bus.transactions for bus in buses),
+            max((bus.utilization for bus in buses), default=0.0),
+            "OK" if ok else "MISMATCH")
 
 
 def cmd_profile(args: argparse.Namespace) -> int:

@@ -6,8 +6,8 @@ Public surface:
   :class:`Tracer` -- pipeline span tracer
   (:mod:`repro.obs.tracer`); instrumentation is free when no tracer
   is active.
-* :class:`SimMetrics` and its per-component collectors -- live
-  simulator metrics (:mod:`repro.obs.simmetrics`), threaded through
+* :class:`SimMetrics` -- kernel counters plus the run's bus/arbiter
+  folds (:mod:`repro.obs.simmetrics`), threaded through
   ``simulate(..., metrics=...)``.
 * :mod:`repro.obs.export` -- JSON, Chrome ``trace_event`` and
   Prometheus text exporters.
@@ -27,8 +27,6 @@ from repro.obs.flight import (
     FlightTransaction,
 )
 from repro.obs.simmetrics import (
-    ArbiterMetrics,
-    BusMetrics,
     Histogram,
     KernelMetrics,
     SimMetrics,
@@ -45,8 +43,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "ArbiterMetrics",
-    "BusMetrics",
     "FlightEvent",
     "FlightRecorder",
     "FlightTransaction",

@@ -1,6 +1,6 @@
 """The causal flight recorder: a journal of typed protocol events.
 
-The simulator's live metrics (:mod:`repro.obs.simmetrics`) answer *how
+The bus and arbiter folds of :mod:`repro.sim.analysis` answer *how
 much* -- transactions, words, histograms.  The flight recorder answers
 *why*: it journals every step of every message transfer as a typed
 :class:`FlightEvent` (channel request, arbiter grant, handshake phase
@@ -37,10 +37,15 @@ Bucket semantics:
   transactions is surfaced by the critical path instead).
 
 The recorder is attached with ``simulate(..., recorder=
-FlightRecorder())``; every hook in the kernel/bus/arbiter/fault layers
-sits behind an ``is not None`` guard, so a run without a recorder pays
-one pointer test per site and the golden transaction logs stay
-byte-identical either way.
+FlightRecorder())``.  Its hooks are the simulator's only per-event
+observers besides the kernel counters: each recorder call in the
+kernel, the interpreter's bus and arbiter coroutines, the compiled
+backend's specialized transfers and the fault injector sits behind an
+``is not None`` guard, so a run without a recorder pays one pointer
+test per site.  The compiled backend's fused transfers have no hooks
+at all: an attached recorder keeps a bus off that tier
+(:func:`repro.sim.compiled.transfer.plan_channel`).  Either way the
+golden transaction logs stay byte-identical.
 """
 
 from __future__ import annotations

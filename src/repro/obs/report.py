@@ -6,11 +6,12 @@ produced into a single JSON-ready payload:
 * ``pipeline`` -- the tracer's spans, counters and per-stage breakdown
   (:class:`~repro.obs.tracer.Tracer`);
 * ``simulations`` -- one entry per simulated system: end clock,
-  per-behavior clocks, per-bus utilization/arbitration numbers from the
-  :class:`~repro.sim.runtime.SimResult`, the live collector output
-  (:class:`~repro.obs.simmetrics.SimMetrics`) and the post-hoc
-  transaction statistics of :mod:`repro.sim.analysis` -- the two views
-  agree on transaction counts, which the test suite asserts.
+  per-behavior clocks, and per-bus numbers that all come from the one
+  fold of the run's logs, ``SimResult.buses`` / ``SimResult.arbiters``
+  (:mod:`repro.sim.analysis`): ``bus_utilization``,
+  ``arbitration_wait_clocks``, ``transaction_stats`` and the ``live``
+  block of :class:`~repro.obs.simmetrics.SimMetrics` (kernel counters
+  plus the same folds in the metrics layout).
 
 The payload is what ``repro-synth synth --metrics-out`` and
 ``repro-synth profile`` write to disk, and what
@@ -19,12 +20,15 @@ The payload is what ``repro-synth synth --metrics-out`` and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro import __version__
 from repro.obs.simmetrics import SimMetrics
 from repro.obs.tracer import Tracer
-from repro.sim.analysis import BusStats, analyze_bus
+from repro.sim.analysis import BusStats
+
+if TYPE_CHECKING:
+    from repro.sim.runtime import SimResult
 
 
 def bus_stats_dict(stats: BusStats) -> Dict[str, Any]:
@@ -49,33 +53,31 @@ def bus_stats_dict(stats: BusStats) -> Dict[str, Any]:
     }
 
 
-def sim_section(system: str, result: Any,
+def sim_section(system: str, result: "SimResult",
                 metrics: Optional[SimMetrics] = None,
                 recorder: Optional[Any] = None) -> Dict[str, Any]:
     """Report entry for one simulated system.
 
-    ``result`` is a :class:`~repro.sim.runtime.SimResult` (duck-typed
-    to keep this module import-light).  With a
-    :class:`~repro.obs.flight.FlightRecorder` that rode the run, the
-    section gains an ``attribution`` block (see
+    With a :class:`~repro.obs.flight.FlightRecorder` that rode the run,
+    the section gains an ``attribution`` block (see
     :func:`repro.obs.flight.summarize`).
     """
     section = {
         "system": system,
-        "backend": getattr(result, "backend", "interp"),
-        "fallbacks": dict(getattr(result, "fallbacks", {}) or {}),
+        "backend": result.backend,
+        "fallbacks": dict(result.fallbacks),
         "end_clock": result.end_time,
         "behavior_clocks": dict(result.clocks),
         "bus_utilization": dict(result.utilization),
         "arbitration_wait_clocks": dict(result.arbitration_wait),
         "transaction_stats": {
-            bus: bus_stats_dict(analyze_bus(log))
-            for bus, log in sorted(result.transactions.items())
+            bus: bus_stats_dict(stats)
+            for bus, stats in sorted(result.buses.items())
         },
         "faults": {
-            "injected": len(getattr(result, "fault_records", []) or []),
-            "records": [record.to_dict() for record in
-                        getattr(result, "fault_records", []) or []],
+            "injected": len(result.fault_records),
+            "records": [record.to_dict()
+                        for record in result.fault_records],
         },
         "live": metrics.to_dict() if metrics is not None else None,
     }

@@ -1,30 +1,35 @@
-"""Live simulator metrics: kernel, bus and arbiter collectors.
+"""Simulator metrics: kernel counters plus the per-bus traffic folds.
 
-:class:`SimMetrics` is the per-run container the simulation layer
-threads through its components (``simulate(..., metrics=SimMetrics())``):
+:class:`SimMetrics` is the per-run container a caller passes to
+``simulate(..., metrics=SimMetrics())``:
 
 * :class:`KernelMetrics` hooks :class:`~repro.sim.kernel.Simulator` --
   delta passes, per-process step counts and, at every clock advance,
   how long each unfinished process sat blocked on a predicate
-  (handshake wait) versus sleeping on a timer.
-* :class:`BusMetrics` hooks :class:`~repro.sim.bus.SimBus` -- completed
-  transactions, bus words moved, busy clocks and a handshake-latency
-  histogram (whole-message clocks).
-* :class:`ArbiterMetrics` hooks :class:`~repro.sim.arbiter.Arbiter` --
-  request/grant counts per requester, queue depth at request time and
-  a grant-wait histogram.
+  (handshake wait) versus sleeping on a timer.  These scheduler
+  counters are in no log, so they are the only live hooks; the kernel
+  guards each call with ``if metrics is not None``.
+* ``buses`` / ``arbiters`` are the run's
+  :class:`~repro.sim.analysis.BusStats` and
+  :class:`~repro.sim.analysis.ArbiterStats`, folded from the
+  transaction and grant logs after the run -- the very records
+  ``SimResult.buses`` / ``SimResult.arbiters`` hold.
 
-Every hook sits behind an ``if metrics is not None`` guard in the hot
-code, so a run without metrics pays one pointer test per event.  All
-collectors reduce to plain dicts via ``to_dict`` for the exporters in
+``to_dict`` renders all of it for the exporters in
 :mod:`repro.obs.export`; the run report in :mod:`repro.obs.report`
-unifies them with the post-hoc transaction statistics of
-:mod:`repro.sim.analysis`.
+embeds it as the ``live`` block (the name predates the folds and is
+kept for schema stability).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from bisect import bisect_left
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.sim.analysis import ArbiterStats, BusStats
+    from repro.sim.runtime import SimResult
 
 #: Histogram bucket upper bounds, in clocks.
 LATENCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -50,11 +55,15 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound >= value; past the last bound is +Inf.
+        self.counts[bisect_left(self.bounds, value)] += 1
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Histogram) and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable
 
     @property
     def mean(self) -> float:
@@ -194,120 +203,56 @@ class KernelMetrics:
         }
 
 
-class BusMetrics:
-    """Per-bus transfer counters, fed by :class:`~repro.sim.bus.SimBus`."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.transactions = 0
-        self.words = 0
-        self.busy_clocks = 0
-        self.latency = Histogram()
-        self.per_channel: Dict[str, int] = {}
-        self.reads = 0
-        self.writes = 0
-        #: Message retransmissions on protected buses.
-        self.retries = 0
-        #: Faults the injector actually fired on this bus.
-        self.faults_injected = 0
-
-    def on_transaction(self, transaction: Any, words: int,
-                       busy_clocks: int) -> None:
-        self.transactions += 1
-        self.words += words
-        self.busy_clocks += busy_clocks
-        self.retries += getattr(transaction, "retries", 0)
-        self.latency.observe(transaction.clocks)
-        channel = transaction.channel
-        self.per_channel[channel] = self.per_channel.get(channel, 0) + 1
-        if transaction.direction.name == "WRITE":
-            self.writes += 1
-        else:
-            self.reads += 1
-
-    def utilization(self, end_clock: int) -> float:
-        if end_clock <= 0:
-            return 0.0
-        return self.busy_clocks / end_clock
-
-    def to_dict(self, end_clock: int = 0) -> Dict[str, Any]:
-        return {
-            "transactions": self.transactions,
-            "words": self.words,
-            "busy_clocks": self.busy_clocks,
-            "utilization": self.utilization(end_clock),
-            "reads": self.reads,
-            "writes": self.writes,
-            "retries": self.retries,
-            "faults_injected": self.faults_injected,
-            "per_channel": dict(sorted(self.per_channel.items())),
-            "latency_clocks": self.latency.to_dict(),
-        }
+def bus_dict(stats: "BusStats", faults_injected: int) -> Dict[str, Any]:
+    """The run report's ``live.buses`` entry for one bus fold."""
+    return {
+        "transactions": stats.transactions,
+        "words": stats.words,
+        "busy_clocks": stats.busy_clocks,
+        "utilization": stats.utilization,
+        "reads": stats.reads,
+        "writes": stats.writes,
+        "retries": stats.retries,
+        "faults_injected": faults_injected,
+        "per_channel": {name: channel.count
+                        for name, channel in stats.per_channel.items()},
+        "latency_clocks": stats.latency.to_dict(),
+    }
 
 
-class ArbiterMetrics:
-    """Per-bus arbitration counters, fed by the arbiter base class."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.requests = 0
-        self.grants: Dict[str, int] = {}
-        self.wait = Histogram()
-        self.max_queue_depth = 0
-        self._queue_depth_sum = 0
-
-    def on_request(self, queue_depth: int) -> None:
-        self.requests += 1
-        self._queue_depth_sum += queue_depth
-        if queue_depth > self.max_queue_depth:
-            self.max_queue_depth = queue_depth
-
-    def on_grant(self, requester: str, wait_clocks: int) -> None:
-        self.grants[requester] = self.grants.get(requester, 0) + 1
-        self.wait.observe(wait_clocks)
-
-    @property
-    def mean_queue_depth(self) -> float:
-        if not self.requests:
-            return 0.0
-        return self._queue_depth_sum / self.requests
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "grants": dict(sorted(self.grants.items())),
-            "max_queue_depth": self.max_queue_depth,
-            "mean_queue_depth": self.mean_queue_depth,
-            "wait_clocks": self.wait.to_dict(),
-        }
+def arbiter_dict(stats: "ArbiterStats") -> Dict[str, Any]:
+    """The run report's ``live.arbiters`` entry for one arbiter fold."""
+    return {
+        "requests": stats.requests,
+        "grants": dict(stats.grants),
+        "max_queue_depth": stats.max_queue_depth,
+        "mean_queue_depth": stats.mean_queue_depth,
+        "wait_clocks": stats.wait.to_dict(),
+    }
 
 
 class SimMetrics:
-    """All live collectors for one simulation run."""
+    """Kernel counters plus the bus/arbiter folds of one run."""
 
     def __init__(self) -> None:
         self.kernel = KernelMetrics()
-        self.buses: Dict[str, BusMetrics] = {}
-        self.arbiters: Dict[str, ArbiterMetrics] = {}
+        self.buses: Dict[str, "BusStats"] = {}
+        self.arbiters: Dict[str, "ArbiterStats"] = {}
+        #: Faults the injector fired, per bus.
+        self.faults_injected: Dict[str, int] = {}
 
-    def bus(self, name: str) -> BusMetrics:
-        metrics = self.buses.get(name)
-        if metrics is None:
-            metrics = self.buses[name] = BusMetrics(name)
-        return metrics
-
-    def arbiter(self, name: str) -> ArbiterMetrics:
-        metrics = self.arbiters.get(name)
-        if metrics is None:
-            metrics = self.arbiters[name] = ArbiterMetrics(name)
-        return metrics
+    def on_run_end(self, result: "SimResult") -> None:
+        """Adopt the folds of a finished run (called by the runtime)."""
+        self.buses = result.buses
+        self.arbiters = result.arbiters
+        self.faults_injected = Counter(
+            record.bus for record in result.fault_records)
 
     def to_dict(self) -> Dict[str, Any]:
-        end_clock = self.kernel.end_clock
         return {
             "kernel": self.kernel.to_dict(),
-            "buses": {name: bus.to_dict(end_clock)
+            "buses": {name: bus_dict(bus, self.faults_injected.get(name, 0))
                       for name, bus in sorted(self.buses.items())},
-            "arbiters": {name: arb.to_dict()
+            "arbiters": {name: arbiter_dict(arb)
                          for name, arb in sorted(self.arbiters.items())},
         }

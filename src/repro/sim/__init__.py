@@ -6,8 +6,10 @@ See DESIGN.md section 3.
 """
 
 from repro.sim.analysis import (
+    ArbiterStats,
     BusStats,
     ChannelStats,
+    analyze_arbiter,
     analyze_bus,
     channel_stats,
     format_bus_stats,
@@ -43,8 +45,10 @@ from repro.sim.trace import (
 
 __all__ = [
     "Arbiter",
+    "ArbiterStats",
     "BusStats",
     "ChannelStats",
+    "analyze_arbiter",
     "analyze_bus",
     "channel_stats",
     "format_bus_stats",

@@ -1,11 +1,22 @@
-"""Transaction-log analysis: latency, throughput and occupancy stats.
+"""Transaction-log analysis: the one account of bus and arbiter traffic.
 
-The simulator's per-bus transaction logs hold everything needed to
-quantify the effects the paper reasons about qualitatively -- transfer
-delays from sharing (Figure 2's "individual data transfers may be
-delayed due to bus access conflicts"), utilization (the 100% ideal of
-Section 2), and arbitration cost (Section 6).  This module reduces a
-log to those numbers.
+The simulator logs every completed message transfer on its bus
+(:attr:`repro.sim.bus.SimBus.transactions`) and every bus grant on its
+arbiter (:attr:`repro.sim.arbiter.Arbiter.grants`).  Those two logs
+hold everything needed to quantify the effects the paper reasons about
+qualitatively -- transfer delays from sharing (Figure 2's "individual
+data transfers may be delayed due to bus access conflicts"),
+utilization (the 100% ideal of Section 2), and arbitration cost
+(Section 6).  :func:`analyze_bus` folds a transaction log into
+:class:`BusStats` and :func:`analyze_arbiter` folds a grant log into
+:class:`ArbiterStats`.  Each bus is folded once per run
+(``SimResult.buses`` / ``SimResult.arbiters``), and every report
+surface -- ``SimResult.utilization``, the run report, the Prometheus
+text, ``repro-synth profile`` -- reads those records.
+
+Bus utilization has exactly one definition, :attr:`BusStats.utilization`:
+the clocks the bus spent inside transactions, ``Σ (end − start)``,
+divided by the run's end clock.
 """
 
 from __future__ import annotations
@@ -14,7 +25,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
+from repro.obs.simmetrics import Histogram
 from repro.sim.bus import Transaction
+from repro.spec.access import Direction
+
+#: One arbiter grant-log row: ``(grant clock, requester, clocks waited
+#: since the request, queue depth at request time)``.
+Grant = Tuple[int, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -26,7 +43,8 @@ class ChannelStats:
     total_clocks: int
     min_clocks: int
     max_clocks: int
-    #: Clocks between consecutive transaction starts (None if < 2).
+    #: Mean clocks between consecutive transaction starts (0.0 with
+    #: fewer than two transactions).
     mean_interarrival: float
 
     @property
@@ -39,17 +57,48 @@ class BusStats:
     """Whole-bus statistics over one simulation run."""
 
     transactions: int
+    #: Bus words moved (one message's words per transaction; a retried
+    #: message counts once).
+    words: int
+    #: Clocks spent inside transactions: ``Σ (end − start)``, recovery
+    #: clocks of retried messages included.
     busy_clocks: int
+    #: The run's end clock, the utilization denominator.
+    end_clock: int
+    #: Clocks from the first transaction start to the last end.
     span_clocks: int
     #: Largest number of clocks the bus sat idle between transactions.
     longest_idle_gap: int
+    reads: int
+    writes: int
+    #: Message retransmissions on protected buses.
+    retries: int
+    #: Whole-message latency histogram (``end − start`` per transaction).
+    latency: Histogram
     per_channel: Dict[str, ChannelStats]
 
     @property
     def utilization(self) -> float:
-        if self.span_clocks <= 0:
+        """Fraction of the run's clocks the bus was transferring."""
+        if self.end_clock <= 0:
             return 0.0
-        return self.busy_clocks / self.span_clocks
+        return self.busy_clocks / self.end_clock
+
+
+@dataclass(frozen=True)
+class ArbiterStats:
+    """Per-bus arbitration statistics over one simulation run."""
+
+    #: Grants issued (every request of a finished run is granted).
+    requests: int
+    #: Grants per requester, sorted by requester.
+    grants: Dict[str, int]
+    #: Total clocks requesters waited for grants.
+    wait_clocks: int
+    #: Grant-wait histogram.
+    wait: Histogram
+    max_queue_depth: int
+    mean_queue_depth: float
 
 
 def channel_stats(transactions: Sequence[Transaction],
@@ -72,27 +121,60 @@ def channel_stats(transactions: Sequence[Transaction],
     )
 
 
-def analyze_bus(transactions: Sequence[Transaction]) -> BusStats:
-    """Reduce one bus's transaction log to aggregate statistics."""
-    if not transactions:
-        return BusStats(transactions=0, busy_clocks=0, span_clocks=0,
-                        longest_idle_gap=0, per_channel={})
+def analyze_bus(transactions: Sequence[Transaction],
+                end_clock: int) -> BusStats:
+    """Fold one bus's transaction log, over a run that ended at
+    ``end_clock``, into its statistics."""
     ordered = sorted(transactions, key=lambda t: t.start_time)
-    busy = sum(t.clocks for t in ordered)
-    span = ordered[-1].end_time - ordered[0].start_time
-    longest_gap = 0
-    for previous, current in zip(ordered, ordered[1:]):
-        longest_gap = max(longest_gap,
-                          current.start_time - previous.end_time)
-    channels = sorted({t.channel for t in ordered})
-    per_channel = {name: channel_stats(ordered, name)
-                   for name in channels}
+    latency = Histogram()
+    by_channel: Dict[str, List[Transaction]] = {}
+    busy = words = writes = retries = longest_gap = 0
+    previous_end = ordered[0].start_time if ordered else 0
+    for t in ordered:
+        clocks = t.end_time - t.start_time
+        busy += clocks
+        words += t.words
+        retries += t.retries
+        if t.direction is Direction.WRITE:
+            writes += 1
+        latency.observe(clocks)
+        longest_gap = max(longest_gap, t.start_time - previous_end)
+        previous_end = t.end_time
+        by_channel.setdefault(t.channel, []).append(t)
     return BusStats(
         transactions=len(ordered),
+        words=words,
         busy_clocks=busy,
-        span_clocks=span,
+        end_clock=end_clock,
+        span_clocks=(ordered[-1].end_time - ordered[0].start_time
+                     if ordered else 0),
         longest_idle_gap=longest_gap,
-        per_channel=per_channel,
+        reads=len(ordered) - writes,
+        writes=writes,
+        retries=retries,
+        latency=latency,
+        per_channel={name: channel_stats(by_channel[name], name)
+                     for name in sorted(by_channel)},
+    )
+
+
+def analyze_arbiter(grants: Sequence[Grant]) -> ArbiterStats:
+    """Fold one arbiter's grant log into its statistics."""
+    per_requester: Dict[str, int] = {}
+    wait = Histogram()
+    max_depth = depth_sum = 0
+    for _, requester, waited, depth in grants:
+        per_requester[requester] = per_requester.get(requester, 0) + 1
+        wait.observe(waited)
+        depth_sum += depth
+        max_depth = max(max_depth, depth)
+    return ArbiterStats(
+        requests=len(grants),
+        grants=dict(sorted(per_requester.items())),
+        wait_clocks=wait.total,
+        wait=wait,
+        max_queue_depth=max_depth,
+        mean_queue_depth=depth_sum / len(grants) if grants else 0.0,
     )
 
 
@@ -134,8 +216,10 @@ def format_bus_stats(stats: BusStats) -> str:
     """Plain-text rendering of bus statistics."""
     lines = [
         f"transactions : {stats.transactions}",
-        f"busy clocks  : {stats.busy_clocks} over a span of "
-        f"{stats.span_clocks} (utilization {stats.utilization:.3f})",
+        f"busy clocks  : {stats.busy_clocks} of {stats.end_clock} run "
+        f"clocks (utilization {stats.utilization:.3f})",
+        f"span         : {stats.span_clocks} clocks, first start to "
+        "last end",
         f"longest idle : {stats.longest_idle_gap} clocks",
     ]
     if stats.per_channel:

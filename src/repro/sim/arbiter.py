@@ -51,13 +51,10 @@ class Arbiter:
         #: is not a counted bus wire.
         self._grant_event = Signal("arbiter.grant")
         self._waiting: List[str] = []
-        #: (time, requester) grant log for analysis.
+        #: Grant log, one :data:`repro.sim.analysis.Grant` row
+        #: ``(clock, requester, clocks waited, queue depth at request)``
+        #: per grant; :func:`repro.sim.analysis.analyze_arbiter` folds it.
         self.grants: List[tuple] = []
-        #: Total clocks requesters spent waiting for grants.
-        self.wait_clocks = 0
-        #: Optional :class:`repro.obs.ArbiterMetrics`-shaped collector
-        #: (``on_request``/``on_grant``); attached by the runtime.
-        self.metrics: Optional[object] = None
         #: Optional flight recorder + the bus name it should journal
         #: requests/grants under; attached by the runtime.
         self.recorder: Optional[object] = None
@@ -79,8 +76,7 @@ class Arbiter:
             )
         request_time = self.sim.now
         self._waiting.append(requester)
-        if self.metrics is not None:
-            self.metrics.on_request(len(self._waiting))
+        queue_depth = len(self._waiting)
         if self.recorder is not None:
             self.recorder.on_request(self.recorder_bus, requester,
                                      request_time)
@@ -90,11 +86,9 @@ class Arbiter:
                          lambda: self._owner == requester)
         if self.grant_delay:
             yield Wait(self.grant_delay)
-        waited = self.sim.now - request_time
-        self.wait_clocks += waited
-        self.grants.append((self.sim.now, requester))
-        if self.metrics is not None:
-            self.metrics.on_grant(requester, waited)
+        now = self.sim.now
+        self.grants.append((now, requester, now - request_time,
+                            queue_depth))
         if self.recorder is not None:
             self.recorder.on_grant(self.recorder_bus, requester,
                                    self.sim.now)
@@ -198,20 +192,20 @@ class TdmaArbiter(Arbiter):
             raise ArbitrationError(
                 f"{requester} has no TDMA slot (schedule: {self.schedule})"
             )
+        if self._owner == requester:
+            raise ArbitrationError(
+                f"{requester} issued a nested bus acquire"
+            )
         request_time = self.sim.now
-        if self.metrics is not None:
-            self.metrics.on_request(1)
         if self.recorder is not None:
             self.recorder.on_request(self.recorder_bus, requester,
                                      request_time)
         while not (self._slot_owner() == requester and self._owner is None):
             yield Wait(1)
         self._owner = requester
-        waited = self.sim.now - request_time
-        self.wait_clocks += waited
-        self.grants.append((self.sim.now, requester))
-        if self.metrics is not None:
-            self.metrics.on_grant(requester, waited)
+        now = self.sim.now
+        # TDMA keeps no queue: each requester polls its own slot.
+        self.grants.append((now, requester, now - request_time, 1))
         if self.recorder is not None:
             self.recorder.on_grant(self.recorder_bus, requester,
                                    self.sim.now)

@@ -52,7 +52,6 @@ from repro.spec.access import Direction
 
 if TYPE_CHECKING:
     from repro.obs.flight import FlightRecorder
-    from repro.obs.simmetrics import BusMetrics
     from repro.sim.faults import FaultInjector
 
 
@@ -70,6 +69,9 @@ class Transaction:
     initiator: str
     #: Retransmissions a protected transfer needed (0 when clean).
     retries: int = 0
+    #: Bus words in the message (counted once however often it was
+    #: retransmitted).
+    words: int = 0
 
     @property
     def clocks(self) -> int:
@@ -123,8 +125,7 @@ class SimBus:
     """Live signals plus protocol engines for one generated bus."""
 
     def __init__(self, structure: BusStructure, sim: Simulator,
-                 arbiter: Optional[Arbiter] = None, trace: bool = False,
-                 metrics: Optional["BusMetrics"] = None):
+                 arbiter: Optional[Arbiter] = None, trace: bool = False):
         self.structure = structure
         self.name = structure.name
         self.sim = sim
@@ -150,10 +151,9 @@ class SimBus:
         else:
             self._strobe = Signal(f"{structure.name}._strobe", clock=clock,
                                   trace=trace)
+        #: Completed-transfer log; :func:`repro.sim.analysis.analyze_bus`
+        #: folds it into the bus's statistics.
         self.transactions: List[Transaction] = []
-        self.busy_clocks = 0
-        #: Optional :class:`repro.obs.BusMetrics`-shaped live collector.
-        self.metrics = metrics
         #: Optional :class:`repro.sim.faults.FaultInjector`; attached by
         #: the runtime when a fault plan targets this bus.
         self.injector: Optional["FaultInjector"] = None
@@ -181,12 +181,6 @@ class SimBus:
         """Burst protocols handshake once per message, then stream."""
         return self.uses_handshake and \
             self.structure.protocol.setup_clocks > 0
-
-    def utilization(self, end_time: int) -> float:
-        """Fraction of elapsed clocks the bus was transferring."""
-        if end_time <= 0:
-            return 0.0
-        return self.busy_clocks / end_time
 
     def _clear_word(self) -> None:
         """Turn the data wires over to the next word."""
@@ -248,10 +242,6 @@ class SimBus:
             received = yield from self._accessor_strobed(
                 code, words, message, flight)
 
-        message_clocks = self.structure.protocol.message_clocks(len(words))
-        message_clocks *= 1 + retries
-        self.busy_clocks += message_clocks
-
         if channel.is_write:
             result: Optional[int] = None
             logged_data = data
@@ -265,12 +255,9 @@ class SimBus:
             start_time=start_time, end_time=self.sim.now,
             channel=channel.name, direction=channel.direction,
             address=address, data=logged_data or 0, initiator=initiator,
-            retries=retries,
+            retries=retries, words=len(words),
         )
         self.transactions.append(transaction)
-        if self.metrics is not None:
-            self.metrics.on_transaction(transaction, words=len(words),
-                                        busy_clocks=message_clocks)
         if flight is not None:
             recorder.on_commit(flight, self.sim.now, retries)
         return result

@@ -7,15 +7,19 @@ Three tiers, decided per channel at compile time:
   potentially-concurrent process touches the served variable.  The
   whole message collapses to the storage operation plus a single
   ``Wait(elapsed)`` with the protocol's structural clock count; the
-  variable server never wakes.  Transaction rows, busy clocks and bus
-  metrics come out identical to the interpreter's.
+  variable server never wakes.  Transaction rows and grant-log rows
+  come out identical to the interpreter's, so every statistic folded
+  from them (:mod:`repro.sim.analysis`) does too.  A fused transfer
+  has no observer hooks to guard: the tier is only chosen when none
+  is attached.
 
 * **specialized** -- plain handshake and strobed transfers with real
   signal activity, but the per-word field slicing of ``_word_parts`` /
   ``_gather`` constant-folded into precomputed ``(shift, mask,
   offset)`` triples per (protocol, word width).  Fault injector and
   flight recorder hooks are threaded through exactly like the
-  interpreter's accessor coroutines, including the error strings.
+  interpreter's accessor coroutines (each behind an ``is not None``
+  test), and the error strings match.
 
 * **interp** -- everything else (protected or burst transfers under
   observation, malformed protection plans) delegates to
@@ -104,9 +108,7 @@ def make_transfer(sim_bus: SimBus, pair, initiator: str, mode: str,
                                         storage)
         return _make_fused(sim_bus, pair, initiator, storage)
     if mode == SPECIALIZED:
-        if sim_bus.uses_handshake:
-            return _make_specialized_handshake(sim_bus, pair, initiator)
-        return _make_specialized_strobed(sim_bus, pair, initiator)
+        return _make_specialized(sim_bus, pair, initiator)
 
     def interp_transfer(address, data):
         return sim_bus.accessor_transfer(pair, initiator, address, data)
@@ -163,21 +165,16 @@ def _packers(layout):
     return pack_write, pack_read, data_off, data_mask
 
 
-def _finish(bus: SimBus, nwords: int, msg_clocks: int, ch_name: str,
+def _finish(bus: SimBus, nwords: int, ch_name: str,
             direction, initiator: str, start_time: int,
             address, logged_data, result, flight):
     """Shared transaction bookkeeping tail (clean run, retries=0)."""
-    bus.busy_clocks += msg_clocks
-    transaction = Transaction(
+    bus.transactions.append(Transaction(
         start_time=start_time, end_time=bus.sim.now,
         channel=ch_name, direction=direction,
         address=address, data=logged_data or 0, initiator=initiator,
-        retries=0,
-    )
-    bus.transactions.append(transaction)
-    if bus.metrics is not None:
-        bus.metrics.on_transaction(transaction, words=nwords,
-                                   busy_clocks=msg_clocks)
+        retries=0, words=nwords,
+    ))
     if flight is not None:
         bus.recorder.on_commit(flight, bus.sim.now, 0)
     return result
@@ -187,7 +184,6 @@ def _make_fused(bus: SimBus, pair, initiator: str, storage) -> TransferFn:
     channel = pair.channel
     layout = pair.layout
     nwords = layout.word_count(bus.width)
-    msg_clocks = bus.structure.protocol.message_clocks(nwords)
     elapsed = _fused_elapsed(bus, nwords)
     _, _, _, data_mask = _packers(layout)
     sim = bus.sim
@@ -208,7 +204,7 @@ def _make_fused(bus: SimBus, pair, initiator: str, storage) -> TransferFn:
             result = storage.read(address) & data_mask
             logged = result
         yield wait
-        return _finish(bus, nwords, msg_clocks, ch_name, direction,
+        return _finish(bus, nwords, ch_name, direction,
                        initiator, start_time, address, logged, result,
                        None)
 
@@ -230,31 +226,25 @@ def _make_fused_deferred(bus: SimBus, pair, initiator: str,
     accessors are totally schedule-ordered, ``acquire`` can never block
     and never yields, so the caller's pending batched clocks ride along
     in the transfer's single wait instead of being flushed first.  The
-    arbiter's books (grants log, metrics) are kept exactly as
-    ``ImmediateArbiter.acquire``/``release`` would at the virtual grant
-    clock; the storage commit runs up to ``pending`` clocks early,
-    which is unobservable because fusion already proved no concurrent
-    process touches the served variable."""
+    arbiter's grant log gets the row ``ImmediateArbiter.acquire`` would
+    write at the virtual grant clock (no wait, queue depth 1); the
+    storage commit runs up to ``pending`` clocks early, which is
+    unobservable because fusion already proved no concurrent process
+    touches the served variable."""
     channel = pair.channel
     layout = pair.layout
     nwords = layout.word_count(bus.width)
-    msg_clocks = bus.structure.protocol.message_clocks(nwords)
     elapsed = _fused_elapsed(bus, nwords)
     _, _, _, data_mask = _packers(layout)
     sim = bus.sim
-    arbiter = bus.arbiter
-    grants = arbiter.grants
+    grants = bus.arbiter.grants
     is_write = channel.is_write
     direction = channel.direction
     ch_name = channel.name
 
     def transfer(address, data, pending):
         start_time = sim.now + pending
-        metrics = arbiter.metrics
-        if metrics is not None:
-            metrics.on_request(1)
-            metrics.on_grant(initiator, 0)
-        grants.append((start_time, initiator))
+        grants.append((start_time, initiator, 0, 1))
         if is_write:
             storage.write(address, data & data_mask)
             result = None
@@ -263,112 +253,26 @@ def _make_fused_deferred(bus: SimBus, pair, initiator: str,
             result = storage.read(address) & data_mask
             logged = result
         yield Wait(pending + elapsed)
-        return _finish(bus, nwords, msg_clocks, ch_name, direction,
+        return _finish(bus, nwords, ch_name, direction,
                        initiator, start_time, address, logged, result,
                        None)
 
     return transfer
 
 
-def _make_specialized_handshake(bus: SimBus, pair,
-                                initiator: str) -> TransferFn:
+def _make_specialized(bus: SimBus, pair, initiator: str) -> TransferFn:
+    """Full handshake (START/DONE, 2 clocks per word) or two-phase
+    strobe (1 clock per word), word by word on the real signals."""
     channel = pair.channel
     layout = pair.layout
     word_plan = _word_plan(layout, bus.width)
     nwords = len(word_plan)
-    msg_clocks = bus.structure.protocol.message_clocks(nwords)
     pack_write, pack_read, data_off, data_mask = _packers(layout)
     code = bus.structure.ids.code(channel.name)
     check_extra = bus._check_extra_words(layout)
-    start_sig = bus.controls["START"]
-    done_sig = bus.controls["DONE"]
-    data_lines = bus.data
-    id_lines = bus.id_lines
-    sim = bus.sim
-    bus_name = bus.structure.name
-    is_write = channel.is_write
-    has_address = layout.has_address
-    direction = channel.direction
-    ch_name = channel.name
-
-    def transfer(address, data):
-        if is_write:
-            if data is None:
-                raise SimulationError(
-                    f"channel {ch_name}: write transfer needs data"
-                )
-            message = pack_write(address, data)
-        else:
-            message = pack_read(address) if has_address else 0
-        start_time = sim.now
-        recorder = bus.recorder
-        if recorder is not None:
-            flight = recorder.on_transfer_start(
-                bus_name, ch_name, initiator, start_time, nwords,
-                check_extra, direction)
-        else:
-            flight = None
-        injector = bus.injector
-        if injector is not None:
-            injector.begin_attempt(bus_name)
-        received = 0
-        for index, acc, acc_mask, srv in word_plan:
-            if injector is not None:
-                injector.begin_word(bus_name, index)
-            value = 0
-            for shift, mask, off in acc:
-                value |= ((message >> shift) & mask) << off
-            data_lines.drive("accessor", 0, 0)
-            data_lines.drive("server", 0, 0)
-            id_lines.set(code)
-            data_lines.drive("accessor", value, acc_mask)
-            start_sig.set(1)
-            if flight is not None:
-                recorder.on_word_start(flight, sim.now, index)
-            yield _W1
-            if done_sig.value != 1:
-                raise SimulationError(
-                    f"bus {bus_name}: DONE not asserted one "
-                    f"clock after START (word {index}, ID {code}); "
-                    "is the variable process running?"
-                )
-            bus_word = data_lines.value
-            for off, mask, dst in srv:
-                received |= ((bus_word >> off) & mask) << dst
-            if flight is not None:
-                recorder.on_data_phase(flight, sim.now, index)
-            start_sig.set(0)
-            yield _W1
-            if done_sig.value != 0:
-                raise SimulationError(
-                    f"bus {bus_name}: DONE stuck high after "
-                    f"START fell (word {index}, ID {code})"
-                )
-            if flight is not None:
-                recorder.on_handshake_phase(flight, sim.now, index)
-        if is_write:
-            result = None
-            logged = data
-        else:
-            result = (received >> data_off) & data_mask
-            logged = result
-        return _finish(bus, nwords, msg_clocks, ch_name, direction,
-                       initiator, start_time, address, logged, result,
-                       flight)
-
-    return transfer
-
-
-def _make_specialized_strobed(bus: SimBus, pair,
-                              initiator: str) -> TransferFn:
-    channel = pair.channel
-    layout = pair.layout
-    word_plan = _word_plan(layout, bus.width)
-    nwords = len(word_plan)
-    msg_clocks = bus.structure.protocol.message_clocks(nwords)
-    pack_write, pack_read, data_off, data_mask = _packers(layout)
-    code = bus.structure.ids.code(channel.name)
-    check_extra = bus._check_extra_words(layout)
+    handshake = bus.uses_handshake
+    start_sig = bus.controls.get("START")
+    done_sig = bus.controls.get("DONE")
     strobe = bus._strobe
     data_lines = bus.data
     id_lines = bus.id_lines
@@ -410,23 +314,47 @@ def _make_specialized_strobed(bus: SimBus, pair,
             data_lines.drive("server", 0, 0)
             id_lines.set(code)
             data_lines.drive("accessor", value, acc_mask)
-            strobe.set(strobe.value + 1)
+            if handshake:
+                start_sig.set(1)
+            else:
+                strobe.set(strobe.value + 1)
             if flight is not None:
                 recorder.on_word_start(flight, sim.now, index)
-            yield _DELTA
+            if handshake:
+                yield _W1
+                if done_sig.value != 1:
+                    raise SimulationError(
+                        f"bus {bus_name}: DONE not asserted one "
+                        f"clock after START (word {index}, ID {code}); "
+                        "is the variable process running?"
+                    )
+            else:
+                # The server answers within this clock's passes.
+                yield _DELTA
             bus_word = data_lines.value
             for off, mask, dst in srv:
                 received |= ((bus_word >> off) & mask) << dst
-            yield _W1
+            if not handshake:
+                yield _W1
             if flight is not None:
                 recorder.on_data_phase(flight, sim.now, index)
+            if handshake:
+                start_sig.set(0)
+                yield _W1
+                if done_sig.value != 0:
+                    raise SimulationError(
+                        f"bus {bus_name}: DONE stuck high after "
+                        f"START fell (word {index}, ID {code})"
+                    )
+                if flight is not None:
+                    recorder.on_handshake_phase(flight, sim.now, index)
         if is_write:
             result = None
             logged = data
         else:
             result = (received >> data_off) & data_mask
             logged = result
-        return _finish(bus, nwords, msg_clocks, ch_name, direction,
+        return _finish(bus, nwords, ch_name, direction,
                        initiator, start_time, address, logged, result,
                        flight)
 

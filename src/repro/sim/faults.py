@@ -26,8 +26,8 @@ attaching per-signal hooks (``Signal.faults`` / ``DataLines.faults``)
 only to the targeted wires -- an unfaulted run pays a single ``None``
 test per signal update.  Every fault that actually perturbed a wire is
 recorded as a :class:`FaultRecord` and surfaced through
-``SimResult.fault_records``, the live metrics and the Chrome trace
-exporter.
+``SimResult.fault_records``, the run report's per-bus
+``faults_injected`` and the Chrome trace exporter.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ contention (the arbitration ablation).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -44,6 +45,13 @@ from repro.obs.simmetrics import SimMetrics
 from repro.obs.tracer import span as obs_span
 from repro.protogen.procedures import CommProcedure
 from repro.protogen.refine import RefinedSpec
+from repro.sim.analysis import (
+    ArbiterStats,
+    BusStats,
+    Grant,
+    analyze_arbiter,
+    analyze_bus,
+)
 from repro.sim.arbiter import Arbiter
 from repro.sim.bus import SimBus, StorageAdapter, Transaction
 from repro.sim.faults import FaultInjector, FaultPlan, FaultRecord
@@ -93,10 +101,8 @@ class SimResult:
     clocks: Dict[str, int]
     #: Per-bus transaction logs.
     transactions: Dict[str, List[Transaction]]
-    #: Per-bus utilization over the whole run.
-    utilization: Dict[str, float]
-    #: Per-bus total clocks spent waiting for bus grants.
-    arbitration_wait: Dict[str, int]
+    #: Per-bus arbiter grant logs.
+    grants: Dict[str, List[Grant]]
     #: Every fault the injector actually fired, in injection order
     #: (empty when the run had no fault plan).
     fault_records: List[FaultRecord] = field(default_factory=list)
@@ -110,6 +116,33 @@ class SimResult:
     @property
     def end_time(self) -> int:
         return self.stats.end_time
+
+    # Each fold is computed once, on first read after the run: a caller
+    # that only wants final values (a long sweep) never pays for it.
+
+    @functools.cached_property
+    def buses(self) -> Dict[str, BusStats]:
+        """Per-bus fold of the transaction log (:func:`analyze_bus`)."""
+        return {name: analyze_bus(log, self.end_time)
+                for name, log in self.transactions.items()}
+
+    @functools.cached_property
+    def arbiters(self) -> Dict[str, ArbiterStats]:
+        """Per-bus fold of the arbiter's grant log
+        (:func:`analyze_arbiter`)."""
+        return {name: analyze_arbiter(log)
+                for name, log in self.grants.items()}
+
+    @property
+    def utilization(self) -> Dict[str, float]:
+        """Per-bus :attr:`BusStats.utilization`."""
+        return {name: bus.utilization for name, bus in self.buses.items()}
+
+    @property
+    def arbitration_wait(self) -> Dict[str, int]:
+        """Per-bus total clocks spent waiting for bus grants."""
+        return {name: arbiter.wait_clocks
+                for name, arbiter in self.arbiters.items()}
 
     def transactions_for(self, channel_name: str) -> List[Transaction]:
         out: List[Transaction] = []
@@ -204,13 +237,8 @@ class RefinedSimulation:
             members = [b.name for b in refined_bus.group.behaviors()]
             factory = factories.get(refined_bus.name)
             arbiter = factory(self.sim, members) if factory else None
-            sim_bus = SimBus(
-                refined_bus.structure, self.sim, arbiter=arbiter,
-                trace=trace,
-                metrics=metrics.bus(refined_bus.name) if metrics else None,
-            )
-            if metrics is not None:
-                sim_bus.arbiter.metrics = metrics.arbiter(refined_bus.name)
+            sim_bus = SimBus(refined_bus.structure, self.sim,
+                             arbiter=arbiter, trace=trace)
             if recorder is not None:
                 sim_bus.recorder = recorder
                 sim_bus.arbiter.recorder = recorder
@@ -577,9 +605,6 @@ class RefinedSimulation:
                       system=self.spec.name) as sp:
             stats = self.sim.run()
             sp.set(end_clock=stats.end_time)
-        if self.injector is not None and self.metrics is not None:
-            for record in self.injector.records:
-                self.metrics.bus(record.bus).faults_injected += 1
         if self.recorder is not None:
             self.recorder.finish(stats.end_time)
         final_values: Dict[str, Value] = {}
@@ -592,22 +617,23 @@ class RefinedSimulation:
             name: self._finish[name] - self._start[name]
             for name in self._finish
         }
-        return SimResult(
+        result = SimResult(
             stats=stats,
             final_values=final_values,
             clocks=clocks,
             transactions={name: bus.transactions
                           for name, bus in self.buses.items()},
-            utilization={name: bus.utilization(stats.end_time)
-                         for name, bus in self.buses.items()},
-            arbitration_wait={name: bus.arbiter.wait_clocks
-                              for name, bus in self.buses.items()},
+            grants={name: bus.arbiter.grants
+                    for name, bus in self.buses.items()},
             fallbacks=(dict(self.compiled.fallbacks)
                        if self.compiled is not None else {}),
             fault_records=(list(self.injector.records)
                            if self.injector is not None else []),
             backend=self.backend,
         )
+        if self.metrics is not None:
+            self.metrics.on_run_end(result)
+        return result
 
 
 def simulate(spec: RefinedSpec,
@@ -623,8 +649,8 @@ def simulate(spec: RefinedSpec,
              validate_compiled: bool = True) -> SimResult:
     """Elaborate and run a refined specification in one call.
 
-    Pass a :class:`repro.obs.SimMetrics` as ``metrics`` to collect live
-    kernel/bus/arbiter counters for the run, a
+    Pass a :class:`repro.obs.SimMetrics` as ``metrics`` to collect the
+    kernel's scheduler counters next to the run's bus/arbiter folds, a
     :class:`repro.sim.faults.FaultPlan` as ``faults`` to inject wire
     faults (every fired fault lands in ``SimResult.fault_records``),
     and a :class:`repro.obs.flight.FlightRecorder` as ``recorder`` to

@@ -122,8 +122,8 @@ def capture_system(slug: str, protection: Any = None,
         "busy_clocks": {
             # busy clocks rather than utilization: integers survive JSON
             # round trips exactly, float division need not.
-            name: bus.to_dict(result.end_time)["busy_clocks"]
-            for name, bus in sorted(metrics.buses.items())
+            name: bus.busy_clocks
+            for name, bus in sorted(result.buses.items())
         },
         "kernel": {
             "end_clock": kernel.end_clock,

@@ -20,7 +20,6 @@ from repro.errors import InfeasibleBusError
 from repro.explore.systems import load_system
 from repro.protogen.procedures import FieldKind
 from repro.protogen.refine import refine_system
-from repro.sim.analysis import analyze_bus
 from repro.sim.runtime import simulate
 
 SYSTEMS = ["flc", "answering-machine", "ethernet"]
@@ -48,8 +47,7 @@ def test_static_bounds_are_sound_against_the_simulator(name):
     bounds = refined_channel_bounds(refined)
     result = simulate(refined, schedule=schedule)
     checked = 0
-    for transactions in result.transactions.values():
-        stats = analyze_bus(transactions)
+    for stats in result.buses.values():
         for channel_name, channel_stats in stats.per_channel.items():
             bound = bounds[channel_name]
             assert bound.contains_accesses(channel_stats.count), (

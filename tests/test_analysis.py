@@ -47,23 +47,26 @@ class TestChannelStats:
 class TestAnalyzeBus:
     def test_aggregates(self):
         log = [txn(0, 4, "a"), txn(6, 10, "b"), txn(10, 14, "a")]
-        stats = analyze_bus(log)
+        stats = analyze_bus(log, end_clock=20)
         assert stats.transactions == 3
         assert stats.busy_clocks == 12
         assert stats.span_clocks == 14
         assert stats.longest_idle_gap == 2
         assert set(stats.per_channel) == {"a", "b"}
-        assert stats.utilization == pytest.approx(12 / 14)
+        # Utilization is busy clocks over the whole run, not the span.
+        assert stats.utilization == pytest.approx(12 / 20)
 
     def test_empty_log(self):
-        stats = analyze_bus([])
+        stats = analyze_bus([], end_clock=10)
         assert stats.transactions == 0
         assert stats.utilization == 0.0
 
     def test_from_real_simulation(self, fig3):
         refined = generate_protocol(fig3.system, fig3.group, width=8)
         result = simulate(refined, schedule=["P", "Q"])
-        stats = analyze_bus(result.transactions[fig3.group.name])
+        stats = analyze_bus(result.transactions[fig3.group.name],
+                            result.end_time)
+        assert stats == result.buses[fig3.group.name]
         assert stats.transactions == 4
         assert 0 < stats.utilization <= 1.0
         # Sequential schedule: transactions never overlap, so busy
@@ -71,7 +74,7 @@ class TestAnalyzeBus:
         assert stats.busy_clocks <= stats.span_clocks
 
     def test_format(self):
-        text = format_bus_stats(analyze_bus([txn(0, 4, "a")]))
+        text = format_bus_stats(analyze_bus([txn(0, 4, "a")], 4))
         assert "transactions : 1" in text
         assert "a" in text
 

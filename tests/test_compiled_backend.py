@@ -96,8 +96,11 @@ def _assert_results_agree(interp, compiled):
     assert compiled.transactions == interp.transactions
     assert compiled.clocks == interp.clocks
     assert compiled.end_time == interp.end_time
-    assert compiled.arbitration_wait == interp.arbitration_wait
-    assert compiled.utilization == interp.utilization
+    # Whole per-bus and per-arbiter folds: words, latency histogram,
+    # per-channel stats, grant counts and queue depths, not just the
+    # utilization and wait totals derived from them.
+    assert compiled.buses == interp.buses
+    assert compiled.arbiters == interp.arbiters
     assert ([r.to_dict() for r in compiled.fault_records]
             == [r.to_dict() for r in interp.fault_records])
     assert set(compiled.stats.processes) == set(interp.stats.processes)

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: tracer, live simulator metrics,
+"""Tests for the observability layer: tracer, simulator metrics,
 exporters, run reports and the CLI surface (``--trace-out`` /
 ``--metrics-out`` / ``repro-synth profile``)."""
 
@@ -13,13 +13,14 @@ from repro.cli import main
 from repro.obs.export import to_chrome_trace, to_prometheus
 from repro.obs.report import run_report, sim_section
 from repro.obs.simmetrics import (
-    ArbiterMetrics,
     Histogram,
     KernelMetrics,
     SimMetrics,
+    arbiter_dict,
 )
 from repro.obs.tracer import NULL_SPAN, active_tracer
 from repro.protogen.refine import generate_protocol
+from repro.sim.analysis import analyze_arbiter
 from repro.sim.runtime import simulate
 from repro.sim.signals import Signal
 from repro.sim.trace import write_vcd
@@ -151,22 +152,27 @@ class TestKernelMetricsUnit:
         assert "done" not in payload["processes"]
 
 
-class TestArbiterMetricsUnit:
+class TestArbiterFold:
     def test_queue_depth_and_grants(self):
-        metrics = ArbiterMetrics("B")
-        metrics.on_request(1)
-        metrics.on_request(3)
-        metrics.on_grant("P", 0)
-        metrics.on_grant("P", 4)
-        assert metrics.max_queue_depth == 3
-        assert metrics.mean_queue_depth == pytest.approx(2.0)
-        payload = metrics.to_dict()
+        # (grant clock, requester, clocks waited, queue depth at request)
+        stats = analyze_arbiter([(0, "P", 0, 1), (7, "P", 4, 3)])
+        assert stats.requests == 2
+        assert stats.max_queue_depth == 3
+        assert stats.mean_queue_depth == pytest.approx(2.0)
+        assert stats.wait_clocks == 4
+        payload = arbiter_dict(stats)
         assert payload["grants"] == {"P": 2}
         assert payload["wait_clocks"]["count"] == 2
+        assert payload["wait_clocks"]["sum"] == 4
+
+    def test_empty_grant_log(self):
+        stats = analyze_arbiter([])
+        assert (stats.requests, stats.wait_clocks, stats.max_queue_depth,
+                stats.mean_queue_depth) == (0, 0, 0, 0.0)
 
 
 class TestLiveSimMetrics:
-    """The live collectors must agree with the transaction log."""
+    """The metrics' bus/arbiter records are the run's log folds."""
 
     @pytest.fixture()
     def run(self, fig3):
@@ -188,13 +194,15 @@ class TestLiveSimMetrics:
         result, metrics = run
         log = result.transactions["B"]
         bus = metrics.buses["B"]
+        assert bus is result.buses["B"]
         assert bus.transactions == len(log)
         assert bus.latency.count == len(log)
-        assert bus.words >= len(log)
+        assert bus.words == sum(t.words for t in log) >= len(log)
         assert bus.busy_clocks == sum(t.clocks for t in log)
-        assert sum(bus.per_channel.values()) == len(log)
+        assert sum(ch.count for ch in bus.per_channel.values()) == len(log)
         assert bus.reads + bus.writes == len(log)
-        assert 0.0 < bus.utilization(result.end_time) <= 1.0
+        assert bus.end_clock == result.end_time
+        assert 0.0 < bus.utilization <= 1.0
 
     def test_arbiter_granted_every_transaction(self, run):
         result, metrics = run
@@ -366,6 +374,103 @@ class TestRunReportAndPrometheus:
         from repro.obs.export import _labels
         rendered = _labels({"system": 'a"b\\c\nd'})
         assert rendered == '{system="a\\"b\\\\c\\nd"}'
+
+
+# ---------------------------------------------------------------------------
+# One account of bus traffic: every surface reads the same fold
+# ---------------------------------------------------------------------------
+
+def _bus_account_cases():
+    """3 case studies x protection x fault plan x backend.  The fault
+    plans are the ``GOLDEN_VARIANTS`` ones, retargeted at each system's
+    bus; a dropped DONE cannot be recovered on an unprotected bus (the
+    run aborts, so no surface reports), hence that pairing is absent."""
+    from tests.golden_util import GOLDEN_SYSTEMS, GOLDEN_VARIANTS
+    plans = [None] + sorted(slug for slug, (_, _, factory)
+                            in GOLDEN_VARIANTS.items() if factory)
+    return [
+        pytest.param(system, protection, plan, backend,
+                     id=f"{system}-{protection or 'none'}-"
+                        f"{plan or 'fault_free'}-{backend}")
+        for system in GOLDEN_SYSTEMS
+        for protection in (None, "parity", "crc8")
+        for plan in plans
+        if not (protection is None and plan == "flc_crc8_faulty")
+        for backend in ("interp", "compiled")
+    ]
+
+
+def _prometheus_sample(text, metric, system, bus):
+    prefix = f'repro_{metric}{{system="{system}",bus="{bus}"}} '
+    (line,) = [line for line in text.splitlines()
+               if line.startswith(prefix)]
+    return line[len(prefix):]
+
+
+@pytest.mark.parametrize("system,protection,plan,backend",
+                         _bus_account_cases())
+def test_every_surface_reports_one_bus_account(system, protection, plan,
+                                               backend):
+    """SimResult, both run-report blocks, Prometheus and the profile
+    row report one ``busy_clocks`` / ``utilization`` per bus, and
+    ``busy_clocks`` is the flight recorder's committed transfer time
+    (its buckets minus the arbitration wait)."""
+    from dataclasses import replace
+
+    from repro.busgen.split import plan_buses
+    from repro.cli import _profile_row
+    from repro.explore.systems import load_system
+    from repro.protogen.refine import refine_system
+    from repro.sim.faults import FaultPlan
+    from tests.golden_util import GOLDEN_VARIANTS
+
+    loaded = load_system(system.replace("_", "-"))
+    refined = refine_system(loaded.system, plan_buses(loaded.groups),
+                            protection=protection)
+
+    def run(recorder=None):
+        faults = None
+        if plan is not None:
+            (bus,) = refined.buses
+            faults = FaultPlan([replace(fault, bus=bus.name) for fault
+                                in GOLDEN_VARIANTS[plan][2]()])
+        metrics = SimMetrics()
+        result = simulate(refined, schedule=loaded.schedule,
+                          metrics=metrics, faults=faults,
+                          recorder=recorder, backend=backend)
+        return result, metrics
+
+    result, metrics = run()
+    assert len(result.fault_records) == (plan is not None)
+    section = sim_section(system, result, metrics)
+    prometheus = to_prometheus(run_report(meta={},
+                                          simulations=[section]))
+    recorder = obs.FlightRecorder()
+    recorded, _ = run(recorder)
+    assert recorded.buses == result.buses
+
+    for name, stats in result.buses.items():
+        busy, utilization = stats.busy_clocks, stats.utilization
+        assert busy == sum(t.clocks for t in result.transactions[name])
+        assert utilization == busy / result.end_time
+        assert result.utilization[name] == utilization
+        assert section["bus_utilization"][name] == utilization
+        for block in (section["live"]["buses"][name],
+                      section["transaction_stats"][name]):
+            assert (block["busy_clocks"], block["utilization"]) \
+                == (busy, utilization)
+        assert _prometheus_sample(prometheus, "bus_busy_clocks", system,
+                                  name) == str(busy)
+        assert _prometheus_sample(prometheus, "bus_utilization", system,
+                                  name) == f"{utilization:g}"
+        committed = [txn for txn in recorder.transactions
+                     if txn.bus == name and txn.outcome == "committed"]
+        assert len(committed) == stats.transactions
+        assert busy == sum(sum(txn.buckets.values())
+                           - txn.buckets["arbitration_wait"]
+                           for txn in committed)
+    assert _profile_row(system, result, True)[3] \
+        == max(result.utilization.values())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ArbitrationError, SimulationError
+from repro.sim.analysis import analyze_arbiter
 from repro.sim.arbiter import (
     ImmediateArbiter,
     PriorityArbiter,
@@ -104,7 +105,19 @@ class TestImmediateArbiter:
     def test_wait_clocks_accumulated(self):
         _, arbiter = run_acquire_release(ImmediateArbiter, ["a", "b", "c"])
         # b waits 3, c waits 6.
-        assert arbiter.wait_clocks == 9
+        assert analyze_arbiter(arbiter.grants).wait_clocks == 9
+
+    def test_grant_log_folds_waits_and_queue_depths(self):
+        _, arbiter = run_acquire_release(ImmediateArbiter, ["a", "b", "c"])
+        # a is granted on request; b then queues alone, c behind b.
+        assert arbiter.grants == [(0, "a", 0, 1), (3, "b", 3, 1),
+                                  (6, "c", 6, 2)]
+        stats = analyze_arbiter(arbiter.grants)
+        assert stats.requests == 3
+        assert stats.grants == {"a": 1, "b": 1, "c": 1}
+        assert stats.max_queue_depth == 2
+        assert stats.mean_queue_depth == pytest.approx(4 / 3)
+        assert (stats.wait.count, stats.wait.min, stats.wait.max) == (3, 0, 6)
 
     def test_nested_acquire_rejected(self):
         sim = Simulator()
@@ -236,6 +249,22 @@ class TestTdmaArbiter:
         sim.add_process("ghost", proc())
         with pytest.raises(SimulationError):
             sim.run()
+
+    def test_nested_acquire_rejected(self):
+        """The slot owner re-acquiring fails at once, like the base
+        arbiter, instead of polling for a free bus that never comes."""
+        sim = Simulator()
+        arbiter = TdmaArbiter(sim, schedule=["p"], slot_clocks=4)
+
+        def proc():
+            yield from arbiter.acquire("p")
+            yield from arbiter.acquire("p")
+
+        sim.add_process("p", proc())
+        with pytest.raises(SimulationError,
+                           match="p issued a nested bus acquire"):
+            sim.run()
+        assert sim.now == 0
 
     def test_validation(self):
         with pytest.raises(ArbitrationError):

@@ -28,7 +28,7 @@ def txn(start, end, channel="c", direction=Direction.WRITE):
 
 class TestEmptyLog:
     def test_analyze_bus_all_fields_zero(self):
-        stats = analyze_bus([])
+        stats = analyze_bus([], end_clock=0)
         assert stats.transactions == 0
         assert stats.busy_clocks == 0
         assert stats.span_clocks == 0
@@ -37,7 +37,7 @@ class TestEmptyLog:
         assert stats.utilization == 0.0
 
     def test_format_empty_log(self):
-        text = format_bus_stats(analyze_bus([]))
+        text = format_bus_stats(analyze_bus([], end_clock=0))
         assert "transactions : 0" in text
         # No per-channel table when there are no channels.
         assert "channel" not in text
@@ -61,14 +61,15 @@ class TestSingleTransaction:
         assert stats.mean_clocks == pytest.approx(4.0)
 
     def test_bus_fully_utilized_over_own_span(self):
-        stats = analyze_bus([txn(5, 9)])
+        stats = analyze_bus([txn(5, 9)], end_clock=9)
         assert stats.span_clocks == 4
-        assert stats.busy_clocks == 4
-        assert stats.utilization == pytest.approx(1.0)
+        assert stats.busy_clocks == stats.span_clocks == 4
+        # Utilization is over the whole run: clocks 0..5 were idle.
+        assert stats.utilization == pytest.approx(4 / 9)
         assert stats.longest_idle_gap == 0
 
     def test_format_single_transaction(self):
-        text = format_bus_stats(analyze_bus([txn(5, 9)]))
+        text = format_bus_stats(analyze_bus([txn(5, 9)], end_clock=9))
         assert "transactions : 1" in text
         assert "0.00" in text  # interarrival column
 
@@ -83,7 +84,7 @@ class TestOverlappingSharedBus:
 
     def test_busy_clocks_exceed_span(self):
         log = [txn(0, 10, "a"), txn(4, 14, "b")]
-        stats = analyze_bus(log)
+        stats = analyze_bus(log, end_clock=14)
         assert stats.span_clocks == 14
         assert stats.busy_clocks == 20
         assert stats.utilization == pytest.approx(20 / 14)
@@ -103,7 +104,7 @@ class TestOverlappingSharedBus:
 
     def test_per_channel_stats_unaffected_by_overlap(self):
         log = [txn(0, 10, "a"), txn(4, 14, "b"), txn(20, 24, "a")]
-        stats = analyze_bus(log)
+        stats = analyze_bus(log, end_clock=24)
         assert stats.per_channel["a"].count == 2
         assert stats.per_channel["a"].mean_interarrival == pytest.approx(20.0)
         assert stats.per_channel["b"].count == 1

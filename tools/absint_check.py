@@ -29,7 +29,6 @@ from repro.busgen.split import plan_buses
 from repro.errors import ReproError
 from repro.explore.systems import BUILTIN_SYSTEMS, load_system
 from repro.protogen.refine import refine_system
-from repro.sim.analysis import analyze_bus
 from repro.sim.runtime import simulate
 
 
@@ -52,8 +51,7 @@ def check_system(name: str) -> int:
     print(header)
 
     violations = 0
-    for bus_name, transactions in sorted(result.transactions.items()):
-        stats = analyze_bus(transactions)
+    for bus_name, stats in sorted(result.buses.items()):
         for channel_name in sorted(stats.per_channel):
             observed = stats.per_channel[channel_name].count
             bound = bounds.get(channel_name)

@@ -9,8 +9,10 @@ system at every protection level:
    refutation, no silent interpreter demotion, no spurious P8xx.
 2. **Agreement**: the gated compiled run must agree with the reference
    interpreter on every observable (final values, end time,
-   per-behavior clocks, transaction logs, utilization, arbitration
-   waits).
+   per-behavior clocks, transaction logs, and the whole per-bus and
+   per-arbiter folds of :mod:`repro.sim.analysis` -- words, latency
+   histogram, per-channel stats, utilization, grant waits and queue
+   depths).
 3. **Refutability**: the seeded codegen-defect corpus
    (:mod:`repro.analysis.tv.mutations`) must be caught -- each planted
    miscompile refuted by *exactly* its own P8xx code and confirmed as
@@ -47,9 +49,8 @@ def _agreement_failures(interp, compiled):
         "end_time": (interp.end_time, compiled.end_time),
         "behavior_clocks": (interp.clocks, compiled.clocks),
         "transactions": (interp.transactions, compiled.transactions),
-        "utilization": (interp.utilization, compiled.utilization),
-        "arbitration_wait": (interp.arbitration_wait,
-                             compiled.arbitration_wait),
+        "bus_stats": (interp.buses, compiled.buses),
+        "arbiter_stats": (interp.arbiters, compiled.arbiters),
     }
     return [name for name, (want, got) in checks.items() if want != got]
 

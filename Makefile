@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage lint lint-examples absint-check validate-compiled profile bench bench-kernel bench-only reports examples explain-examples explore-examples sim-source-examples verify-all verify-examples clean
+.PHONY: install test coverage lint lint-examples absint-check validate-compiled defect-corpus profile bench bench-kernel bench-only reports examples explain-examples explore-examples sim-source-examples verify-all verify-examples clean
 
 #: Line-coverage floor (percent) for the simulator and protocol
 #: generator packages, enforced by `make coverage` and CI.
@@ -42,9 +42,14 @@ lint-examples:    ## static protocol analysis on the example .spec files,
 absint-check:     ## soundness gate: static bounds vs simulated counts
 	PYTHONPATH=src $(PYTHON) tools/absint_check.py
 
-validate-compiled: ## translation-validation gate: proofs, backend
-                   ## agreement, and the seeded codegen-defect corpus
+validate-compiled: ## translation-validation gate: proofs and backend
+                   ## agreement
 	PYTHONPATH=src $(PYTHON) tools/validate_compiled.py
+
+defect-corpus:    ## every seeded defect of the analyzer, codegen and
+                  ## cache corpora fires exactly its codes, every
+                  ## control fires nothing
+	PYTHONPATH=src $(PYTHON) -m repro.corpus
 
 profile:          ## instrumented synth+sim sweep with stage breakdown
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile

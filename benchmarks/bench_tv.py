@@ -21,7 +21,7 @@ from benchmarks._report import (
     write_report,
 )
 from repro.analysis.tv import checker, validate_refined
-from repro.analysis.tv.mutations import check_corpus
+from repro.analysis.tv.mutations import CORPUS
 from repro.busgen.split import plan_buses
 from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
@@ -61,7 +61,7 @@ def test_translation_validation_walltime():
                      f"{cold_seconds:.3f}", f"{warm_seconds:.3f}"])
 
     started = time.perf_counter()
-    outcomes = check_corpus()
+    outcomes = [CORPUS.check(defect) for defect in CORPUS.defects]
     corpus_seconds = time.perf_counter() - started
     assert all(outcome.exact for outcome in outcomes), "\n".join(
         outcome.render_line() for outcome in outcomes)

@@ -11,8 +11,9 @@ The package layers on top of the product-automaton engine of
   simultaneous drive sets per channel, symbolic drive windows from the
   abstract interpreter across channels);
 * :mod:`repro.analysis.mc.witness` -- replayable JSON counterexample
-  schedules (:mod:`repro.sim.replay` runs them through the event
-  kernel);
+  schedules;
+* :mod:`repro.analysis.mc.replay` -- runs a witness schedule through
+  the event kernel on real wires;
 * :mod:`repro.analysis.mc.passes` -- the lint pass and the
   ``repro-synth verify`` engine.
 """
@@ -25,11 +26,13 @@ from repro.analysis.mc.checker import (
 )
 from repro.analysis.mc.graph import TemporalGraph, build_temporal_graph
 from repro.analysis.mc.passes import check_temporal, verify_refined
+from repro.analysis.mc.replay import ReplayResult, replay_witness
 from repro.analysis.mc.witness import Witness, WitnessStep
 
 __all__ = [
     "PROPERTY_IDS",
     "PropertyVerdict",
+    "ReplayResult",
     "TemporalGraph",
     "VerificationReport",
     "Witness",
@@ -37,5 +40,6 @@ __all__ = [
     "build_temporal_graph",
     "check_channel",
     "check_temporal",
+    "replay_witness",
     "verify_refined",
 ]

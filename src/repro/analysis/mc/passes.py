@@ -12,9 +12,7 @@ Reports are memoized on the spec per ``witness_meta``, so lint's
 temporal pass and a later ``verify`` of it model-check once, and every
 channel is checked on its shared controller model
 (:func:`~repro.analysis.product.channel_models`), whose product the
-handshake pass explores too.  ``fsm_transform`` (the hook the mutation
-corpus uses to seed controller-level defects) bypasses the memo via a
-spec copy.
+handshake pass explores too.
 """
 
 from __future__ import annotations
@@ -36,11 +34,7 @@ from repro.analysis.mc.checker import (
     check_channel,
 )
 from repro.analysis.mc.races import bus_window_races
-from repro.analysis.product import (
-    FsmTransform,
-    channel_models,
-    with_fsm_transform,
-)
+from repro.analysis.product import channel_models
 from repro.protogen.refine import RefinedSpec
 
 #: Diagnostic severity per P7xx code.  Starvation is a warning: the
@@ -68,11 +62,9 @@ HINTS = {
 
 
 def verify_refined(spec: RefinedSpec,
-                   fsm_transform: Optional[FsmTransform] = None,
                    witness_meta: Optional[Dict[str, Any]] = None,
                    ) -> VerificationReport:
     """Model-check every channel of ``spec``; returns all verdicts."""
-    spec = with_fsm_transform(spec, fsm_transform)
     key = ("verify", tuple(sorted((witness_meta or {}).items())))
     return spec.memoized(key, lambda: _verify(spec, witness_meta))
 

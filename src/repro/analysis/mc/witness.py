@@ -4,7 +4,7 @@ Every refuted temporal property carries a :class:`Witness`: the move
 schedule that drives the channel's controller pair from reset into the
 violation.  The schedule is plain JSON so it can be written next to a
 lint report and replayed later -- ``repro-synth verify --replay`` (and
-:func:`repro.sim.replay.replay_witness`) re-synthesizes the FSM pair,
+:func:`repro.analysis.mc.replay_witness`) re-synthesizes the FSM pair,
 steps the schedule through the event kernel on real
 :class:`~repro.sim.signals.Signal` wires and confirms the claimed
 violation concretely, mirroring the ``tools/absint_check.py``

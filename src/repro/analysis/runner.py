@@ -16,7 +16,7 @@ JSON output is emitted in a stable sort order.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.analysis.absint.passes import check_value_flow
 from repro.analysis.contention import check_contention
@@ -24,7 +24,6 @@ from repro.analysis.deadcode import check_dead_code
 from repro.analysis.deadlock import check_handshakes
 from repro.analysis.diagnostics import DiagnosticSet
 from repro.analysis.mc.passes import check_temporal
-from repro.analysis.product import FsmTransform, with_fsm_transform
 from repro.analysis.protection import check_protection
 from repro.analysis.width import check_widths
 from repro.obs.tracer import span as obs_span
@@ -47,17 +46,8 @@ PASSES: List[Tuple[str, Pass]] = [
 ]
 
 
-def analyze_refined(spec: RefinedSpec,
-                    fsm_transform: Optional[FsmTransform] = None,
-                    ) -> DiagnosticSet:
-    """Run all static passes over ``spec``.
-
-    ``fsm_transform`` rewrites every synthesized controller the
-    handshake and temporal passes read; the mutation corpus uses it to
-    seed controller-level defects.  Such a run analyzes a memo-less
-    copy of ``spec`` and leaves its memo alone.
-    """
-    spec = with_fsm_transform(spec, fsm_transform)
+def analyze_refined(spec: RefinedSpec) -> DiagnosticSet:
+    """Run all static passes over ``spec``."""
     diagnostics = DiagnosticSet(system=spec.name)
     with obs_span("analysis.analyze_refined", system=spec.name) as sp:
         for name, check in PASSES:

@@ -31,7 +31,7 @@ obligation per legal codegen transform:
 
 A refutation aborts the walk with the first failed obligation; the
 verdict carries a replayable counterexample recipe
-(:func:`repro.sim.replay.replay_backend_divergence`).
+(:func:`repro.analysis.tv.replay_backend_divergence`).
 """
 
 from __future__ import annotations
@@ -897,7 +897,7 @@ class _Checker:
 _CACHE: Dict[Tuple[str, str], ProcessVerdict] = {}
 _CACHE_LIMIT = 1024
 
-REPLAY_HINT = ("replay with repro.sim.replay."
+REPLAY_HINT = ("replay with repro.analysis.tv."
                "replay_backend_divergence() to reproduce the "
                "divergence on the real backends")
 

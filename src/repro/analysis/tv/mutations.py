@@ -11,42 +11,25 @@ exactly what would execute -- and demands two things of each:
   no defect slips through), and
 * **counterexample concreteness**: the mutated program observably
   diverges from the interpreter on a real run
-  (:func:`repro.sim.replay.replay_backend_divergence` confirms it).
+  (:func:`repro.analysis.tv.replay_backend_divergence` confirms it).
 
-The corpus doubles as the regression gate for the validator itself:
-``make validate-compiled`` and ``tests/test_tv.py`` run
-:func:`check_corpus` and fail on any inexact outcome.
+The judge also demands that the unmutated build validates and that the
+mutation changed some generated source.  The controls are the two
+unmutated specs, which must validate cleanly and run identically on
+both backends.  :mod:`repro.corpus` runs the corpus
+(``make defect-corpus``).
 
-Defect roster (one per legal-transform proof obligation):
-
-========================  =====  =========================================
-defect                    code   what the "compiler bug" does
-========================  =====  =========================================
-``chunk_flush_off_by_one``  P801  chunked ``While`` flush fires at the
-                                  wrong threshold and waits ``t - 1``
-``clock_tamper``            P801  a statement charges 2 clocks instead
-                                  of its interpreter cost of 1
-``reordered_store``         P802  contested store hoisted above the
-                                  flush that fixes its exact clock
-``dropped_loop_wrap``       P803  loop-variable wrap elided without a
-                                  range certificate (bounds overflow)
-``stale_virtual_grant``     P804  deferred transfer passes ``0`` pending
-                                  clocks instead of the live ``t``
-``extra_yield``             P805  spurious ``yield W(1)`` the IR never
-                                  asked for
-``misfolded_constant``      P806  constant folding computes the wrong
-                                  value
-``wrap_bias``               P806  wrap lowering biased by one
-                                  (``- 127`` where ``- 128`` belongs)
-========================  =====  =========================================
+The roster (``_DEFECTS`` below) holds at least one defect per
+legal-transform proof obligation, P801 to P806.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional
 
+from repro.corpus import Corpus, SeededDefect
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
 from repro.protocols import FIXED_DELAY, FULL_HANDSHAKE
@@ -188,91 +171,64 @@ def _wrap_bias(name: str, source: str) -> str:
     return _WRAP_BIAS.sub(r"\g<1>127)", source)
 
 
-@dataclass(frozen=True)
-class CodegenDefect:
-    """One planted compiler bug and the code that must catch it."""
-
-    name: str
-    #: The single P8xx code this defect must be refuted with.
-    code: str
-    description: str
-    build: Callable[[], Tuple[object, Optional[Sequence]]]
-    #: ``(behavior_name, source) -> source`` applied to every
-    #: generated process, exactly as ``source_transform`` delivers it.
-    transform: Callable[[str, str], str]
+def _miscompiled(spec_builder, transform: Optional[Callable[[str, str], str]]):
+    """``(spec, schedule, transform)``: a fresh spec and the
+    ``(behavior_name, source) -> source`` rewrite applied to every
+    generated process, exactly as ``source_transform`` delivers it
+    (None for a control)."""
+    spec, schedule = spec_builder()
+    return spec, schedule, transform
 
 
-DEFECTS: Tuple[CodegenDefect, ...] = (
-    CodegenDefect(
+def _defect(name, code, description, spec_builder, transform):
+    return SeededDefect(name, (code,), description,
+                        partial(_miscompiled, spec_builder, transform))
+
+
+_DEFECTS = (
+    _defect(
         "chunk_flush_off_by_one", "P801",
         "chunked While flush fires at t >= 8 and waits W(t - 1)",
         _counter_spec, _chunk_flush_off_by_one),
-    CodegenDefect(
+    _defect(
         "clock_tamper", "P801",
         "one statement charges t += 2 for an interpreter cost of 1",
         _counter_spec, _clock_tamper),
-    CodegenDefect(
+    _defect(
         "reordered_store", "P802",
         "contested env_write hoisted above its exact-clock flush",
         _race_spec, _reordered_store),
-    CodegenDefect(
+    _defect(
         "dropped_loop_wrap", "P803",
         "8-bit loop variable used raw over range(0, 201); wrap elided "
         "without a covering range certificate",
         _counter_spec, _dropped_loop_wrap),
-    CodegenDefect(
+    _defect(
         "stale_virtual_grant", "P804",
         "deferred transfer passes 0 pending clocks instead of t",
         _counter_spec, _stale_virtual_grant),
-    CodegenDefect(
+    _defect(
         "extra_yield", "P805",
         "spurious yield W(1) the IR never asked for",
         _counter_spec, _extra_yield),
-    CodegenDefect(
+    _defect(
         "misfolded_constant", "P806",
         "617 * 2 folded to 1235",
         _counter_spec, _misfolded_constant),
-    CodegenDefect(
+    _defect(
         "wrap_bias", "P806",
         "signed 8-bit wrap lowered with - 127 instead of - 128",
         _counter_spec, _wrap_bias),
 )
 
-
-@dataclass
-class DefectOutcome:
-    """What the validator and the replayer said about one defect."""
-
-    defect: CodegenDefect
-    #: Behaviors whose generated source the transform actually changed.
-    mutated: Tuple[str, ...]
-    #: Distinct P-codes the validator fired on the mutated program.
-    codes: Tuple[str, ...]
-    #: Behaviors refuted.
-    refuted: Tuple[str, ...]
-    #: True when the *unmutated* build of the same spec validates
-    #: cleanly (so the refutation below is attributable to the defect).
-    clean: bool
-    #: Concrete interp-vs-mutated-compiled divergence.
-    replay: "object"
-
-    @property
-    def exact(self) -> bool:
-        """Refuted by exactly its own code, on a clean baseline, with
-        a confirmed concrete counterexample."""
-        return (self.clean
-                and bool(self.mutated)
-                and self.codes == (self.defect.code,)
-                and bool(self.refuted)
-                and self.replay.confirmed)
-
-    def render_line(self) -> str:
-        verdict = "ok" if self.exact else "FAIL"
-        codes = ",".join(self.codes) or "-"
-        return (f"{verdict:4s} {self.defect.name:24s} "
-                f"want {self.defect.code} got {codes:12s} "
-                f"refuted={','.join(self.refuted) or '-'} "
-                f"replay={'diverged' if self.replay.confirmed else 'NO'}")
+_CONTROLS = (
+    SeededDefect("counter_control", (),
+                 "the unmutated counter spec",
+                 partial(_miscompiled, _counter_spec, None)),
+    SeededDefect("race_control", (),
+                 "the unmutated race spec",
+                 partial(_miscompiled, _race_spec, None)),
+)
 
 
 def _validate_build(spec, schedule, transform=None):
@@ -296,27 +252,33 @@ def _validate_build(spec, schedule, transform=None):
         sim = RefinedSimulation(spec, schedule=schedule,
                                 backend="compiled",
                                 validate_compiled=False)
-    return validate_program(sim), tuple(sorted(changed))
+    return validate_program(sim), changed
 
 
-def check_defect(defect: CodegenDefect) -> DefectOutcome:
-    """Judge one defect: clean baseline, mutated refutation, replay."""
-    from repro.sim.replay import replay_backend_divergence
+def _judge(build):
+    """Validate the unmutated and the mutated build, then replay both
+    backends: a defect must be refuted and concretely diverge, a
+    control must do neither."""
+    from repro.analysis.tv import replay_backend_divergence
 
-    spec, schedule = defect.build()
-    clean_report, _ = _validate_build(spec, schedule)
-    report, mutated = _validate_build(spec, schedule, defect.transform)
-    codes = tuple(sorted({d.code for d in report.diagnostics()}))
-    refuted = tuple(sorted(
-        name for name, verdict in report.verdicts.items()
-        if verdict.refuted))
+    spec, schedule, transform = build
+    problems = []
+    report, _ = _validate_build(spec, schedule)
+    if not report.all_validated:
+        problems.append("the unmutated build does not validate")
+    if transform is not None:
+        report, mutated = _validate_build(spec, schedule, transform)
+        if not mutated:
+            problems.append("the mutation changed no generated source")
+        if not any(v.refuted for v in report.verdicts.values()):
+            problems.append("no process refuted")
     replay = replay_backend_divergence(spec, schedule=schedule,
-                                       transform=defect.transform)
-    return DefectOutcome(
-        defect=defect, mutated=mutated, codes=codes, refuted=refuted,
-        clean=clean_report.all_validated, replay=replay)
+                                       transform=transform)
+    if transform is not None and not replay.confirmed:
+        problems.append("no concrete divergence on replay")
+    if transform is None and replay.confirmed:
+        problems.append(f"the backends diverge: {replay.divergence}")
+    return [d.code for d in report.diagnostics()], problems
 
 
-def check_corpus() -> List[DefectOutcome]:
-    """Run the whole corpus; one :class:`DefectOutcome` per defect."""
-    return [check_defect(defect) for defect in DEFECTS]
+CORPUS = Corpus("tv", _DEFECTS, _CONTROLS, _judge)

@@ -19,8 +19,10 @@ Systems available to ``synth``: ``fig3`` (the running example), ``flc``
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Sequence
 
 from repro import __version__
 from repro.busgen.algorithm import generate_bus
@@ -50,6 +52,25 @@ def _note(message: str) -> None:
     """Informational notes of the loader and the bus planner go to
     stderr, so stdout (and every ``--json`` payload) stays clean."""
     print(message, file=sys.stderr)
+
+
+@contextmanager
+def _user_path(path: str, action: str = "write") -> Iterator[None]:
+    """Report an OSError on a user-supplied path as a
+    :class:`ReproError` naming the path (``error: …``, exit 2)."""
+    try:
+        yield
+    except OSError as error:
+        raise ReproError(f"cannot {action} {path}: "
+                         f"{error.strerror or error}") from None
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of the counts that are meaningless below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_info(_args: argparse.Namespace) -> int:
@@ -86,15 +107,18 @@ def _write_observability(args: argparse.Namespace, tracer,
             tracer=tracer, simulations=simulations,
             verification=verification,
         )
-        if args.metrics_format == "prom":
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(obs_export.to_prometheus(payload))
-        else:
-            obs_export.write_json(payload, args.metrics_out)
+        with _user_path(args.metrics_out):
+            if args.metrics_format == "prom":
+                with open(args.metrics_out, "w",
+                          encoding="utf-8") as handle:
+                    handle.write(obs_export.to_prometheus(payload))
+            else:
+                obs_export.write_json(payload, args.metrics_out)
         print(f"metrics written to {args.metrics_out}")
     if args.trace_out:
-        obs_export.write_chrome_trace(tracer, args.trace_out,
-                                      sim_runs=sim_runs)
+        with _user_path(args.trace_out):
+            obs_export.write_chrome_trace(tracer, args.trace_out,
+                                          sim_runs=sim_runs)
         print(f"chrome trace written to {args.trace_out} "
               "(load in chrome://tracing or ui.perfetto.dev)")
 
@@ -322,7 +346,8 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
         text = emit_refined_spec(refined)
         structures = [bus.structure for bus in refined.buses]
         validate_vhdl(text, structures=structures).raise_if_failed()
-        with open(args.vhdl, "w", encoding="utf-8") as handle:
+        with _user_path(args.vhdl), \
+                open(args.vhdl, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"VHDL written to {args.vhdl} "
               f"({len(text.splitlines())} lines)")
@@ -393,7 +418,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Temporal model checking: prove or refute the liveness/race
     properties of every generated channel, with replayable witnesses."""
     import json as json_module
-    import os
 
     from repro.analysis.diagnostics import Severity
     from repro.analysis.mc import verify_refined
@@ -445,13 +469,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(tv.render_text())
 
     if args.witness_dir:
-        os.makedirs(args.witness_dir, exist_ok=True)
+        with _user_path(args.witness_dir, "create directory"):
+            os.makedirs(args.witness_dir, exist_ok=True)
         for index, witness in enumerate(report.witnesses):
             path = os.path.join(
                 args.witness_dir,
                 f"witness_{index:02d}_{witness.code}_"
                 f"{witness.channel}.json")
-            witness.save(path)
+            with _user_path(path):
+                witness.save(path)
             if not args.json:
                 print(f"witness written to {path}")
 
@@ -467,27 +493,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _mutated_spec(name: str):
-    """``(defect, spec)`` of a named seeded defect, the spec carrying
-    the defect's (possibly transformed) controller models."""
+    """``(defect, spec)`` of a named seeded defect of the analyzer
+    corpus, the spec carrying the defect's controller models."""
     from repro.analysis.mutations import CORPUS
-    from repro.analysis.product import with_fsm_transform
 
-    defect = next((d for d in CORPUS if d.name == name), None)
+    defect = CORPUS.find(name)
     if defect is None:
-        names = ", ".join(sorted(d.name for d in CORPUS))
+        names = ", ".join(sorted(d.name for d in CORPUS.defects))
         raise AnalysisError(f"unknown mutation {name!r}; "
                             f"choose from: {names}")
-    design = defect.build()
-    return defect, with_fsm_transform(design.spec, design.fsm_transform)
+    return defect, defect.build()
 
 
 def _replay_witness_file(path: str) -> int:
     """Rebuild the witnessed controller pair and run the schedule
     through the event kernel.  Exit 0 when the violation reproduces, 2
     when the kernel run does not confirm it."""
-    from repro.analysis.mc import Witness
+    from repro.analysis.mc import Witness, replay_witness
     from repro.analysis.product import channel_models
-    from repro.sim.replay import replay_witness
 
     witness = Witness.load(path)
     mutation = witness.meta.get("mutation")
@@ -562,7 +585,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print()
         print(render_explain_text(payload, top=args.top), end="")
     if args.trace_out:
-        write_flight_trace(args.trace_out, recorder, label=args.system)
+        with _user_path(args.trace_out):
+            write_flight_trace(args.trace_out, recorder,
+                               label=args.system)
         if not args.json:
             print(f"flight trace written to {args.trace_out}")
     if args.metrics_out and result is not None:
@@ -573,7 +598,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             simulations=[obs_report.sim_section(
                 args.system, result, metrics, recorder=recorder)],
         )
-        obs_export.write_json(report_payload, args.metrics_out)
+        with _user_path(args.metrics_out):
+            obs_export.write_json(report_payload, args.metrics_out)
         if not args.json:
             print(f"run report written to {args.metrics_out}")
     return 2 if aborted is not None else 0
@@ -640,7 +666,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     systems = list(BUILTIN_SYSTEMS) if args.system == "all" \
         else [args.system]
-    repeat = max(1, args.repeat)
+    repeat = args.repeat
 
     stage_order: List[str] = []
     stage_samples = {}
@@ -706,6 +732,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     )
 
     points = expand_grid(parse_grid(args.grid or []))
+    if args.cache:
+        with _user_path(args.cache, "create cache directory"):
+            os.makedirs(args.cache, exist_ok=True)
     report = explore(args.system, points, jobs=args.jobs,
                      cache_dir=args.cache, backend=args.backend)
 
@@ -732,7 +761,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         exit_code = 1
 
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
+        with _user_path(args.report_out), \
+                open(args.report_out, "w", encoding="utf-8") as handle:
             json_mod.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.json:
@@ -923,7 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
              "stage-by-stage time/cycle breakdown ('all': the three "
              "built-in systems)")
     _add_system_options(profile, "--protocol", "--backend", default="all")
-    profile.add_argument("--repeat", type=int, default=1, metavar="N",
+    profile.add_argument("--repeat", type=_at_least_one, default=1,
+                         metavar="N",
                          help="run the sweep N times and report "
                               "min/median stage timings; observability "
                               "outputs come from the last run "
@@ -944,7 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--json", action="store_true",
                          help="machine-readable explanation "
                               "(repro.obs/explain/v1) on stdout")
-    explain.add_argument("--top", type=int, default=5, metavar="N",
+    explain.add_argument("--top", type=_at_least_one, default=5,
+                         metavar="N",
                          help="slowest transactions / faults to list "
                               "in the text report (default: 5)")
     explain.add_argument("--trace-out", metavar="FILE",

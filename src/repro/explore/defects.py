@@ -4,11 +4,11 @@ A cache that silently serves wrong results is worse than no cache, so
 the explorer's correctness checks are themselves tested the only
 honest way: by *seeding* each classic cache defect and demanding that
 exactly the one check designed for it fires -- no misses, no
-double-reporting.
+double-reporting (:mod:`repro.corpus` holds the runner and the
+contract).
 
-Each :class:`Defect` builds a deliberately broken writer and/or
-reader over a real cache directory.  :func:`run_scenario` then plays
-the standard battery:
+Each defect builds a deliberately broken writer and/or reader over a
+real cache directory, and the judge plays the standard battery:
 
 1. **seed** -- a cold sweep through the defective writer populates the
    cache the way the buggy code would have;
@@ -17,33 +17,21 @@ the standard battery:
 3. **differential** -- the byte-identity checker over whatever the
    gates accepted.
 
-The fired incident-code set must equal ``{defect.code}`` exactly; the
-defect-free ``control`` scenario must fire nothing.  The corpus:
-
-==================  ======  ==========================================
-defect              code    seeded how
-==================  ======  ==========================================
-key_omits_param     EX101   keyer hashes without the ``width`` param,
-                            so distinct widths collide on one key
-salt_ignored        EX102   keyer drops the code-version salt from the
-                            hash; entries seeded under an old salt
-                            keep matching after the "upgrade"
-partial_write       EX103   writer skips the atomic tmp+rename
-                            protocol and persists a truncated entry
-                            (a crash mid-``write`` made durable)
-payload_drift       EX104   writer perturbs the payload but stamps a
-                            checksum over the *drifted* bytes -- the
-                            envelope is self-consistent, only the
-                            differential recompute can tell
-==================  ======  ==========================================
+The fired incident-code set must equal the defect's code exactly; the
+defect-free control must fire nothing.  The four defects (``_DEFECTS``
+below) are a key that forgets the ``width`` parameter (EX101), a key
+that ignores the code-version salt (EX102), a non-atomic writer that
+publishes a truncated entry (EX103) and a writer that perturbs the
+payload but checksums the perturbed bytes (EX104).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Set
+import tempfile
+from typing import Any, Callable
 
+from repro.corpus import Corpus, SeededDefect
 from repro.explore.cache import (
     EX101_COLLISION,
     EX102_STALE,
@@ -52,8 +40,8 @@ from repro.explore.cache import (
     ExploreCache,
 )
 from repro.explore.diffcheck import differential_check
-from repro.explore.grid import GridPoint, expand_grid
-from repro.explore.keys import Keyer, TaskSpec, code_salt
+from repro.explore.grid import expand_grid
+from repro.explore.keys import Keyer, TaskSpec, digest
 from repro.explore.runner import explore
 
 
@@ -85,67 +73,64 @@ class _DriftingCache(ExploreCache):
         super().put(task, payload)
 
 
-@dataclass(frozen=True)
-class Defect:
-    """One seeded cache bug and the incident code that must catch it."""
+class WidthBlindKeyer(Keyer):
+    """Key function that forgets the ``width`` parameter, so every
+    width of a point family collides on one key.  The recorded
+    structural inputs stay honest -- the real bug's shape, and what
+    lets the EX101 read gate catch it."""
 
-    name: str
-    code: str
-    description: str
-    #: Builds the defective *seeding* cache over a root directory.
-    writer: Callable[[str], ExploreCache]
-    #: Builds the *reading* cache for the warm sweep + differential.
-    reader: Callable[[str], ExploreCache]
+    def key(self, task: TaskSpec) -> str:
+        params = {name: value for name, value in task.params.items()
+                  if name != "width"}
+        return super().key(TaskSpec(task.stage, params, task.deps))
 
 
-CORPUS: List[Defect] = [
-    Defect(
-        name="key_omits_param",
-        code=EX101_COLLISION,
-        description="key function forgets the width parameter; "
-                    "every width of a point family collides on one "
-                    "cache entry",
-        writer=lambda root: ExploreCache(
-            root, Keyer(omit_params=("width",))),
-        reader=lambda root: ExploreCache(
-            root, Keyer(omit_params=("width",))),
-    ),
-    Defect(
-        name="salt_ignored",
-        code=EX102_STALE,
-        description="key function drops the code-version salt; "
-                    "entries written by an older lowering keep "
-                    "hitting after the code changed",
-        writer=lambda root: ExploreCache(
-            root, Keyer(salt="repro-0.0-ancient", ignore_salt=True)),
-        reader=lambda root: ExploreCache(
-            root, Keyer(salt=code_salt(), ignore_salt=True)),
-    ),
-    Defect(
-        name="partial_write",
-        code=EX103_CORRUPT,
-        description="non-atomic writer dies mid-write and publishes "
-                    "a truncated entry",
-        writer=_TruncatingCache,
-        reader=ExploreCache,
-    ),
-    Defect(
-        name="payload_drift",
-        code=EX104_DIFF,
-        description="writer perturbs the payload but stamps a "
-                    "matching checksum; only a fresh recompute can "
-                    "tell",
-        writer=_DriftingCache,
-        reader=ExploreCache,
-    ),
-]
+class SaltBlindKeyer(Keyer):
+    """Key function that drops the code-version salt from the hash, so
+    entries written under an older salt keep matching."""
 
-CONTROL = Defect(
-    name="control",
-    code="",
-    description="defect-free writer and reader; nothing may fire",
-    writer=ExploreCache,
-    reader=ExploreCache,
+    def key(self, task: TaskSpec) -> str:
+        return digest({"salt": None,
+                       "inputs": self.structural_inputs(task)})
+
+
+def _caches(writer: Callable[[str], ExploreCache],
+            reader: Callable[[str], ExploreCache]):
+    """A build: the seeding writer and the warm reader, each a factory
+    over a cache root directory."""
+    return lambda: (writer, reader)
+
+
+_DEFECTS = (
+    SeededDefect(
+        "key_omits_param", (EX101_COLLISION,),
+        "key function forgets the width parameter; every width of a "
+        "point family collides on one cache entry",
+        _caches(lambda root: ExploreCache(root, WidthBlindKeyer()),
+                lambda root: ExploreCache(root, WidthBlindKeyer()))),
+    SeededDefect(
+        "salt_ignored", (EX102_STALE,),
+        "key function drops the code-version salt; entries written by "
+        "an older lowering keep hitting after the code changed",
+        _caches(lambda root: ExploreCache(
+                    root, SaltBlindKeyer(salt="repro-0.0-ancient")),
+                lambda root: ExploreCache(root, SaltBlindKeyer()))),
+    SeededDefect(
+        "partial_write", (EX103_CORRUPT,),
+        "non-atomic writer dies mid-write and publishes a truncated "
+        "entry",
+        _caches(_TruncatingCache, ExploreCache)),
+    SeededDefect(
+        "payload_drift", (EX104_DIFF,),
+        "writer perturbs the payload but stamps a matching checksum; "
+        "only a fresh recompute can tell",
+        _caches(_DriftingCache, ExploreCache)),
+)
+
+_CONTROLS = (
+    SeededDefect("cache_control", (),
+                 "defect-free writer and reader",
+                 _caches(ExploreCache, ExploreCache)),
 )
 
 #: The corpus' standard sweep: two widths (so omitted-width keys
@@ -154,52 +139,22 @@ SCENARIO_SYSTEM = "_demo"
 SCENARIO_GRID = {"width": [1, 2]}
 
 
-def scenario_points() -> List[GridPoint]:
-    return expand_grid(SCENARIO_GRID)
+def _judge(caches):
+    """Seed through the writer, sweep warm through the reader, then
+    check the reader's entries against a fresh compute."""
+    writer, reader = caches
+    points = expand_grid(SCENARIO_GRID)
+    with tempfile.TemporaryDirectory() as root:
+        explore(SCENARIO_SYSTEM, points, jobs=1, cache_dir=root,
+                cache=writer(root))
+        warm = reader(root)
+        explore(SCENARIO_SYSTEM, points, jobs=1, cache_dir=root,
+                cache=warm)
+        diff = differential_check(SCENARIO_SYSTEM, points, warm)
+    fired = [i.code for i in warm.incidents + diff["incidents"]]
+    problems = [] if diff["checked"] else [
+        "the differential check compared no entries"]
+    return fired, problems
 
 
-def run_scenario(defect: Defect, root: str,
-                 backend: str = "interp") -> Dict[str, Any]:
-    """Play the seed / warm / differential battery for one defect.
-
-    Returns ``{"fired": set-of-codes, "expected": set, "exact": bool,
-    ...}`` where ``exact`` is the corpus' acceptance condition: the
-    fired set equals exactly the defect's own code (empty for the
-    control).
-    """
-    points = scenario_points()
-
-    seed_cache = defect.writer(root)
-    explore(SCENARIO_SYSTEM, points, jobs=1, cache_dir=root,
-            backend=backend, cache=seed_cache)
-
-    warm_cache = defect.reader(root)
-    explore(SCENARIO_SYSTEM, points, jobs=1, cache_dir=root,
-            backend=backend, cache=warm_cache)
-    diff = differential_check(SCENARIO_SYSTEM, points, warm_cache,
-                              backend=backend)
-
-    fired: Set[str] = {i.code for i in warm_cache.incidents}
-    fired.update(i.code for i in diff["incidents"])
-    expected: Set[str] = {defect.code} if defect.code else set()
-    return {
-        "defect": defect.name,
-        "expected": expected,
-        "fired": fired,
-        "exact": fired == expected,
-        "gate_incidents": [i.to_dict() for i in warm_cache.incidents],
-        "diff_incidents": [i.to_dict() for i in diff["incidents"]],
-        "diff_checked": diff["checked"],
-    }
-
-
-def run_corpus(root: str, backend: str = "interp"
-               ) -> List[Dict[str, Any]]:
-    """Run every seeded defect plus the control, each in its own
-    cache directory; the explorer's self-test surface."""
-    outcomes = []
-    for defect in CORPUS + [CONTROL]:
-        outcomes.append(run_scenario(
-            defect, os.path.join(root, defect.name or "control"),
-            backend=backend))
-    return outcomes
+CORPUS = Corpus("explore", _DEFECTS, _CONTROLS, _judge)

@@ -17,12 +17,11 @@ grid points with the same partition + busgen parameters hash to the
 same busgen key, so the second point hits the cache no matter how its
 downstream protection/arbitration parameters differ.
 
-:class:`Keyer` is the one place keys are computed.  Its two defect
-hooks (``omit_params``, ``ignore_salt``) exist *only* for the seeded
-cache-defect corpus in :mod:`repro.explore.defects`: they reproduce
-the classic cache bugs (a key that forgets a parameter, a cache that
-survives code changes) so the checker suite can prove it catches each
-one.
+:class:`Keyer` is the one place keys are computed.  The seeded
+cache-defect corpus (:mod:`repro.explore.defects`) subclasses it to
+reproduce the classic cache bugs (a key that forgets a parameter, a
+cache that survives code changes) so the checker suite can prove it
+catches each one.
 """
 
 from __future__ import annotations
@@ -103,29 +102,14 @@ class Keyer:
     can verify a hit was produced by the same inputs -- a key collision
     caused by a buggy key function is then caught at read time instead
     of silently serving the wrong point's results.
-
-    ``omit_params`` / ``ignore_salt`` are seeded-defect hooks (see
-    module docstring); production code always uses the default
-    ``Keyer()``.
     """
 
-    def __init__(self, salt: Optional[str] = None,
-                 omit_params: Iterable[str] = (),
-                 ignore_salt: bool = False):
+    def __init__(self, salt: Optional[str] = None):
         self.salt = code_salt() if salt is None else salt
-        self.omit_params = frozenset(omit_params)
-        self.ignore_salt = ignore_salt
 
     def structural_inputs(self, task: TaskSpec) -> Dict[str, Any]:
         """The salt-free inputs recorded in (and checked against)
-        cache entries: stage, parameters, dependency keys.
-
-        Recording is always *honest* -- every parameter appears, even
-        under an ``omit_params`` defect.  Only :meth:`key` honors the
-        defect hooks: that split mirrors the real bug (a key function
-        that forgot an input while the entry metadata still tells the
-        truth) and is exactly what lets the EX101 read gate catch it.
-        """
+        cache entries: stage, parameters, dependency keys."""
         return {
             "stage": task.stage,
             "params": dict(task.params),
@@ -134,16 +118,8 @@ class Keyer:
 
     def key(self, task: TaskSpec) -> str:
         """The content-addressed cache key of ``task``."""
-        params = {name: value for name, value in task.params.items()
-                  if name not in self.omit_params}
-        return digest({
-            "salt": None if self.ignore_salt else self.salt,
-            "inputs": {
-                "stage": task.stage,
-                "params": params,
-                "deps": [self.key(dep) for dep in task.deps],
-            },
-        })
+        return digest({"salt": self.salt,
+                       "inputs": self.structural_inputs(task)})
 
 
 def fingerprint_system(name: str, system: Any, groups: Iterable[Any],

@@ -123,7 +123,7 @@ class _ProcessCounters:
 
     def __init__(self) -> None:
         self.steps = 0
-        #: Clocks spent waiting on a WaitUntil predicate (handshakes,
+        #: Clocks spent waiting on a WaitOn predicate (handshakes,
         #: schedule dependencies, arbitration).
         self.blocked_clocks = 0
         #: Clocks spent sleeping on a Wait timer (doing "work").

@@ -32,7 +32,6 @@ from repro.sim.kernel import (
     Simulator,
     Wait,
     WaitOn,
-    WaitUntil,
 )
 from repro.sim.runtime import RefinedSimulation, SimResult, simulate
 from repro.sim.signals import DataLines, Signal
@@ -72,7 +71,6 @@ __all__ = [
     "Transaction",
     "Wait",
     "WaitOn",
-    "WaitUntil",
     "bus_signals",
     "format_transactions",
     "simulate",

@@ -305,13 +305,17 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            except json.JSONDecodeError as error:
-                raise SimulationError(
-                    f"fault plan {path}: invalid JSON ({error})"
-                ) from None
+        except OSError as error:
+            raise SimulationError(
+                f"fault plan {path}: {error.strerror or error}"
+            ) from None
+        except json.JSONDecodeError as error:
+            raise SimulationError(
+                f"fault plan {path}: invalid JSON ({error})"
+            ) from None
         return cls.from_dict(payload)
 
     def describe(self) -> str:

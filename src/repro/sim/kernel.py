@@ -16,9 +16,7 @@ style of a (much simplified) VHDL simulation cycle:
   - ``Delta()``        -- resume in the next pass of the same clock;
   - ``WaitOn(sigs,f)`` -- sleep on a **sensitivity list**: re-evaluate
     ``f`` only when one of the watched signals changes (``f`` omitted
-    means "wake on any change");
-  - ``WaitUntil(f)``   -- legacy polled fallback: ``f`` is re-polled
-    each pass in which anything happened.
+    means "wake on any change").
 
 * **Daemon** processes (the generated variable processes, which serve
   the bus forever) do not keep the simulation alive: it ends when every
@@ -42,8 +40,9 @@ they observe the same intermediate state the polling kernel's sweep
 would have.
 
 Contract: a ``WaitOn`` predicate must depend only on the watched
-signals (that is what makes skipping re-evaluation sound).  Predicates
-over arbitrary Python state belong in ``WaitUntil``.
+signals (that is what makes skipping re-evaluation sound).  State that
+a process waits on must therefore live in a watchable signal; the
+kernel never polls.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from typing import (
     Generator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -92,25 +90,6 @@ class Delta:
         return "Delta()"
 
 
-class WaitUntil:
-    """Resume when the predicate evaluates true (legacy, polled).
-
-    The predicate may read arbitrary state, so the kernel re-polls it
-    in every pass in which any process ran.  Prefer :class:`WaitOn`
-    when the predicate only depends on signals.
-    """
-
-    __slots__ = ("predicate",)
-
-    def __init__(self, predicate: Callable[[], bool]):
-        if not callable(predicate):
-            raise SimulationError("WaitUntil requires a callable predicate")
-        self.predicate = predicate
-
-    def __repr__(self) -> str:
-        return "WaitUntil(...)"
-
-
 class WaitOn:
     """Sleep on a sensitivity list of signals.
 
@@ -120,7 +99,7 @@ class WaitOn:
     woken -- and ``predicate`` re-evaluated -- only when one of them
     changes value.  With no predicate the process resumes on the first
     change.  With a predicate, it also fires if the predicate is
-    already true at yield time (matching ``WaitUntil``'s semantics).
+    already true at yield time.
 
     ``timeout`` (clocks, >= 1) bounds the sleep: the process resumes
     ``timeout`` clocks from now even if no watched signal changed.  The
@@ -144,7 +123,7 @@ class WaitOn:
             if not hasattr(signal, "_watchers"):
                 raise SimulationError(
                     f"WaitOn: {signal!r} is not watchable (no _watchers "
-                    "slot); use Signal/DataLines or WaitUntil"
+                    "slot); use Signal/DataLines"
                 )
         if predicate is not None and not callable(predicate):
             raise SimulationError("WaitOn predicate must be callable")
@@ -179,7 +158,7 @@ class _Process:
 
     __slots__ = ("name", "body", "daemon", "index", "wake_time",
                  "predicate", "delta", "finished", "start_time",
-                 "finish_time", "polled", "queued", "notified", "watched",
+                 "finish_time", "queued", "notified", "watched",
                  "timer_deadline")
 
     def __init__(self, name: str, body: ProcessBody, daemon: bool,
@@ -192,15 +171,13 @@ class _Process:
         #: Clock at which the process becomes runnable (for Wait); None
         #: when blocked on a predicate or on Delta.
         self.wake_time: Optional[int] = 0
-        #: Predicate blocking the process (WaitOn/WaitUntil), else None.
+        #: Predicate blocking the process (WaitOn), else None.
         self.predicate: Optional[Callable[[], bool]] = None
         #: True when blocked on Delta (runnable next pass).
         self.delta = False
         self.finished = False
         self.start_time: Optional[int] = None
         self.finish_time: Optional[int] = None
-        #: True while blocked on a bare WaitUntil (kernel re-polls it).
-        self.polled = False
         #: True while sitting in a pass agenda (dedup guard).
         self.queued = False
         #: True while sitting in the EventBus pending list.
@@ -212,15 +189,6 @@ class _Process:
         #: woken by an event first); the pop loop validates against
         #: this field and drops stale entries.
         self.timer_deadline: Optional[int] = None
-
-    def runnable(self, now: int) -> bool:
-        if self.finished:
-            return False
-        if self.delta:
-            return True
-        if self.predicate is not None:
-            return bool(self.predicate())
-        return self.wake_time is not None and self.wake_time <= now
 
 
 class ProcessStats:
@@ -344,8 +312,6 @@ class Simulator:
         self._timers: List[Tuple[int, int]] = []
         #: clock -> callbacks registered via :meth:`call_at`.
         self._callbacks: Dict[int, List[Callable[[], None]]] = {}
-        #: Processes blocked on bare WaitUntil (legacy polling).
-        self._polled: List[_Process] = []
         #: Current-pass agenda (registration-index heap) and the next
         #: pass's accumulator; only meaningful inside _run_passes.
         self._agenda: List[int] = []
@@ -457,7 +423,7 @@ class Simulator:
         timers = self._timers
         metrics = self._metrics
 
-        # Pass 0 agenda: due timers plus the legacy polled processes.
+        # Pass 0 agenda: due timers plus event-woken watchers.
         agenda: List[int] = []
         while timers and timers[0][0] <= now:
             due, index = heappop(timers)
@@ -494,8 +460,6 @@ class Simulator:
                 self.signal_wakeups += 1
                 process.queued = True
                 agenda.append(process.index)
-        if self._polled:
-            self._queue_polled(agenda)
         if not agenda:
             return
         heapify(agenda)
@@ -536,23 +500,9 @@ class Simulator:
                         f"clock {now}; processes are likely delta-cycling "
                         "forever"
                     )
-                if self._polled:
-                    self._queue_polled(next_agenda)
             agenda = next_agenda
             if agenda:
                 heapify(agenda)
-
-    def _queue_polled(self, agenda: List[int]) -> None:
-        """Add live polled (WaitUntil) processes to an agenda; drops
-        stale entries along the way."""
-        live: List[_Process] = []
-        for process in self._polled:
-            if process.polled and not process.finished:
-                live.append(process)
-                if not process.queued:
-                    process.queued = True
-                    agenda.append(process.index)
-        self._polled = live
 
     def _triage_events(self, current_index: int) -> None:
         """Place event-notified processes into the current or the next
@@ -581,7 +531,6 @@ class Simulator:
         process.delta = False
         process.predicate = None
         process.wake_time = None
-        process.polled = False
         process.timer_deadline = None
         if process.watched:
             self.events.unwatch(process)
@@ -616,8 +565,8 @@ class Simulator:
                 process.predicate = _any_change
             else:
                 process.predicate = predicate
-                # WaitUntil compatibility: a predicate that is already
-                # true fires next pass even if no signal changes again.
+                # A predicate that is already true fires next pass even
+                # if no signal changes again.
                 self.predicate_evals += 1
                 if predicate() and not process.queued:
                     process.queued = True
@@ -626,22 +575,11 @@ class Simulator:
             process.delta = True
             process.queued = True
             self._next_agenda.append(process.index)
-        elif isinstance(request, WaitUntil):
-            process.predicate = request.predicate
-            process.polled = True
-            self._polled.append(process)
         else:
             raise SimulationError(
                 f"process {process.name} yielded {request!r}; expected "
-                "Wait, Delta, WaitOn or WaitUntil"
+                "Wait, Delta or WaitOn"
             )
-
-    def _all_workers_done(self) -> bool:
-        return self._active_workers == 0
-
-    def _next_wake_time(self) -> Optional[int]:
-        """Earliest pending Wait among unfinished processes."""
-        return self._timers[0][0] if self._timers else None
 
     # ------------------------------------------------------------------
 
@@ -650,10 +588,6 @@ class Simulator:
             names = ", ".join(getattr(s, "name", "?")
                               for s in process.watched)
             return f"waiting on signals [{names}] (WaitOn predicate pending)"
-        if process.polled:
-            return "waiting on a WaitUntil predicate that never became true"
-        if process.predicate is not None:
-            return "waiting on a predicate that never became true"
         if process.wake_time is None:
             return "has no pending wait request"
         return f"sleeping until clock {process.wake_time}"  # pragma: no cover

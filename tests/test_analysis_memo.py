@@ -4,10 +4,13 @@
 ``channel_models`` and ``verify_refined`` memoize their results on the
 :class:`~repro.protogen.refine.RefinedSpec`.  These differential tests
 check that a warm memo changes no result on the three case studies and
-the seeded-defect corpus, that ``fsm_transform`` calls bypass it, and
-that a lint + verify runs the abstract interpreter once, synthesizes
-each controller once and explores each product state once.
+the seeded-defect corpus, that a ``with_fsm_transform`` copy neither
+reads nor fills the memo of the spec it copies, and that a lint +
+verify runs the abstract interpreter once, synthesizes each controller
+once and explores each product state once.
 """
+
+from functools import partial
 
 import pytest
 
@@ -15,14 +18,15 @@ from repro import obs
 from repro.analysis import analyze_refined, product
 from repro.analysis.absint import analyze_refined_values
 from repro.analysis.mc import verify_refined
-from repro.analysis.mutations import CORPUS
+from repro.analysis.mutations import CORPUS, build_target
 from repro.busgen.split import plan_buses
 from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
 
 SYSTEMS = ["flc", "answering-machine", "ethernet"]
-STRUCTURAL = [d for d in CORPUS if d.build().fsm_transform is None]
-CONTROLLER = [d for d in CORPUS if d not in STRUCTURAL]
+#: Controller defects build ``partial(_mutated_controllers, transform)``.
+CONTROLLER = [d for d in CORPUS.defects if isinstance(d.build, partial)]
+STRUCTURAL = [d for d in CORPUS.defects if d not in CONTROLLER]
 
 
 def _case_study(name, protection=None):
@@ -35,8 +39,7 @@ def _builders():
     """(id, zero-argument builder of a fresh refined spec) pairs."""
     cases = [(name, lambda name=name: _case_study(name))
              for name in SYSTEMS]
-    cases += [(defect.name, lambda defect=defect: defect.build().spec)
-              for defect in STRUCTURAL]
+    cases += [(defect.name, defect.build) for defect in STRUCTURAL]
     return cases
 
 
@@ -73,32 +76,30 @@ def test_memo_keys_verification_by_witness_meta():
 
 @pytest.mark.parametrize("defect", CONTROLLER, ids=lambda d: d.name)
 def test_fsm_transform_calls_never_read_or_fill_the_memo(defect):
-    design = defect.build()
-    expected_lint = analyze_refined(
-        design.spec, fsm_transform=design.fsm_transform).render_json()
-    expected_verify = verify_refined(
-        design.spec, fsm_transform=design.fsm_transform).to_dict()
-    assert design.spec.analysis_memo == {}
+    expected_lint = analyze_refined(defect.build()).render_json()
+    expected_verify = verify_refined(defect.build()).to_dict()
 
-    # Poison every entry a plain call would read: a transformed call
-    # that consulted the memo would crash or return the wrong report.
+    # Poison every entry a plain call would read on the spec the
+    # defect copies: a transformed copy that consulted that memo would
+    # crash or return the wrong report.
+    transform = defect.build.args[0]
+    spec = build_target(**defect.build.keywords)
     poison = object()
-    spec = design.spec
     spec.analysis_memo.update({"values": poison, "bounds": poison,
                                ("verify", ()): poison})
     before = dict(spec.analysis_memo)
-    assert analyze_refined(
-        spec, fsm_transform=design.fsm_transform).render_json() \
-        == expected_lint
-    assert verify_refined(
-        spec, fsm_transform=design.fsm_transform).to_dict() \
-        == expected_verify
+    mutated = product.with_fsm_transform(spec, transform)
+    assert analyze_refined(mutated).render_json() == expected_lint
+    assert verify_refined(mutated).to_dict() == expected_verify
     assert spec.analysis_memo == before
 
 
-@pytest.mark.parametrize("defect", CORPUS, ids=lambda d: d.name)
+@pytest.mark.parametrize("defect", CORPUS.defects, ids=lambda d: d.name)
 def test_corpus_builders_return_unanalyzed_specs(defect):
-    assert defect.build().spec.analysis_memo == {}
+    """Nothing but a controller defect's own models is memoized."""
+    memo = defect.build().analysis_memo
+    assert set(memo) == ({product._MODELS_KEY} if defect in CONTROLLER
+                         else set())
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -37,6 +37,50 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestUnusableArguments:
+    """A path or count the command cannot use ends in ``error: …`` or
+    an argparse error with exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "flc", "--faults", "{missing}"],
+        ["synth", "flc", "--vhdl", "{missing}"],
+        ["synth", "flc", "--trace-out", "{missing}"],
+        ["synth", "flc", "--metrics-out", "{missing}"],
+        ["explain", "flc", "--trace-out", "{missing}"],
+        ["explain", "flc", "--metrics-out", "{missing}"],
+        ["explore", "_demo", "--grid", "width=1", "--report-out",
+         "{missing}"],
+        ["verify", "flc", "--witness-dir", "{regular}"],
+        ["explore", "_demo", "--grid", "width=1", "--cache", "{regular}"],
+    ], ids=["explain-faults", "synth-vhdl",
+            "synth-trace-out", "synth-metrics-out", "explain-trace-out",
+            "explain-metrics-out", "explore-report-out",
+            "verify-witness-dir", "explore-cache"])
+    def test_unusable_path_names_it_and_exits_2(self, argv, tmp_path,
+                                                capsys):
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        paths = {"missing": str(tmp_path / "no_such_dir" / "file.json"),
+                 "regular": str(regular)}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert argv[-1] in err
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "flc", "--top", "-1"],
+        ["explain", "flc", "--top", "0"],
+        ["profile", "flc", "--repeat", "0"],
+        ["profile", "flc", "--repeat", "-3"],
+    ])
+    def test_count_below_one_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_flc_designer_width(self, capsys):
         assert main(["synth", "flc", "--width", "20"]) == 0
@@ -220,7 +264,7 @@ class TestVerifyExitCodes:
         import repro.analysis as analysis_mod
         from repro.analysis import DiagnosticSet, Severity
 
-        def fake_analyze(spec, fsm_transform=None):
+        def fake_analyze(spec):
             ds = DiagnosticSet(system=spec.name)
             ds.add("P101", Severity.ERROR, "injected deadlock")
             return ds
@@ -262,10 +306,11 @@ class TestFaultTolerance:
         assert "faults injected: 1; message retries: 1" in out
         assert "oracle check: OK" in out
 
-    def test_missing_fault_plan_file_errors(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["synth", "flc", "--simulate",
-                  "--faults", str(tmp_path / "absent.json")])
+    def test_missing_fault_plan_file_errors(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        assert main(["synth", "flc", "--simulate", "--faults", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: fault plan {path}: ")
 
     def test_sim_timeout_clocks_guard(self, capsys):
         assert main(["synth", "flc", "--simulate",

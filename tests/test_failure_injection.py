@@ -10,8 +10,9 @@ from repro.errors import (
 from repro.protocols import BURST_HANDSHAKE, FULL_HANDSHAKE, HALF_HANDSHAKE
 from repro.protogen.procedures import CommProcedure
 from repro.protogen.refine import generate_protocol
-from repro.sim.kernel import Simulator, Wait
+from repro.sim.kernel import Simulator, Wait, WaitOn
 from repro.sim.runtime import RefinedSimulation, simulate
+from repro.sim.signals import Signal
 from repro.spec.behavior import Behavior
 from repro.spec.expr import Ref
 from repro.spec.stmt import Assign, Call
@@ -121,9 +122,10 @@ class TestResourceLimits:
         process) is reported as a deadlock."""
         sim = Simulator()
 
+        ready = Signal("ready")
+
         def never_finishes():
-            from repro.sim.kernel import WaitUntil
-            yield WaitUntil(lambda: False)
+            yield WaitOn(ready, lambda: ready.value == 1)
 
         sim.add_process("stuck", never_finishes())
         with pytest.raises(DeadlockError):

@@ -269,15 +269,11 @@ class TestCorrelation:
         """An mc witness replayed with a recorder gets its own
         correlation id and REPLAY_START/REPLAY_END bracket."""
         from repro.analysis.mc import verify_refined
+        from repro.analysis.mc import replay_witness
         from repro.analysis.mutations import CORPUS
-        from repro.analysis.product import (channel_models,
-                                            with_fsm_transform)
-        from repro.sim.replay import replay_witness
+        from repro.analysis.product import channel_models
 
-        defect = next(d for d in CORPUS
-                      if d.name == "ack_never_raised")
-        design = defect.build()
-        spec = with_fsm_transform(design.spec, design.fsm_transform)
+        spec = CORPUS.find("ack_never_raised").build()
         witness = next(w for w in verify_refined(spec).witnesses
                        if w.claim.get("type") == "deadlock")
         model = channel_models(spec)[(witness.bus, witness.channel)]
@@ -300,7 +296,7 @@ class TestCorrelation:
         }]
 
     def test_detached_replay_has_no_cid(self):
-        from repro.sim.replay import ReplayResult
+        from repro.analysis.mc import ReplayResult
 
         assert ReplayResult(confirmed=False, claim="x").correlation_id \
             is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.kernel import Delta, Simulator, Wait, WaitUntil
+from repro.sim.kernel import Delta, Simulator, Wait, WaitOn
 from repro.sim.signals import Signal
 
 
@@ -68,6 +68,9 @@ class TestBasics:
 
 
 class TestWaitUntil:
+    """Waiting until a signal condition holds (``WaitOn`` with a
+    predicate)."""
+
     def test_wakes_within_same_clock(self):
         """A condition made true by another process runs the waiter in
         the same clock (delta semantics)."""
@@ -79,7 +82,7 @@ class TestWaitUntil:
             flag.set(1)
 
         def waiter(sim):
-            yield WaitUntil(lambda: flag.value == 1)
+            yield WaitOn(flag, lambda: flag.value == 1)
             times["woke"] = sim.now
 
         sim = Simulator()
@@ -89,8 +92,10 @@ class TestWaitUntil:
         assert times["woke"] == 3
 
     def test_immediately_true_condition(self):
+        flag = Signal("flag", init=1)
+
         def proc():
-            yield WaitUntil(lambda: True)
+            yield WaitOn(flag, lambda: flag.value == 1)
 
         sim = Simulator()
         sim.add_process("p", proc())
@@ -102,7 +107,7 @@ class TestWaitUntil:
         times = {}
 
         def waiter(sim):
-            yield WaitUntil(lambda: flag.value == 1)
+            yield WaitOn(flag, lambda: flag.value == 1)
             times["woke"] = sim.now
 
         def setter():
@@ -188,8 +193,10 @@ class TestDaemons:
 
 class TestErrors:
     def test_deadlock_detected(self):
+        flag = Signal("flag")
+
         def stuck():
-            yield WaitUntil(lambda: False)
+            yield WaitOn(flag, lambda: flag.value == 1)
 
         sim = Simulator()
         sim.add_process("stuck", stuck())

@@ -15,7 +15,7 @@ Three concerns:
 import pytest
 
 from repro.errors import DeadlockError
-from repro.sim.kernel import Delta, Simulator, Wait, WaitOn, WaitUntil
+from repro.sim.kernel import Delta, Simulator, Wait, WaitOn
 from repro.sim.signals import DataLines, Signal
 
 from tests import golden_util
@@ -59,9 +59,9 @@ class TestWaitOn:
         assert times["woke"] == 2
 
     def test_already_true_predicate_fires_without_a_change(self):
-        """WaitUntil compatibility: a WaitOn predicate that is already
-        true at yield time resumes in the next pass even though no
-        watched signal ever changes again."""
+        """A WaitOn predicate that is already true at yield time
+        resumes in the next pass even though no watched signal ever
+        changes again."""
         flag = Signal("flag", init=1)
 
         def proc():
@@ -329,29 +329,6 @@ class TestNoPolling:
         # One registration-time evaluation each; nothing per clock.
         assert run(50) - run(5) == 45
 
-    def test_legacy_waituntil_still_polls(self):
-        state = {"ready": False, "evals": 0}
-
-        def predicate():
-            state["evals"] += 1
-            return state["ready"]
-
-        def waiter():
-            yield WaitUntil(predicate)
-
-        def setter():
-            for _ in range(10):
-                yield Wait(1)
-            state["ready"] = True
-
-        sim = Simulator()
-        sim.add_process("waiter", waiter())
-        sim.add_process("setter", setter())
-        sim.run()
-        # Polled once per active pass: proportional to activity, and it
-        # did wake without any signal event.
-        assert state["evals"] >= 10
-
 
 class TestDeadlockReport:
     def test_reports_reason_per_process(self):
@@ -360,26 +337,29 @@ class TestDeadlockReport:
         def stuck_on_signal():
             yield WaitOn(flag, lambda: flag.value == 1)
 
-        def stuck_on_predicate():
-            yield WaitUntil(lambda: False)
+        other = Signal("other")
+
+        def stuck_on_any_change():
+            yield WaitOn(other)
 
         sim = Simulator()
         sim.add_process("sig_waiter", stuck_on_signal())
-        sim.add_process("pred_waiter", stuck_on_predicate())
+        sim.add_process("any_waiter", stuck_on_any_change())
         with pytest.raises(DeadlockError) as excinfo:
             sim.run()
         message = str(excinfo.value)
         assert "sig_waiter" in message
-        assert "flag" in message           # names the watched signal
+        assert "[flag]" in message         # names the watched signal
         assert "WaitOn" in message
-        assert "pred_waiter" in message
-        assert "WaitUntil" in message
+        assert "any_waiter" in message
+        assert "[other]" in message
 
     def test_lists_daemons_separately(self):
         flag = Signal("flag")
+        done = Signal("done")
 
         def stuck():
-            yield WaitUntil(lambda: False)
+            yield WaitOn(done, lambda: done.value == 1)
 
         def daemon_server():
             yield WaitOn(flag, lambda: flag.value == 1)

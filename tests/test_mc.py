@@ -23,7 +23,7 @@ from repro.analysis.mc.checker import (
 )
 from repro.analysis.mc.graph import attempt_starts, retry_budget
 from repro.analysis.mutations import CORPUS, build_target
-from repro.analysis.product import channel_models, with_fsm_transform
+from repro.analysis.product import channel_models
 from repro.errors import AnalysisError
 from repro.protocols import (
     BURST_HANDSHAKE,
@@ -32,7 +32,7 @@ from repro.protocols import (
     HALF_HANDSHAKE,
     as_protection_plan,
 )
-from repro.sim.replay import replay_witness
+from repro.analysis.mc import replay_witness
 from tests.conftest import make_pair
 
 SHAREABLE = [FULL_HANDSHAKE, HALF_HANDSHAKE, FIXED_DELAY, BURST_HANDSHAKE]
@@ -51,7 +51,7 @@ TEMPORAL_DEFECTS = {
 
 
 def _defect(name):
-    return next(d for d in CORPUS if d.name == name)
+    return CORPUS.find(name)
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +59,8 @@ def temporal_reports():
     """verify_refined over the temporal defect corpus, once per module."""
     reports = {}
     for name in TEMPORAL_DEFECTS:
-        design = _defect(name).build()
-        reports[name] = (design, verify_refined(
-            design.spec, fsm_transform=design.fsm_transform))
+        spec = _defect(name).build()
+        reports[name] = (spec, verify_refined(spec))
     return reports
 
 
@@ -145,9 +144,7 @@ class TestCleanProofs:
 class TestTemporalDefects:
     @pytest.mark.parametrize("name", sorted(TEMPORAL_DEFECTS))
     def test_trips_exactly_its_own_p7xx_code(self, name):
-        design = _defect(name).build()
-        ds = analyze_refined(design.spec,
-                             fsm_transform=design.fsm_transform)
+        ds = analyze_refined(_defect(name).build())
         tripped = set(ds.codes()) & P7XX
         assert tripped == {TEMPORAL_DEFECTS[name]}, (
             f"{name}: wanted exactly {{{TEMPORAL_DEFECTS[name]}}}, "
@@ -210,10 +207,9 @@ class TestWitness:
         assert witness.stem == witness.steps[:witness.loop_start]
 
 
-def _witnessed_pair(design, witness):
-    """The (mutated) controller pair a witness names, from the design's
+def _witnessed_pair(spec, witness):
+    """The (mutated) controller pair a witness names, from the spec's
     channel models."""
-    spec = with_fsm_transform(design.spec, design.fsm_transform)
     model = channel_models(spec)[(witness.bus, witness.channel)]
     return (model.accessor, model.server,
             spec.bus(witness.bus).structure.width)
@@ -228,14 +224,14 @@ class TestReplay:
     ])
     def test_witness_replays_confirmed(self, name, claim,
                                        temporal_reports):
-        design, report = temporal_reports[name]
+        spec, report = temporal_reports[name]
         witnesses = [w for w in report.witnesses
                      if w.claim.get("type") == claim]
         assert witnesses, (
             f"{name}: no {claim} witness in "
             f"{[w.claim for w in report.witnesses]}")
         witness = witnesses[0]
-        accessor, server, width = _witnessed_pair(design, witness)
+        accessor, server, width = _witnessed_pair(spec, witness)
         result = replay_witness(witness, accessor, server, width=width)
         assert result.confirmed, result.render_text()
         assert result.divergence is None
@@ -244,13 +240,13 @@ class TestReplay:
     def test_replay_diverges_on_wrong_pair(self, temporal_reports):
         """A witness replayed against the *clean* controllers must not
         confirm -- the defect is in the mutation, not the design."""
-        design, report = temporal_reports["ack_never_raised"]
+        _, report = temporal_reports["ack_never_raised"]
         witness = report.witnesses[0]
-        model = channel_models(design.spec)[(witness.bus,
-                                             witness.channel)]
+        clean = build_target()
+        model = channel_models(clean)[(witness.bus, witness.channel)]
         result = replay_witness(
             witness, model.accessor, model.server,
-            width=design.spec.bus(witness.bus).structure.width)
+            width=clean.bus(witness.bus).structure.width)
         assert not result.confirmed
 
 

@@ -1,80 +1,108 @@
-"""Seeded-defect corpus: every injected defect must be diagnosed."""
+"""Seeded-defect corpora: every defect and control of every corpus is
+exact (:mod:`repro.corpus`), and the corpora cover the code registries.
+"""
 
 import pytest
 
-from repro.analysis import analyze_refined
-from repro.analysis.mutations import CORPUS, build_target
+from repro.corpus import Corpus, SeededDefect, all_corpora
 from repro.errors import DIAGNOSTIC_CODES
+from repro.explore.cache import INCIDENT_CODES
+
+CORPORA = all_corpora()
+ENTRIES = [(corpus, entry) for corpus in CORPORA
+           for entry in corpus.entries]
 
 
 @pytest.fixture(scope="module")
-def corpus_results():
-    """Analysis of every mutated design, computed once per module.
-
-    Both the per-defect assertions and the drift test below walk the
-    full corpus; caching keeps the suite from re-refining and
-    re-analyzing ~25 FLC designs twice.
-    """
-    results = {}
-    for defect in CORPUS:
-        design = defect.build()
-        results[defect.name] = analyze_refined(
-            design.spec, fsm_transform=design.fsm_transform)
-    return results
+def outcomes():
+    """Every corpus run once per module: the per-entry assertions and
+    the registry test below share the outcomes."""
+    return {(o.corpus, o.entry.name): o
+            for corpus in CORPORA for o in corpus.run()}
 
 
-@pytest.mark.parametrize("defect", CORPUS, ids=lambda d: d.name)
-def test_seeded_defect_is_caught(defect, corpus_results):
-    ds = corpus_results[defect.name]
-    assert defect.code in ds.codes(), (
-        f"{defect.name}: expected {defect.code} "
-        f"({defect.description}), got {sorted(set(ds.codes()))}\n"
-        + ds.render_text())
-
-
-def test_unmutated_target_is_clean():
-    ds = analyze_refined(build_target())
-    assert ds.clean, ds.render_text()
+@pytest.mark.parametrize("corpus,entry", ENTRIES,
+                         ids=[entry.name for _, entry in ENTRIES])
+def test_seeded_defect_is_caught(corpus, entry, outcomes):
+    """A defect fires exactly its declared codes and a control fires
+    nothing, with no problem in the run itself."""
+    outcome = outcomes[(corpus.name, entry.name)]
+    assert outcome.exact, (
+        f"{outcome.render_line()}\n{entry.description}")
 
 
 def test_corpus_covers_every_registered_code():
-    """Every registered code is seeded by some defect corpus: the
-    analyzer corpus here, except the P8xx translation-validation
-    family, which is owned by the codegen-defect corpus
-    (``repro.analysis.tv.mutations``, exercised in tests/test_tv.py)."""
-    from repro.analysis.tv.mutations import DEFECTS
-
-    expected = set(DIAGNOSTIC_CODES)
-    analyzer_seeded = {defect.code for defect in CORPUS}
-    tv_seeded = {defect.code for defect in DEFECTS}
-    assert not (analyzer_seeded & tv_seeded), \
-        "a code is claimed by both corpora"
-    assert tv_seeded == {c for c in expected if c.startswith("P8")}
-    assert analyzer_seeded == expected - tv_seeded
+    """Every registered P-code and EX10x incident code is the seeded
+    code of defects in exactly one corpus."""
+    owners = {}
+    for corpus in CORPORA:
+        for defect in corpus.defects:
+            owners.setdefault(defect.code, set()).add(corpus.name)
+    registered = set(DIAGNOSTIC_CODES) | set(INCIDENT_CODES)
+    assert set(owners) == registered
+    shared = {code: names for code, names in owners.items()
+              if len(names) > 1}
+    assert not shared, f"codes seeded by several corpora: {shared}"
 
 
-def test_no_registry_drift(corpus_results):
-    """The corpus and the code registry must not drift apart.
-
-    Every registered diagnostic code is actually *emitted* by at least
-    one mutation (not merely claimed by a corpus entry), and every code
-    the analyzer emits is registered in ``repro.errors``.  The P8xx
-    family is emitted by the translation-validator corpus instead
-    (asserted per-defect in tests/test_tv.py).
-    """
-    emitted = set()
-    for ds in corpus_results.values():
-        emitted.update(ds.codes())
-    registered = {code for code in DIAGNOSTIC_CODES
-                  if not code.startswith("P8")}
-    never_emitted = registered - emitted
-    assert not never_emitted, (
-        f"registered codes no mutation triggers: {sorted(never_emitted)}")
-    unregistered = emitted - set(DIAGNOSTIC_CODES)
-    assert not unregistered, (
-        f"emitted codes missing from DIAGNOSTIC_CODES: "
-        f"{sorted(unregistered)}")
+def test_no_registry_drift(outcomes):
+    """Every code a defect declares or fires is registered."""
+    registered = set(DIAGNOSTIC_CODES) | set(INCIDENT_CODES)
+    declared = {code for corpus in CORPORA for defect in corpus.defects
+                for code in defect.codes}
+    fired = {code for outcome in outcomes.values()
+             for code in outcome.fired}
+    assert declared <= registered, sorted(declared - registered)
+    assert fired <= registered, sorted(fired - registered)
 
 
 def test_corpus_has_at_least_ten_distinct_defects():
-    assert len({defect.name for defect in CORPUS}) >= 10
+    names = [entry.name for _, entry in ENTRIES]
+    assert len(names) == len(set(names)), "entry names must be unique"
+    assert len(CORPORA[0].defects) >= 10
+
+
+def _toy_corpus(fires):
+    """A corpus whose judge fires ``fires[name]`` for each entry."""
+    def build(name):
+        return lambda: name
+
+    defects = (SeededDefect("two_codes", ("T1", "T2"), "toy",
+                            build("two_codes")),)
+    controls = (SeededDefect("toy_control", (), "toy",
+                             build("toy_control")),)
+    return Corpus("toy", defects, controls,
+                  lambda name: (fires[name], ()))
+
+
+@pytest.mark.parametrize("fired", [("T1",), ("T1", "T2", "T3")],
+                         ids=["one_too_few", "one_too_many"])
+def test_runner_rejects_an_inexact_code_set(fired):
+    corpus = _toy_corpus({"two_codes": fired, "toy_control": ()})
+    defect, control = corpus.run()
+    assert not defect.exact
+    assert defect.render_line().startswith("FAIL")
+    assert control.exact
+
+
+def test_runner_fails_a_control_that_fires():
+    corpus = _toy_corpus({"two_codes": ("T2", "T1"), "toy_control": ("T1",)})
+    defect, control = corpus.run()
+    assert defect.exact
+    assert not control.exact
+
+
+def test_runner_fails_an_exact_code_set_with_a_problem():
+    corpus = Corpus("toy", (SeededDefect("d", ("T1",), "toy",
+                                         lambda: None),), (),
+                    lambda _: (("T1",), ("baseline does not pass",)))
+    (outcome,) = corpus.run()
+    assert not outcome.exact
+    assert "baseline does not pass" in outcome.render_line()
+
+
+def test_lookup_by_name_finds_defects_only():
+    corpus = _toy_corpus({})
+    assert corpus.find("two_codes") is corpus.defects[0]
+    assert corpus.find("toy_control") is None
+    assert corpus.find("missing") is None

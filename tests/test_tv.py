@@ -6,10 +6,10 @@ Four directions of evidence:
   system validates at every protection level -- no spurious P8xx, no
   silent interpreter demotion -- and the gated compiled run agrees
   with the interpreter.
-* **Refutability**: each seeded codegen defect
-  (:mod:`repro.analysis.tv.mutations`) is refuted by *exactly* its own
-  P8xx code, on a clean baseline, and the refutation replays to a
-  concrete backend divergence.
+* **Refutability**: the seeded codegen-defect corpus
+  (:mod:`repro.analysis.tv.mutations`) covers every P8xx code; each
+  defect's exactness is checked with every other corpus in
+  ``tests/test_mutations.py``.
 * **The gate**: ``simulate(..., backend="compiled")`` demotes refuted
   processes to the interpreter (recorded on ``SimResult.fallbacks``,
   the run report, and the emitted MANIFEST) so a miscompile can cost
@@ -25,12 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.tv import validate_refined
-from repro.analysis.tv.mutations import (
-    DEFECTS,
-    _counter_spec,
-    check_defect,
-)
+from repro.analysis.tv import replay_backend_divergence, validate_refined
+from repro.analysis.tv.mutations import CORPUS, _counter_spec
 from repro.busgen.split import plan_buses
 from repro.errors import DIAGNOSTIC_CODES, SimulationError
 from repro.explore.systems import load_system
@@ -39,7 +35,6 @@ from repro.partition.partitioner import Partition
 from repro.protocols import FIXED_DELAY
 from repro.protogen.refine import generate_protocol, refine_system
 from repro.sim.compiled import source_transform
-from repro.sim.replay import replay_backend_divergence
 from repro.sim.runtime import RefinedSimulation, simulate
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Ref
@@ -121,30 +116,14 @@ def test_replay_on_clean_spec_is_not_confirmed():
 # Refutability: the seeded defect corpus
 
 
-@pytest.mark.parametrize(
-    "defect", DEFECTS, ids=[d.name for d in DEFECTS])
-def test_defect_refuted_by_exactly_its_code(defect):
-    outcome = check_defect(defect)
-    assert outcome.clean, \
-        f"{defect.name}: baseline must validate before mutation"
-    assert outcome.mutated, \
-        f"{defect.name}: transform matched nothing -- codegen drifted"
-    assert outcome.codes == (defect.code,), outcome.render_line()
-    assert outcome.refuted, outcome.render_line()
-    assert outcome.replay.confirmed, (
-        f"{defect.name}: refutation has no concrete counterexample\n"
-        + outcome.replay.render_text())
-
-
 def test_corpus_covers_every_code():
-    assert {d.code for d in DEFECTS} == set(P8XX)
-    assert len(DEFECTS) >= 6
+    assert {d.code for d in CORPUS.defects} == set(P8XX)
+    assert len(CORPUS.defects) >= 6
 
 
 def test_refutation_diagnostic_carries_line_and_replay_hint():
-    defect = next(d for d in DEFECTS if d.name == "misfolded_constant")
-    spec, schedule = defect.build()
-    with source_transform(defect.transform):
+    spec, schedule, transform = CORPUS.find("misfolded_constant").build()
+    with source_transform(transform):
         sim = RefinedSimulation(spec, schedule=schedule,
                                 backend="compiled",
                                 validate_compiled=False)
@@ -170,10 +149,9 @@ def test_p8xx_codes_registered():
 
 
 def test_gate_demotes_refuted_process_and_stays_correct():
-    defect = next(d for d in DEFECTS if d.name == "misfolded_constant")
-    spec, schedule = defect.build()
+    spec, schedule, transform = CORPUS.find("misfolded_constant").build()
     interp = simulate(spec, schedule=schedule, backend="interp")
-    with source_transform(defect.transform):
+    with source_transform(transform):
         gated = simulate(spec, schedule=schedule, backend="compiled")
     # The miscompiled process fell back to the interpreter...
     assert "P" in gated.fallbacks
@@ -184,16 +162,15 @@ def test_gate_demotes_refuted_process_and_stays_correct():
     assert gated.end_time == interp.end_time
     assert gated.clocks == interp.clocks
     # Without the gate the same program is observably wrong.
-    with source_transform(defect.transform):
+    with source_transform(transform):
         ungated = simulate(spec, schedule=schedule, backend="compiled",
                            validate_compiled=False)
     assert ungated.final_values != interp.final_values
 
 
 def test_fallbacks_are_deterministically_sorted():
-    defect = next(d for d in DEFECTS if d.name == "misfolded_constant")
-    spec, schedule = defect.build()
-    with source_transform(defect.transform):
+    spec, schedule, transform = CORPUS.find("misfolded_constant").build()
+    with source_transform(transform):
         sim = RefinedSimulation(spec, schedule=schedule,
                                 backend="compiled")
     keys = list(sim.compiled.fallbacks)
@@ -203,9 +180,8 @@ def test_fallbacks_are_deterministically_sorted():
 
 
 def test_manifest_and_verdicts_record_the_outcome(tmp_path):
-    defect = next(d for d in DEFECTS if d.name == "misfolded_constant")
-    spec, schedule = defect.build()
-    with source_transform(defect.transform):
+    spec, schedule, transform = CORPUS.find("misfolded_constant").build()
+    with source_transform(transform):
         sim = RefinedSimulation(spec, schedule=schedule,
                                 backend="compiled",
                                 emit_sim_source=str(tmp_path))
@@ -225,9 +201,8 @@ def test_manifest_and_verdicts_record_the_outcome(tmp_path):
 def test_sim_section_surfaces_fallbacks():
     from repro.obs.report import sim_section
 
-    defect = next(d for d in DEFECTS if d.name == "misfolded_constant")
-    spec, schedule = defect.build()
-    with source_transform(defect.transform):
+    spec, schedule, transform = CORPUS.find("misfolded_constant").build()
+    with source_transform(transform):
         result = simulate(spec, schedule=schedule, backend="compiled")
     section = sim_section("tv_counter", result)
     assert section["fallbacks"] == result.fallbacks

@@ -4,7 +4,7 @@ The temporal verifier's two headline guarantees, held as properties:
 
 * **Refutations are real** -- every REFUTED verdict carries a witness
   schedule, and every witness replays CONFIRMED through the
-  event-driven simulator (``repro.sim.replay``).  A witness that
+  event-driven simulator (``repro.analysis.mc.replay``).  A witness that
   diverges or fails to exhibit its claim would mean the checker proved
   a fact about a machine other than the one we simulate.
 * **Proofs are respected** -- on a design whose properties are all
@@ -25,11 +25,11 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.analysis.mc import verify_refined
 from repro.analysis.mc.checker import PROP_RETRY, PROVED, REFUTED
 from repro.analysis.mutations import CORPUS
-from repro.analysis.product import channel_models, with_fsm_transform
+from repro.analysis.product import channel_models
 from repro.apps.flc import build_flc, reference_ctrl_output
 from repro.busgen.algorithm import generate_bus
 from repro.protogen.refine import refine_system
-from repro.sim.replay import replay_witness
+from repro.analysis.mc import replay_witness
 from repro.sim.runtime import simulate
 
 _SETTINGS = dict(deadline=None,
@@ -37,7 +37,8 @@ _SETTINGS = dict(deadline=None,
 
 #: Corpus entries seeding temporal (P7xx) defects: the slice of the
 #: corpus whose refutations come with replayable witnesses.
-TEMPORAL_NAMES = [d.name for d in CORPUS if d.code.startswith("P7")]
+TEMPORAL_NAMES = [d.name for d in CORPUS.defects
+                  if d.code.startswith("P7")]
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +47,7 @@ def witness_pool():
     the checker emits across the temporal defect corpus."""
     pool = []
     for name in TEMPORAL_NAMES:
-        defect = next(d for d in CORPUS if d.name == name)
-        design = defect.build()
-        spec = with_fsm_transform(design.spec, design.fsm_transform)
+        spec = CORPUS.find(name).build()
         for witness in verify_refined(spec).witnesses:
             model = channel_models(spec)[(witness.bus, witness.channel)]
             pool.append((name, witness, model.accessor, model.server,

@@ -641,16 +641,24 @@ def analyze_behaviors(behaviors: Sequence[Behavior],
     references but that are absent from the store are *havocked* to
     their full declared type range on read (sound for modular analysis
     of a single behavior).
+
+    Every pass after the first also reports.  Writes only join into the
+    store and widening happens between passes, so a pass that leaves
+    the store unchanged saw that store throughout: its findings, trip
+    bounds and sent ranges are those of the final store, and it is the
+    reporter.  Only a loop that ends without such a pass (the first
+    pass converged, or the budget ran out) runs a separate report pass.
     """
     store = dict(store) if store is not None else {}
     with obs_span("absint.analyze", system=system,
                   behaviors=len(behaviors)) as sp:
         passes = 0
         converged = False
+        reporter: Optional[_Interpreter] = None
         for global_pass in range(max_passes):
             passes += 1
             snapshot = dict(store)
-            interp = _Interpreter(store, report=False)
+            interp = _Interpreter(store, report=global_pass > 0)
             for behavior in behaviors:
                 interp.run_behavior(behavior)
             obs_count("absint.loop_unroll_iterations",
@@ -658,6 +666,8 @@ def analyze_behaviors(behaviors: Sequence[Behavior],
             obs_count("absint.widenings", interp.widenings)
             if store == snapshot:
                 converged = True
+                if interp.report:
+                    reporter = interp
                 break
             if global_pass >= WIDEN_AFTER - 1:
                 # Accelerate: widen growing store entries, bounded by
@@ -668,9 +678,10 @@ def analyze_behaviors(behaviors: Sequence[Behavior],
                     if previous is not None and previous != value:
                         store[variable] = previous.widen(value).meet(
                             AbsVal.of_type(variable.dtype))
-        reporter = _Interpreter(store, report=True)
-        for behavior in behaviors:
-            reporter.run_behavior(behavior)
+        if reporter is None:
+            reporter = _Interpreter(store, report=True)
+            for behavior in behaviors:
+                reporter.run_behavior(behavior)
         obs_count("absint.global_passes", passes)
         sp.set(passes=passes, converged=converged,
                findings=len(reporter.findings))

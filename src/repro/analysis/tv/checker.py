@@ -24,10 +24,10 @@ obligation per legal codegen transform:
   deferred-arbitration eligibility (else **P804**);
 * **algebra membership** -- any construct outside these patterns is
   unprovable (**P805**);
-* **value preservation** -- every lowered expression must normalize to
-  the checker's independently derived lowering, including eager
-  ``and``/``or`` and constant folds computed with the IR's own
-  evaluator (else **P806**).
+* **value preservation** -- every lowered expression must be
+  alpha-equivalent to the checker's independently derived lowering,
+  including eager ``and``/``or`` and constant folds computed with the
+  IR's own evaluator (else **P806**).
 
 A refutation aborts the walk with the first failed obligation; the
 verdict carries a replayable counterexample recipe
@@ -273,7 +273,7 @@ class _Checker:
         snap_a = self.ren_a.snapshot()
         snap_e = self.ren_e.snapshot()
         ok = all(
-            P.normalize(a, self.ren_a) == P.normalize(e, self.ren_e)
+            P.alpha_equal(a, e, self.ren_a, self.ren_e)
             for a, e in zip(actuals, expected))
         if not ok:
             self.ren_a.restore(snap_a)
@@ -870,8 +870,8 @@ class _Checker:
 
     def _match_expr_node(self, actual: ast.expr, expected_code: str,
                          what: str) -> None:
-        if P.normalize(actual, self.ren_a) \
-                != P.normalize(P.parse_expr(expected_code), self.ren_e):
+        if not P.alpha_equal(actual, P.parse_expr(expected_code),
+                             self.ren_a, self.ren_e):
             raise Refutation(
                 "P806", f"{what} is not alpha-equivalent to the "
                 "interpreter's evaluation", P.line_of(actual))

@@ -4,15 +4,16 @@ algebra.
 The generated code is ordinary Python; this module gives the checker a
 *canonical* view of it:
 
-* **alpha-renaming** (:class:`Renamer` + :func:`normalize`): namespace
+* **alpha-renaming** (:class:`Renamer` + :func:`alpha_equal`): namespace
   bindings ``_b<k>_<hint>`` reduce to their semantic hint (``env_read``,
   ``div``, ``xf_ch0_specialized``) -- binding numbers depend on bind
   order, the hint is the contract -- and compiler temporaries
   (``_t3``, ``_v7``, ``_i8``, ``_f1``, ``_r2``, ``_adr4``, ``_dat5``
   and the validator's own ``_w<n>``) are renamed to ``_x0, _x1, ...``
-  in first-occurrence order.  Two expressions are judged equal iff
-  their normalized ``ast.dump`` strings match, which makes temp names
-  irrelevant while keeping their order and multiplicity significant;
+  in first-occurrence order.  Two fragments are judged equal iff
+  they have the same shape and the same renamed names, which makes
+  temp names irrelevant while keeping their order and multiplicity
+  significant;
 * **pattern accessors** for the clock-batching skeleton: ``t += n``
   increments, ``t = 0`` resets, ``yield W(t)`` waits and the
   three-line flush block, so the checker can consume them without
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Dict, Optional
 
 #: Namespace binding: ``_b12_env_read`` -> hint ``env_read``.
 _BIND_RE = re.compile(r"^_b\d+_(.+)$")
@@ -43,6 +45,8 @@ class Renamer:
         self._map: Dict[str, str] = {}
 
     def rename(self, name: str) -> str:
+        if not name.startswith("_"):
+            return name
         bind = _BIND_RE.match(name)
         if bind:
             return bind.group(1)
@@ -62,18 +66,50 @@ def is_temp(name: str) -> bool:
     return _TEMP_RE.match(name) is not None
 
 
-def normalize(node: ast.AST, renamer: Renamer) -> str:
-    """Canonical dump of an AST fragment under ``renamer`` (its names
-    are renamed in place for the dump, then restored)."""
-    names = [(sub, sub.id) for sub in ast.walk(node)
-             if isinstance(sub, ast.Name)]
-    try:
-        for name, _ in names:
-            name.id = renamer.rename(name.id)
-        return ast.dump(node, annotate_fields=False)
-    finally:
-        for name, original in reversed(names):
-            name.id = original
+def alpha_equal(actual: ast.AST, expected: ast.AST, ren_a: Renamer,
+                ren_e: Renamer) -> bool:
+    """Are two AST fragments equal up to alpha-renaming?
+
+    Decides what comparing the two ``ast.dump(..., annotate_fields=
+    False)`` strings would decide after renaming every ``Name`` of each
+    side with its renamer: same node types, same renamed ``Name`` ids,
+    and the same ``repr`` of every other non-AST field value (so ``1``,
+    ``True`` and ``1.0`` differ).  Both trees are walked in lockstep in
+    :func:`ast.walk` order, so on equal fragments each renamer advances
+    exactly as a walk of its own tree would.  The walk stops at the
+    first difference and never mutates a node.
+    """
+    todo = deque([(actual, expected)])
+    while todo:
+        a, e = todo.popleft()
+        if type(a) is not type(e):
+            return False
+        is_name = type(a) is ast.Name
+        if is_name and ren_a.rename(a.id) != ren_e.rename(e.id):
+            return False
+        for field_name in a._fields:
+            if is_name and field_name == "id":
+                continue
+            va = getattr(a, field_name, None)
+            ve = getattr(e, field_name, None)
+            if isinstance(va, ast.AST):
+                if not isinstance(ve, ast.AST):
+                    return False
+                todo.append((va, ve))
+            elif isinstance(va, list):
+                if not isinstance(ve, list) or len(va) != len(ve):
+                    return False
+                for ia, ie in zip(va, ve):
+                    if isinstance(ia, ast.AST):
+                        if not isinstance(ie, ast.AST):
+                            return False
+                        todo.append((ia, ie))
+                    elif isinstance(ie, ast.AST) or repr(ia) != repr(ie):
+                        return False
+            elif isinstance(ve, (ast.AST, list)) \
+                    or (va is not ve and repr(va) != repr(ve)):
+                return False
+    return True
 
 
 def parse_expr(code: str) -> ast.expr:

@@ -21,12 +21,12 @@ Feasibility (Equation 1) requires ``BusRate >= sum of AveRates``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.channels.channel import Channel
 from repro.channels.group import ChannelGroup
 from repro.errors import ChannelError
-from repro.estimate.perf import PerformanceEstimator
+from repro.estimate.perf import PerformanceEstimator, transfer_clocks
 from repro.protocols import Protocol
 
 
@@ -52,9 +52,14 @@ def peak_rate(channel: Channel, width: int, protocol: Protocol,
     carries ``min(width, message_bits)`` useful bits (a bus wider than
     the message cannot be filled).
     """
+    return _peak_rate(channel.message_bits, width, protocol, clock_period)
+
+
+def _peak_rate(message_bits: int, width: int, protocol: Protocol,
+               clock_period: float) -> float:
     if width < 1:
         raise ChannelError(f"buswidth must be >= 1, got {width}")
-    useful = min(width, channel.message_bits)
+    useful = min(width, message_bits)
     return useful / (protocol.delay_clocks * clock_period)
 
 
@@ -82,8 +87,13 @@ def average_rate(channel: Channel, siblings: Sequence[Channel], width: int,
 class GroupRateModel:
     """Computes all member-channel rates of a group per candidate width.
 
-    One instance caches the computation-clock estimates across the
-    buswidth sweep of the bus generation algorithm.
+    Everything that does not depend on the width is derived once, when
+    the model is built: each member's message and total bits, and for
+    each accessor its computation clocks and the ``(accesses,
+    message_bits)`` traffic of every channel it drives.  A
+    :meth:`rates_at` call then does only the width-dependent
+    arithmetic, with the same integer and float expressions as
+    :func:`average_rate` and :func:`peak_rate`.
     """
 
     def __init__(self, group: ChannelGroup, protocol: Protocol,
@@ -91,14 +101,34 @@ class GroupRateModel:
         self.group = group
         self.protocol = protocol
         self.estimator = estimator or PerformanceEstimator()
+        #: Per member, in group order: (channel, message_bits,
+        #: total_bits, accessor's computation clocks, accessor's
+        #: [(accesses, message_bits)] over the channels it drives).
+        self._members: List[Tuple[Channel, int, int, int,
+                                  List[Tuple[int, int]]]] = []
+        accessors: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
+        for channel in group:
+            accessor = channel.accessor
+            if id(accessor) not in accessors:
+                siblings = group.channels_of(accessor)
+                accessors[id(accessor)] = (
+                    self.estimator.comp_clocks(accessor, siblings),
+                    [(c.accesses, c.message_bits) for c in siblings])
+            message_bits = channel.message_bits
+            self._members.append((channel, message_bits,
+                                  channel.accesses * message_bits,
+                                  *accessors[id(accessor)]))
 
     def rates_at(self, width: int) -> Dict[str, ChannelRates]:
         """Rates of every member channel at one buswidth."""
+        protocol = self.protocol
+        clock_period = self.group.clock_period
         out: Dict[str, ChannelRates] = {}
-        for channel in self.group:
-            siblings = self.group.channels_of(channel.accessor)
-            lifetime = self.estimator.lifetime_clocks(
-                channel.accessor, siblings, width, self.protocol)
+        for channel, message_bits, total_bits, comp, traffic \
+                in self._members:
+            lifetime = comp + sum(
+                accesses * transfer_clocks(bits, width, protocol)
+                for accesses, bits in traffic)
             if lifetime <= 0:
                 raise ChannelError(
                     f"channel {channel.name}: accessor "
@@ -107,10 +137,9 @@ class GroupRateModel:
             out[channel.name] = ChannelRates(
                 channel_name=channel.name,
                 width=width,
-                average_rate=channel.total_bits /
-                (lifetime * self.group.clock_period),
-                peak_rate=peak_rate(channel, width, self.protocol,
-                                    self.group.clock_period),
+                average_rate=total_bits / (lifetime * clock_period),
+                peak_rate=_peak_rate(message_bits, width, protocol,
+                                     clock_period),
                 lifetime_clocks=lifetime,
             )
         return out

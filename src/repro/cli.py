@@ -123,6 +123,21 @@ def _write_observability(args: argparse.Namespace, tracer,
               "(load in chrome://tracing or ui.perfetto.dev)")
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Fail before any work, not after it, when ``--trace-out`` or
+    ``--metrics-out`` cannot be written.  A probe file the check
+    creates is removed again."""
+    for path in (getattr(args, "trace_out", None),
+                 getattr(args, "metrics_out", None)):
+        if not path:
+            continue
+        existed = os.path.exists(path)
+        with _user_path(path):
+            open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     if not _observability_requested(args):
         return _synth_flow(args, sim_metrics=None, captured=None)
@@ -130,13 +145,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.obs import report as obs_report
 
+    _check_output_paths(args)
     tracer = obs.Tracer()
     sim_metrics = obs.SimMetrics()
     captured: dict = {}
-    try:
-        with obs.tracing(tracer):
-            code = _synth_flow(args, sim_metrics, captured)
-    finally:
+
+    def write() -> None:
         simulations = []
         sim_runs = []
         if "result" in captured:
@@ -146,6 +160,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
                              captured["result"].fault_records))
         _write_observability(args, tracer, simulations, sim_runs,
                              verification=captured.get("verification"))
+
+    try:
+        with obs.tracing(tracer):
+            code = _synth_flow(args, sim_metrics, captured)
+    except BaseException:
+        # The flow's own error wins; a failed write only adds a note.
+        try:
+            write()
+        except ReproError as error:
+            _note(f"note: {error}")
+        raise
+    write()
     return code
 
 
@@ -428,18 +454,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     meta = {}
     if args.mutate:
+        # The corpus builds each defect's own design, so an explicit
+        # design option would be silently ignored.
+        ignored = [f"{name} {value}" for name, value in (
+            ("the system argument", args.system),
+            ("--protocol", args.protocol),
+            ("--protection", args.protection), ("--width", args.width))
+            if value is not None]
+        if ignored:
+            raise AnalysisError(
+                f"--mutate {args.mutate} verifies the design its seeded "
+                f"defect builds; drop {', '.join(ignored)}")
         defect, refined = _mutated_spec(args.mutate)
         schedule = None
         meta["mutation"] = defect.name
         print(f"seeded defect {defect.name} [{defect.code}]: "
               f"{defect.description}")
     else:
-        refined, loaded = _build_refined(args.system, args.protocol,
-                                         args.width, args.protection)
+        system = args.system or VERIFY_DEFAULTS["system"]
+        refined, loaded = _build_refined(
+            system, args.protocol or VERIFY_DEFAULTS["protocol"],
+            args.width, args.protection or VERIFY_DEFAULTS["protection"])
         schedule = loaded.schedule
         # The loadable name (may differ from spec.name): lets --replay
         # rebuild the exact design later.
-        meta["system_arg"] = args.system
+        meta["system_arg"] = system
 
     report = verify_refined(refined, witness_meta=meta)
     # Translation validation joins the verification gate: the compiled
@@ -545,6 +584,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                                   render_explain_text,
                                   write_flight_trace)
 
+    _check_output_paths(args)
     refined, loaded = _build_refined(args.system, args.protocol,
                                      args.width, args.protection)
 
@@ -664,6 +704,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     from repro.explore.systems import BUILTIN_SYSTEMS
 
+    _check_output_paths(args)
     systems = list(BUILTIN_SYSTEMS) if args.system == "all" \
         else [args.system]
     repeat = args.repeat
@@ -925,16 +966,18 @@ def build_parser() -> argparse.ArgumentParser:
              "generated channel; refutations carry replayable "
              "witnesses")
     _add_system_options(verify, "--protocol", "--protection", "--width",
-                        default="flc")
+                        default=VERIFY_DEFAULTS["system"])
     verify.add_argument("--json", action="store_true",
                         help="machine-readable verdicts on stdout")
     verify.add_argument("--witness-dir", metavar="DIR",
                         help="write each refutation's witness schedule "
                              "as replayable JSON into DIR")
     verify.add_argument("--mutate", metavar="NAME",
-                        help="seed a named defect from the mutation "
-                             "corpus before checking (ignores the "
-                             "system argument; the corpus builds FLC)")
+                        help="verify a named seeded defect of the "
+                             "mutation corpus instead; the corpus "
+                             "builds its own FLC design, so the system "
+                             "argument, --protocol, --protection and "
+                             "--width are rejected with it")
     verify.add_argument("--replay", metavar="WITNESS.json",
                         help="re-synthesize the witnessed controller "
                              "pair and run the schedule through the "
@@ -945,7 +988,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit non-zero when a property refutes at "
                              "or above this severity (default: error; "
                              "P704 starvation is a warning)")
-    verify.set_defaults(func=cmd_verify)
+    # The design options default to None so that --mutate can tell an
+    # explicit value from an absent one; cmd_verify fills them in.
+    verify.set_defaults(func=cmd_verify,
+                        **dict.fromkeys(VERIFY_DEFAULTS))
 
     profile = sub.add_parser(
         "profile",
@@ -1044,6 +1090,14 @@ SHARED_OPTIONS = {
 }
 
 
+#: ``verify``'s design options when not given (see its set_defaults).
+VERIFY_DEFAULTS = {
+    "system": "flc",
+    "protocol": SHARED_OPTIONS["--protocol"]["default"],
+    "protection": SHARED_OPTIONS["--protection"]["default"],
+}
+
+
 def _add_system_options(parser: argparse.ArgumentParser, *options: str,
                         default: Optional[str] = None) -> None:
     """Attach the positional ``system`` (optional when it has a
@@ -1053,7 +1107,7 @@ def _add_system_options(parser: argparse.ArgumentParser, *options: str,
         parser.add_argument("system", help=help_text)
     else:
         parser.add_argument("system", nargs="?", default=default,
-                            help=f"{help_text} (default: %(default)s)")
+                            help=f"{help_text} (default: {default})")
     for option in options:
         parser.add_argument(option, **SHARED_OPTIONS[option])
 

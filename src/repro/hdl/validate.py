@@ -7,14 +7,25 @@ is checked lexically/structurally instead:
   ``loop``/``end loop``, ``if``/``end if``, ``record``/``end record``),
 * every referenced bus field exists in a declared record,
 * every called ``SendCHx``/``ReceiveCHx`` procedure is declared,
-* identifier sanity (no empty names, no unterminated statements),
+* no duplicate procedure or process label,
 * when the generating :class:`~repro.protogen.structure.BusStructure`
   objects are passed in, each bus signal's declared ``ID`` and ``DATA``
   record-field widths must match the structure's ID lines and buswidth.
 
+The text is read in one pass.  Each comment-stripped line is classified
+once with precompiled patterns, each tried only when a cheap substring
+test shows it could match.  That pass keeps the balance counters and
+collects the declarations (procedures, records with their fields and
+widths, signals, process labels) and every field reference and
+``Send``/``Receive`` call.  References and widths are judged at the end
+against everything declared, so a use above its declaration is judged
+like any other.  Errors come in a fixed order by category: balance,
+then declarations, then references, then widths.
+
 The validator is intentionally conservative: it accepts only the shapes
 the emitter produces, and the test suite asserts both that emitted code
-passes and that broken mutations fail.
+passes and that broken mutations fail.  It shares no code with the
+emitter, whose check it is.
 """
 
 from __future__ import annotations
@@ -54,21 +65,28 @@ class ValidationReport:
             raise HdlError(f"VHDL validation failed: {summary}")
 
 
-_COMMENT = re.compile(r"--.*$")
 _PROCEDURE_DECL = re.compile(r"^\s*procedure\s+(\w+)\s*\(", re.IGNORECASE)
-_PROCEDURE_END = re.compile(r"^\s*end\s+(\w+)\s*;", re.IGNORECASE)
 _RECORD_DECL = re.compile(r"^\s*type\s+(\w+)\s+is\s+record\b", re.IGNORECASE)
+_RECORD_END = re.compile(r"^\s*end\s+record\b", re.IGNORECASE)
 _SIGNAL_DECL = re.compile(r"^\s*signal\s+(\w+)\s*:\s*(\w+)\s*;", re.IGNORECASE)
 _PROCESS_DECL = re.compile(r"^\s*(\w+)\s*:\s*process\b", re.IGNORECASE)
+_FIELD_NAMES = re.compile(r"^\s*([\w,\s]+)\s*:\s*")
+_FIELD_WIDTH = re.compile(
+    r"^\s*([\w,\s]+?)\s*:\s*"
+    r"(?:bit_vector\s*\(\s*(\d+)\s+downto\s+(\d+)\s*\)|bit\b)",
+    re.IGNORECASE)
 _CALL = re.compile(r"^\s*(\w+)\s*\(.*\)\s*;\s*$")
 _FIELD_REF = re.compile(r"\b(\w+)\.(\w+)\b")
 
-_CONTROL_KEYWORDS = ("if", "for", "while", "wait", "elsif", "function",
-                     "procedure", "null", "abs")
+# Balance patterns, matched against the stripped lower-cased line.
+_END = re.compile(r"end\s+(\w+)")
+_PROCESS_OPEN = re.compile(r":\s*process\b")
+_LOOP_OPEN = re.compile(r"\bloop\s*$")
+_IF_OPEN = re.compile(r"if\b")
+_RECORD_OPEN = re.compile(r"\bis\s+record\b")
 
-
-def _strip(line: str) -> str:
-    return _COMMENT.sub("", line).rstrip()
+#: Balanced construct kinds, in the order their errors are reported.
+_BLOCKS = ("process", "loop", "if", "record", "case")
 
 
 def validate_vhdl(text: str,
@@ -82,49 +100,156 @@ def validate_vhdl(text: str,
     """
     with obs_span("hdl.validate", lines=text.count("\n") + 1):
         report = ValidationReport()
-        lines = [_strip(line) for line in text.splitlines()]
-
-        _check_balance(lines, report)
-        _collect_declarations(lines, report)
-        _check_references(lines, report)
-        if structures:
-            _check_widths(lines, report, structures)
+        scan = _Scan(report)
+        for number, line in enumerate(text.splitlines(), start=1):
+            scan.line(number, line.partition("--")[0].rstrip())
+        scan.finish(structures)
     return report
 
 
-_FIELD_WIDTH = re.compile(
-    r"^\s*([\w,\s]+?)\s*:\s*"
-    r"(?:bit_vector\s*\(\s*(\d+)\s+downto\s+(\d+)\s*\)|bit\b)",
-    re.IGNORECASE)
+class _Scan:
+    """The single pass over the lines of one VHDL text."""
 
+    def __init__(self, report: ValidationReport):
+        self.report = report
+        #: Open blocks per construct kind.
+        self.depth = dict.fromkeys(_BLOCKS, 0)
+        self.declaration_errors: List[str] = []
+        #: Field references ``(line, prefix, field)`` and procedure
+        #: calls ``(line, None, procedure)``, in text order.
+        self.uses: List[Tuple[int, Optional[str], str]] = []
+        #: Record type -> declared field names / field bit widths.
+        self.record_fields: Dict[str, Set[str]] = {}
+        self.record_widths: Dict[str, Dict[str, int]] = {}
+        self.record: Optional[str] = None
 
-def _record_field_widths(lines: List[str]) -> Dict[str, Dict[str, int]]:
-    """Record type -> field name -> declared bit width (``bit`` = 1)."""
-    widths: Dict[str, Dict[str, int]] = {}
-    current = None
-    for line in lines:
-        match = _RECORD_DECL.match(line)
+    def line(self, number: int, line: str) -> None:
+        """Classify one comment-stripped, right-stripped line."""
+        stripped = line.lstrip()
+        if not stripped:
+            return
+        lowered = stripped.lower()
+        self._balance(number, lowered)
+        record = _RECORD_DECL.match(line) if "record" in lowered else None
+        self._declare(number, line, lowered, record)
+        if record:
+            self.record = record.group(1)
+            self.record_fields[self.record] = set()
+            self.record_widths[self.record] = {}
+        elif self.record is not None:
+            self._record_field(line)
+        if "." in line:
+            for match in _FIELD_REF.finditer(line):
+                self.uses.append((number, match.group(1), match.group(2)))
+        if stripped.startswith(("Send", "Receive")):
+            call = _CALL.match(line)
+            if call:
+                self.uses.append((number, None, call.group(1)))
+
+    def _balance(self, number: int, lowered: str) -> None:
+        end = _END.match(lowered) if lowered.startswith("end") else None
+        closed = end.group(1) if end else None
+        depth = self.depth
+        if closed == "process":
+            depth["process"] -= 1
+        elif lowered == "process" or (
+                "process" in lowered and _PROCESS_OPEN.search(lowered)):
+            depth["process"] += 1
+        if closed == "loop":
+            depth["loop"] -= 1
+        elif lowered.endswith("loop") and not lowered.startswith("end") \
+                and _LOOP_OPEN.search(lowered):
+            depth["loop"] += 1
+        if closed == "if":
+            depth["if"] -= 1
+        elif lowered.startswith("if") and _IF_OPEN.match(lowered):
+            depth["if"] += 1
+        if closed == "record":
+            depth["record"] -= 1
+        elif "record" in lowered and _RECORD_OPEN.search(lowered):
+            depth["record"] += 1
+        for kind, count in depth.items():
+            if count < 0:
+                self.report.errors.append(
+                    f"line {number}: unmatched 'end {kind}'")
+                depth[kind] = 0
+
+    def _declare(self, number: int, line: str, lowered: str,
+                 record: Optional[re.Match]) -> None:
+        # The declaration patterns ignore case, under which "s" and "i"
+        # also match non-ASCII letters that lower() keeps apart ("ſ",
+        # "ı"), so each gate tests only letters free of such matches.
+        report = self.report
+        match = _PROCEDURE_DECL.match(line) \
+            if "procedure" in lowered else None
         if match:
-            current = match.group(1)
-            widths[current] = {}
-            continue
-        if current is None:
-            continue
-        if re.match(r"^\s*end\s+record\b", line, re.IGNORECASE):
-            current = None
-            continue
-        match = _FIELD_WIDTH.match(line)
+            name = match.group(1)
+            if name in report.procedures:
+                self.declaration_errors.append(
+                    f"line {number}: duplicate procedure {name}")
+            report.procedures.add(name)
+            return
+        if record:
+            report.records.add(record.group(1))
+            return
+        match = _SIGNAL_DECL.match(line) if "gnal" in lowered else None
         if match:
-            names, hi, lo = match.groups()
+            report.signals[match.group(1)] = match.group(2)
+            return
+        match = _PROCESS_DECL.match(line) if "proce" in lowered else None
+        if match:
+            name = match.group(1)
+            if name in report.processes:
+                self.declaration_errors.append(
+                    f"line {number}: duplicate process label {name}")
+            report.processes.add(name)
+
+    def _record_field(self, line: str) -> None:
+        """One line inside a ``record`` body: its end, or a field."""
+        if _RECORD_END.match(line):
+            self.record = None
+            return
+        declared = _FIELD_NAMES.match(line)
+        if declared:
+            for name in declared.group(1).split(","):
+                self.record_fields[self.record].add(name.strip())
+        sized = _FIELD_WIDTH.match(line)
+        if sized:
+            names, hi, lo = sized.groups()
             bits = int(hi) - int(lo) + 1 if hi is not None else 1
             for name in names.split(","):
-                widths[current][name.strip()] = bits
-    return widths
+                self.record_widths[self.record][name.strip()] = bits
+
+    def finish(self, structures: Optional[Sequence["BusStructure"]],
+               ) -> None:
+        """Judge what needs every declaration, in category order."""
+        report = self.report
+        for kind, count in self.depth.items():
+            if count > 0:
+                report.errors.append(
+                    f"{count} unterminated '{kind}' block(s)")
+        report.errors.extend(self.declaration_errors)
+        known_fields = {
+            (signal, name)
+            for signal, record in report.signals.items()
+            for name in self.record_fields.get(record, ())}
+        for number, prefix, name in self.uses:
+            if prefix is None:
+                if name not in report.procedures:
+                    report.errors.append(
+                        f"line {number}: call to undeclared procedure "
+                        f"{name}")
+            elif prefix in report.signals \
+                    and (prefix, name) not in known_fields:
+                report.errors.append(
+                    f"line {number}: signal {prefix} has no field {name}")
+        if structures:
+            _check_widths(report, self.record_widths, structures)
 
 
-def _check_widths(lines: List[str], report: ValidationReport,
+def _check_widths(report: ValidationReport,
+                  record_widths: Dict[str, Dict[str, int]],
                   structures: Sequence["BusStructure"]) -> None:
-    record_widths = _record_field_widths(lines)
     for structure in structures:
         record = report.signals.get(structure.name)
         if record is None:
@@ -145,124 +270,6 @@ def _check_widths(lines: List[str], report: ValidationReport,
                 report.errors.append(
                     f"bus {structure.name}: {name} declared as {have} "
                     f"bit(s) but the bus structure has {want}")
-
-
-def _check_balance(lines: List[str], report: ValidationReport) -> None:
-    counters = {
-        "process": 0,
-        "loop": 0,
-        "if": 0,
-        "record": 0,
-        "case": 0,
-    }
-    for number, line in enumerate(lines, start=1):
-        lowered = line.strip().lower()
-        if not lowered:
-            continue
-        if re.match(r"^end\s+process\b", lowered):
-            counters["process"] -= 1
-        elif re.search(r":\s*process\b", lowered) or lowered == "process":
-            counters["process"] += 1
-        if re.match(r"^end\s+loop\b", lowered):
-            counters["loop"] -= 1
-        elif re.search(r"\bloop\s*$", lowered) and \
-                not lowered.startswith("end"):
-            counters["loop"] += 1
-        if re.match(r"^end\s+if\b", lowered):
-            counters["if"] -= 1
-        elif re.match(r"^if\b", lowered) or re.search(r"\bthen\s*$", lowered) \
-                and re.match(r"^(if|elsif)\b", lowered):
-            if re.match(r"^if\b", lowered):
-                counters["if"] += 1
-        if re.match(r"^end\s+record\b", lowered):
-            counters["record"] -= 1
-        elif re.search(r"\bis\s+record\b", lowered):
-            counters["record"] += 1
-        for kind, count in counters.items():
-            if count < 0:
-                report.errors.append(
-                    f"line {number}: unmatched 'end {kind}'"
-                )
-                counters[kind] = 0
-    for kind, count in counters.items():
-        if count > 0:
-            report.errors.append(f"{count} unterminated '{kind}' block(s)")
-
-
-def _collect_declarations(lines: List[str],
-                          report: ValidationReport) -> None:
-    for number, line in enumerate(lines, start=1):
-        match = _PROCEDURE_DECL.match(line)
-        if match:
-            name = match.group(1)
-            if name in report.procedures:
-                report.errors.append(
-                    f"line {number}: duplicate procedure {name}"
-                )
-            report.procedures.add(name)
-            continue
-        match = _RECORD_DECL.match(line)
-        if match:
-            report.records.add(match.group(1))
-            continue
-        match = _SIGNAL_DECL.match(line)
-        if match:
-            report.signals[match.group(1)] = match.group(2)
-            continue
-        match = _PROCESS_DECL.match(line)
-        if match:
-            name = match.group(1)
-            if name in report.processes:
-                report.errors.append(
-                    f"line {number}: duplicate process label {name}"
-                )
-            report.processes.add(name)
-
-
-def _check_references(lines: List[str], report: ValidationReport) -> None:
-    known_fields: Set[Tuple[str, str]] = set()
-    # Parse record bodies to learn their fields.
-    current_record = None
-    record_fields: Dict[str, Set[str]] = {}
-    for line in lines:
-        match = _RECORD_DECL.match(line)
-        if match:
-            current_record = match.group(1)
-            record_fields[current_record] = set()
-            continue
-        if current_record is not None:
-            if re.match(r"^\s*end\s+record\b", line, re.IGNORECASE):
-                current_record = None
-                continue
-            declared = re.match(r"^\s*([\w,\s]+)\s*:\s*", line)
-            if declared:
-                for field_name in declared.group(1).split(","):
-                    record_fields[current_record].add(field_name.strip())
-
-    for signal, record in report.signals.items():
-        for field_name in record_fields.get(record, ()):
-            known_fields.add((signal, field_name))
-
-    for number, line in enumerate(lines, start=1):
-        for match in _FIELD_REF.finditer(line):
-            prefix, suffix = match.group(1), match.group(2)
-            if prefix in report.signals:
-                if (prefix, suffix) not in known_fields:
-                    report.errors.append(
-                        f"line {number}: signal {prefix} has no field "
-                        f"{suffix}"
-                    )
-        call = _CALL.match(line)
-        if call:
-            name = call.group(1).lower()
-            if name in _CONTROL_KEYWORDS:
-                continue
-            called = call.group(1)
-            if re.match(r"^(Send|Receive)", called) and \
-                    called not in report.procedures:
-                report.errors.append(
-                    f"line {number}: call to undeclared procedure {called}"
-                )
 
 
 def count_procedures_per_channel(report: ValidationReport,

@@ -11,12 +11,20 @@ from repro.analysis.absint import (
     analyze_behavior,
     analyze_behaviors,
 )
-from repro.analysis.absint.engine import WHILE_UNROLL_CAP, _init_absval
+from repro.analysis.absint.engine import (WHILE_UNROLL_CAP, _init_absval,
+                                          _Interpreter,
+                                          analyze_refined_values)
+from repro.busgen.split import plan_buses
+from repro.explore.systems import load_system
+from repro.partition.channels import default_bus_groups, extract_channels
+from repro.partition.partitioner import Partition
+from repro.protogen.refine import generate_protocol, refine_system
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Const, Ref
 from repro.spec.stmt import Assign, For, If, While
 from repro.spec.types import BitType, IntType
 from repro.spec.variable import Variable
+from tests.test_properties_sim import systems
 
 
 # ----------------------------------------------------------------------
@@ -274,3 +282,51 @@ def test_proven_overflow_is_reported():
         havoc_shared=False)
     assert any(f.kind == "overflow" and f.certain
                for f in analysis.findings)
+
+
+# ----------------------------------------------------------------------
+# The confirming pass is the reporter
+# ----------------------------------------------------------------------
+
+def _assert_report_of_final_store(spec):
+    """A converged analysis reports exactly what a fresh reporting
+    interpreter reports over its final store."""
+    analysis = analyze_refined_values(spec)
+    assert analysis.converged
+    fresh = _Interpreter(dict(analysis.store), report=True)
+    for behavior in spec.behaviors:
+        fresh.run_behavior(behavior)
+    assert fresh.store == analysis.store
+    assert analysis.findings == fresh.findings
+    assert analysis.while_trips == fresh.while_trips
+    assert analysis.sent_ranges == fresh.sent_ranges
+    return analysis
+
+
+@pytest.mark.parametrize("system_name",
+                         ["flc", "answering-machine", "ethernet"])
+@pytest.mark.parametrize("protection", [None, "parity", "crc8"])
+def test_confirming_pass_reports_the_final_store(system_name, protection):
+    loaded = load_system(system_name)
+    refined = refine_system(loaded.system, plan_buses(loaded.groups),
+                            protection=protection)
+    analysis = _assert_report_of_final_store(refined)
+    assert analysis.passes >= 2
+
+
+@given(systems(), st.integers(min_value=1, max_value=20))
+@settings(max_examples=40, deadline=None)
+def test_confirming_pass_reports_the_final_store_fuzzed(system, width):
+    partition = Partition(system)
+    chip = partition.add_module("chip")
+    memory = partition.add_module("memory")
+    for behavior in system.behaviors:
+        partition.assign(behavior, chip)
+    for variable in system.variables:
+        partition.assign(variable, memory)
+    channels = extract_channels(partition)
+    if not channels:
+        return
+    group = default_bus_groups(partition, channels=channels)[0]
+    _assert_report_of_final_store(
+        generate_protocol(system, group, width=width))

@@ -1,9 +1,11 @@
 """Tests for the repro-synth command-line interface."""
 
 import os
+import shutil
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
 
 
@@ -79,6 +81,86 @@ class TestUnusableArguments:
             main(argv)
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+
+class TestOutputPathsCheckedUpFront:
+    """``--metrics-out``/``--trace-out`` are checked before the flow
+    runs, and an error of the flow itself is never replaced by one of
+    the observability write."""
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "flc", "--simulate"], ["profile", "flc"],
+        ["explain", "flc"]], ids=["synth", "profile", "explain"])
+    @pytest.mark.parametrize("flag", ["--metrics-out", "--trace-out"])
+    def test_unwritable_path_fails_before_the_flow(self, command, flag,
+                                                   tmp_path, capsys):
+        target = str(tmp_path / "no_such_dir" / "out.json")
+        assert main([*command, flag, target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {target}: "
+                                "No such file or directory\n")
+
+    def test_check_leaves_no_probe_file(self, tmp_path, monkeypatch,
+                                        capsys):
+        target = tmp_path / "m.json"
+
+        def failing_flow(args, sim_metrics, captured):
+            assert not target.exists()
+            raise cli.ReproError("flow broke")
+
+        monkeypatch.setattr(cli, "_synth_flow", failing_flow)
+        assert main(["synth", "flc", "--metrics-out", str(target)]) == 2
+        assert "error: flow broke" in capsys.readouterr().err
+
+    def test_flow_error_wins_over_a_failed_write(self, tmp_path,
+                                                 monkeypatch, capsys):
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target = str(directory / "m.json")
+
+        def failing_flow(args, sim_metrics, captured):
+            shutil.rmtree(directory)  # the write after the flow fails
+            raise cli.ReproError("flow broke")
+
+        monkeypatch.setattr(cli, "_synth_flow", failing_flow)
+        assert main(["synth", "flc", "--metrics-out", target]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"note: cannot write {target}: "
+                       "No such file or directory",
+                       "error: flow broke"]
+
+
+class TestVerifyMutateRejectsDesignOptions:
+    """``verify --mutate`` checks the design its seeded defect builds,
+    so an explicit design option would be ignored: it is refused."""
+
+    @pytest.mark.parametrize("options,named", [
+        (["ethernet"], "the system argument ethernet"),
+        (["flc"], "the system argument flc"),
+        (["--protocol", "half_handshake"], "--protocol half_handshake"),
+        (["--protection", "crc8"], "--protection crc8"),
+        (["--width", "8"], "--width 8"),
+    ], ids=["system", "system-flc", "protocol", "protection", "width"])
+    def test_explicit_design_option_exits_2(self, options, named,
+                                             capsys):
+        assert main(["verify", *options,
+                     "--mutate", "ack_never_raised"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --mutate ack_never_raised")
+        assert named in captured.err
+
+    def test_without_design_options_the_defect_is_verified(self,
+                                                           capsys):
+        assert main(["verify", "--mutate", "ack_never_raised"]) == 1
+        assert "seeded defect ack_never_raised [P701]" \
+            in capsys.readouterr().out
+
+    def test_defaults_still_apply_without_mutate(self, capsys):
+        assert main(["verify", "--json"]) == 0
+        assert '"system": "fuzzy_logic_controller_refined"' \
+            in capsys.readouterr().out
 
 
 class TestSynth:

@@ -19,20 +19,24 @@ Four directions of evidence:
   parity between the backends.
 """
 
+import ast
+import copy
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.tv import replay_backend_divergence, validate_refined
-from repro.analysis.tv.mutations import CORPUS, _counter_spec
+from repro.analysis.tv import (checker, pyparse,
+                               replay_backend_divergence, validate_refined)
+from repro.analysis.tv.mutations import CORPUS, _counter_spec, _validate_build
+from repro.analysis.tv.pyparse import Renamer, alpha_equal
 from repro.busgen.split import plan_buses
 from repro.errors import DIAGNOSTIC_CODES, SimulationError
 from repro.explore.systems import load_system
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
-from repro.protocols import FIXED_DELAY
+from repro.protocols import FIXED_DELAY, get_protocol
 from repro.protogen.refine import generate_protocol, refine_system
 from repro.sim.compiled import source_transform
 from repro.sim.runtime import RefinedSimulation, simulate
@@ -282,3 +286,126 @@ def test_div_mod_by_zero_error_parity(op):
         errors[backend] = str(excinfo.value)
     assert errors["interp"] == errors["compiled"]
     assert "at clock" in errors["interp"]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep alpha-equivalence == renamed-dump equality
+
+
+def _dump_renamed(node, renamer):
+    """The reference judgment: rename every ``Name`` of a copy of
+    ``node`` in ``ast.walk`` order, then dump it."""
+    node = copy.deepcopy(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            sub.id = renamer.rename(sub.id)
+    return ast.dump(node, annotate_fields=False)
+
+
+def _copy_renamer(renamer):
+    copied = Renamer()
+    copied.restore(renamer.snapshot())
+    return copied
+
+
+def _assert_agrees_with_dump(actual, expected, ren_a, ren_e, judge):
+    """``judge`` (alpha_equal) decides like the dump comparison, leaves
+    both trees untouched, and on equal fragments leaves both renamers
+    where the dumps left them."""
+    ref_a, ref_e = _copy_renamer(ren_a), _copy_renamer(ren_e)
+    want = _dump_renamed(actual, ref_a) == _dump_renamed(expected, ref_e)
+    before = ast.dump(actual), ast.dump(expected)
+    got = judge(actual, expected, ren_a, ren_e)
+    assert got == want
+    assert (ast.dump(actual), ast.dump(expected)) == before
+    if got:
+        assert ren_a.snapshot() == ref_a.snapshot()
+        assert ren_e.snapshot() == ref_e.snapshot()
+    return got
+
+
+@pytest.fixture
+def recorded_alpha_equal(monkeypatch):
+    """Route every checker comparison through the dump cross-check,
+    with the verdict cache emptied so every process is really proven.
+    Yields the running ``[unequal pairs, equal pairs]`` tally."""
+    tally = [0, 0]
+
+    def checked(actual, expected, ren_a, ren_e):
+        got = _assert_agrees_with_dump(actual, expected, ren_a, ren_e,
+                                       alpha_equal)
+        tally[got] += 1
+        return got
+
+    monkeypatch.setattr(checker, "_CACHE", {})
+    monkeypatch.setattr(pyparse, "alpha_equal", checked)
+    yield tally
+
+
+#: Every design point TV meets on the case studies: each shareable
+#: protocol unprotected, and full_handshake under each protection.
+TV_DESIGN_POINTS = [
+    (system, protocol, None)
+    for system in ("flc", "answering-machine", "ethernet")
+    for protocol in ("full_handshake", "half_handshake", "fixed_delay",
+                     "burst_handshake")
+] + [
+    (system, "full_handshake", protection)
+    for system in ("flc", "answering-machine", "ethernet")
+    for protection in ("parity", "crc8")
+]
+
+
+@pytest.mark.parametrize("system_name,protocol,protection",
+                         TV_DESIGN_POINTS)
+def test_alpha_equal_matches_dump_on_case_studies(
+        recorded_alpha_equal, system_name, protocol, protection):
+    loaded = load_system(system_name)
+    refined = refine_system(
+        loaded.system, plan_buses(loaded.groups, get_protocol(protocol)),
+        protection=protection)
+    report = validate_refined(refined, schedule=loaded.schedule)
+    assert report.all_validated
+    assert recorded_alpha_equal[1] > 0
+
+
+def test_alpha_equal_matches_dump_on_codegen_corpus(recorded_alpha_equal):
+    for entry in CORPUS.defects + CORPUS.controls:
+        spec, schedule, transform = entry.build()
+        _validate_build(spec, schedule)
+        if transform is not None:
+            _validate_build(spec, schedule, transform)
+    # Clean builds match; seeded miscompiles make some pairs differ.
+    assert recorded_alpha_equal[0] > 0 and recorded_alpha_equal[1] > 0
+
+
+@pytest.mark.parametrize("actual,expected,equal", [
+    ("1", "True", False),
+    ("1", "1.0", False),
+    ("x[1:]", "x[1:2]", False),
+    ("return", "return x", False),
+    ("_t3 + y", "_w0 + y", True),
+    ("_t3 + y", "x + y", False),
+    ("x + _t3", "x + y", False),
+    ("_t1 + _t1", "_w0 + _w0", True),
+    ("_t1 + _t2", "_w0 + _w0", False),
+    ("_b4_env_read(_t1)", "env_read(_w0)", True),
+    ("f(a=1)", "f(b=1)", False),
+    ("x.a", "x.b", False),
+])
+def test_alpha_equal_edge_cases(actual, expected, equal):
+    assert _assert_agrees_with_dump(
+        ast.parse(actual).body[0], ast.parse(expected).body[0],
+        Renamer(), Renamer(), alpha_equal) is equal
+
+
+def test_alpha_equal_temps_keep_first_occurrence_order():
+    ren_a, ren_e = Renamer(), Renamer()
+    # The first fragment binds _t7 -> _x0 and _t2 -> _x1 on the actual
+    # side; the second must consume them in that order.
+    assert alpha_equal(ast.parse("_t7 = _t2").body[0],
+                       ast.parse("_w0 = _w1").body[0], ren_a, ren_e)
+    assert ren_a.snapshot() == {"_t7": "_x0", "_t2": "_x1"}
+    assert not alpha_equal(ast.parse("y = _t2 + _t7").body[0],
+                           ast.parse("y = _w0 + _w1").body[0],
+                           _copy_renamer(ren_a), _copy_renamer(ren_e))

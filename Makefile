@@ -104,9 +104,9 @@ sim-source-examples: ## dump the compiled backend's generated Python
 		--emit-sim-source observability/sim-source/ethernet
 
 verify-all:       ## verify every built-in system's refinement
-	repro-synth synth flc --verify
-	repro-synth synth answering-machine --verify
-	repro-synth synth ethernet --verify
+	PYTHONPATH=src $(PYTHON) -m repro.cli synth flc --verify
+	PYTHONPATH=src $(PYTHON) -m repro.cli synth answering-machine --verify
+	PYTHONPATH=src $(PYTHON) -m repro.cli synth ethernet --verify
 
 verify-examples:  ## temporal model checking on the built-in systems,
                   ## plus a witness write/replay round trip

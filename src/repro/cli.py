@@ -11,18 +11,20 @@ without writing Python:
     $ repro-synth fig7                       # the Figure 7 sweep table
     $ repro-synth fig8                       # the Figure 8 design table
 
-Systems available to ``synth``: ``fig3`` (the running example), ``flc``
-(bus B of the fuzzy logic controller), ``answering-machine`` and
-``ethernet``.
+Systems: ``flc`` (bus B of the fuzzy logic controller),
+``answering-machine``, ``ethernet``, or the path of a ``.spec`` file
+(``examples/specs/fig3.spec`` is the paper's running example).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterator, List, Optional, Sequence
 
 from repro import __version__
 from repro.busgen.algorithm import generate_bus
@@ -43,7 +45,7 @@ from repro.estimate.area import estimate_bus_area
 from repro.estimate.perf import PerformanceEstimator
 from repro.hdl.validate import validate_vhdl
 from repro.hdl.vhdl import emit_refined_spec
-from repro.protocols import PROTOCOLS, get_protocol
+from repro.protocols import PROTECTIONS, PROTOCOLS, get_protocol
 from repro.protogen.refine import refine_system
 from repro.sim.runtime import BACKENDS, simulate
 
@@ -88,11 +90,6 @@ def cmd_info(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _observability_requested(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "trace_out", None) or
-                getattr(args, "metrics_out", None))
-
-
 def _write_observability(args: argparse.Namespace, tracer,
                          simulations, sim_runs,
                          verification=None) -> None:
@@ -127,8 +124,7 @@ def _check_output_paths(args: argparse.Namespace) -> None:
     """Fail before any work, not after it, when ``--trace-out`` or
     ``--metrics-out`` cannot be written.  A probe file the check
     creates is removed again."""
-    for path in (getattr(args, "trace_out", None),
-                 getattr(args, "metrics_out", None)):
+    for path in (args.trace_out, args.metrics_out):
         if not path:
             continue
         existed = os.path.exists(path)
@@ -138,32 +134,88 @@ def _check_output_paths(args: argparse.Namespace) -> None:
             os.remove(path)
 
 
+#: synth's options that only the simulation reads (dest -> what the
+#: option does there); each requires --simulate.
+_SIMULATE_ONLY = {
+    "faults": "--faults injects wire faults into the simulation",
+    "sim_timeout_clocks": "--sim-timeout-clocks bounds the simulation",
+    "emit_sim_source": "--emit-sim-source dumps the code generated for "
+                       "the simulation",
+}
+
+
+def _check_simulate_options(args: argparse.Namespace) -> None:
+    """Refuse, before the flow prints anything, a simulate-only option
+    the run would ignore or the simulation would reject."""
+    if not args.simulate:
+        given = [what for dest, what in _SIMULATE_ONLY.items()
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ReproError("; ".join(f"{what} and requires --simulate"
+                                       for what in given))
+    if args.sim_timeout_clocks is not None and args.sim_timeout_clocks < 1:
+        raise SimulationError(f"--sim-timeout-clocks must be >= 1, got "
+                              f"{args.sim_timeout_clocks}")
+    if args.emit_sim_source is not None and args.backend != "compiled":
+        raise SimulationError(
+            "emit_sim_source dumps generated code and requires "
+            f"backend='compiled', got backend={args.backend!r}")
+
+
+def _fault_plan(path: Optional[str], show: bool):
+    """The fault plan at ``path`` (``None`` without one), described on
+    stdout when ``show``."""
+    if not path:
+        return None
+    from repro.sim.faults import FaultPlan
+
+    plan = FaultPlan.load(path)
+    if show:
+        print(plan.describe())
+    return plan
+
+
+@dataclass
+class _SynthRun:
+    """What the steps of one ``synth`` run share; ``--metrics-out`` and
+    ``--trace-out`` read the simulation and the temporal verdicts from
+    it, also when a later step fails."""
+
+    args: argparse.Namespace
+    sim_metrics: Any = None
+    loaded: Any = None
+    plans: List[Any] = field(default_factory=list)
+    refined: Any = None
+    result: Any = None
+    verification: Optional[dict] = None
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    if not _observability_requested(args):
-        return _synth_flow(args, sim_metrics=None, captured=None)
+    _check_output_paths(args)
+    _check_simulate_options(args)
+    run = _SynthRun(args)
+    if not (args.trace_out or args.metrics_out):
+        return _synth_flow(run)
 
     from repro import obs
     from repro.obs import report as obs_report
 
-    _check_output_paths(args)
     tracer = obs.Tracer()
-    sim_metrics = obs.SimMetrics()
-    captured: dict = {}
+    run.sim_metrics = obs.SimMetrics()
 
     def write() -> None:
-        simulations = []
-        sim_runs = []
-        if "result" in captured:
-            simulations.append(obs_report.sim_section(
-                args.system, captured["result"], sim_metrics))
-            sim_runs.append((args.system, captured["result"].transactions,
-                             captured["result"].fault_records))
-        _write_observability(args, tracer, simulations, sim_runs,
-                             verification=captured.get("verification"))
+        runs = [] if run.result is None else [run.result]
+        _write_observability(
+            args, tracer,
+            [obs_report.sim_section(args.system, result, run.sim_metrics)
+             for result in runs],
+            [(args.system, result.transactions, result.fault_records)
+             for result in runs],
+            verification=run.verification)
 
     try:
         with obs.tracing(tracer):
-            code = _synth_flow(args, sim_metrics, captured)
+            code = _synth_flow(run)
     except BaseException:
         # The flow's own error wins; a failed write only adds a note.
         try:
@@ -175,21 +227,26 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return code
 
 
-def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
-    if getattr(args, "emit_sim_source", None) and not args.simulate:
-        print("error: --emit-sim-source dumps the code generated for "
-              "the simulation and requires --simulate", file=sys.stderr)
-        return 2
+def _synth_flow(run: _SynthRun) -> int:
+    for option, step in _SYNTH_STEPS:
+        if option is None or getattr(run.args, option):
+            code = step(run)
+            if code is not None:
+                return code
+    return 0
+
+
+def _plan_buses(run: _SynthRun) -> None:
+    """Load the system and design one bus per channel group under the
+    designer's constraints (splitting a group no width can carry)."""
     from repro.explore.systems import load_system
 
-    loaded = load_system(args.system, on_note=_note)
-    system, schedule = loaded.system, loaded.schedule
-    if len(loaded.groups) > 1:
-        print(f"{len(loaded.groups)} module-pair buses to synthesize")
+    args = run.args
+    run.loaded = load_system(args.system, on_note=_note)
+    if len(run.loaded.groups) > 1:
+        print(f"{len(run.loaded.groups)} module-pair buses to synthesize")
     protocol = get_protocol(args.protocol)
-
-    plans = []
-    for group in loaded.groups:
+    for group in run.loaded.groups:
         print(group.describe())
         constraints = ConstraintSet()
         if args.min_width is not None:
@@ -200,39 +257,10 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
             channel = group.channels[-1].name
             constraints.add(min_peak_rate(channel, args.min_peak,
                                           weight=10))
-
-        if args.width is not None:
-            widths: Optional[List[int]] = [args.width]
-        else:
-            widths = None
-        rate_mode = getattr(args, "rates", "measured")
         try:
-            if rate_mode == "static":
-                try:
-                    design = generate_bus(group, protocol=protocol,
-                                          constraints=constraints,
-                                          widths=widths, rates="static")
-                except InfeasibleBusError as error:
-                    # The proven bounds are too loose (or genuinely
-                    # infeasible): report the gap and retry measured.
-                    print(f"\nstatic rates: {error}")
-                    print("falling back to measured rates")
-                    design = generate_bus(group, protocol=protocol,
-                                          constraints=constraints,
-                                          widths=widths)
-            else:
-                design = generate_bus(group, protocol=protocol,
-                                      constraints=constraints,
-                                      widths=widths)
-            print(f"\n{design.describe()}")
-            if design.rate_mode == "static":
-                chosen = next(e for e in design.evaluations
-                              if e.width == design.width)
-                print(f"  statically proven demand bound "
-                      f"{chosen.demand_static:g} <= bus rate "
-                      f"{chosen.bus_rate:g} (width {design.width} "
-                      "feasible for every execution)")
-            plans.append(design)
+            design = _generate_bus(
+                group, args.rates, protocol=protocol, constraints=constraints,
+                widths=None if args.width is None else [args.width])
         except InfeasibleBusError as error:
             print(f"\n{error}")
             if args.force and args.width is not None:
@@ -241,170 +269,195 @@ def _synth_flow(args: argparse.Namespace, sim_metrics, captured) -> int:
                 # Equation 1 (transfers simply delay the processes).
                 print(f"--force: proceeding with designer width "
                       f"{args.width}")
-                plans.append((group, args.width, protocol))
+                run.plans.append((group, args.width, protocol))
             else:
                 # Section 3 step 5: split the group across several
                 # buses and continue the flow with all of them.
                 result = split_group(group, protocol=protocol,
                                      constraints=constraints)
                 print(result.describe())
-                plans.extend(result.designs)
+                run.plans.extend(result.designs)
+            continue
+        print(f"\n{design.describe()}")
+        if design.rate_mode == "static":
+            chosen = next(e for e in design.evaluations
+                          if e.width == design.width)
+            print(f"  statically proven demand bound "
+                  f"{chosen.demand_static:g} <= bus rate {chosen.bus_rate:g} "
+                  f"(width {design.width} feasible for every execution)")
+        run.plans.append(design)
 
-    protection = getattr(args, "protection", "none")
-    if protection == "none":
-        protection = None
-    elif protection is not None:
+
+def _generate_bus(group, rates: str, **options):
+    if rates == "static":
+        try:
+            return generate_bus(group, rates="static", **options)
+        except InfeasibleBusError as error:
+            # The proven bounds are too loose (or genuinely
+            # infeasible): report the gap and retry measured.
+            print(f"\nstatic rates: {error}")
+            print("falling back to measured rates")
+    return generate_bus(group, **options)
+
+
+def _refine(run: _SynthRun) -> None:
+    protection = run.args.protection
+    if protection != "none":
         print(f"protection: {protection} (check field + "
               "NACK/timeout/retry)")
-    refined = refine_system(system, plans, protection=protection)
+    run.refined = refine_system(run.loaded.system, run.plans,
+                                protection=protection)
 
-    if getattr(args, "tighten_fields", False):
-        from repro.analysis.absint import analyze_refined_values
-        from repro.protogen.procedures import FieldKind
 
-        ranges = analyze_refined_values(refined).finite_sent_ranges()
-        if ranges:
-            before = {
-                name: pair.layout.field(FieldKind.DATA).bits
-                for bus in refined.buses
-                for name, pair in bus.procedures.items()
-            }
-            refined = refine_system(system, plans, value_ranges=ranges,
-                                    protection=protection)
-            for bus in refined.buses:
-                for name, pair in bus.procedures.items():
-                    field = pair.layout.field(FieldKind.DATA)
-                    if pair.layout.proven_range is None:
-                        continue
-                    lo, hi = pair.layout.proven_range
-                    print(f"tightened {name}: data field "
-                          f"{before[name]} -> {field.bits} bit(s) "
-                          f"(proven values [{lo}, {hi}])")
-        else:
-            print("tighten-fields: no finite value ranges proven; "
-                  "layouts unchanged")
+def _tighten_fields(run: _SynthRun) -> None:
+    """Re-refine with the statically proven value ranges, narrowing the
+    data field of every message they bound."""
+    from repro.analysis.absint import analyze_refined_values
+    from repro.protogen.procedures import FieldKind
 
-    for bus in refined.buses:
+    ranges = analyze_refined_values(run.refined).finite_sent_ranges()
+    if not ranges:
+        print("tighten-fields: no finite value ranges proven; "
+              "layouts unchanged")
+        return
+    before = {name: pair.layout.field(FieldKind.DATA).bits
+              for bus in run.refined.buses
+              for name, pair in bus.procedures.items()}
+    run.refined = refine_system(run.loaded.system, run.plans,
+                                value_ranges=ranges,
+                                protection=run.args.protection)
+    for bus in run.refined.buses:
+        for name, pair in bus.procedures.items():
+            data_field = pair.layout.field(FieldKind.DATA)
+            if pair.layout.proven_range is None:
+                continue
+            lo, hi = pair.layout.proven_range
+            print(f"tightened {name}: data field "
+                  f"{before[name]} -> {data_field.bits} bit(s) "
+                  f"(proven values [{lo}, {hi}])")
+
+
+def _report_area(run: _SynthRun) -> None:
+    for bus in run.refined.buses:
         print(bus.structure.describe())
         area = estimate_bus_area(bus)
         print(f"interface area: {area.wires} wires, "
               f"{area.total_gates} gate-equivalents")
 
-    if args.simulate:
-        sim_kwargs = {}
-        faults_path = getattr(args, "faults", None)
-        if faults_path:
-            from repro.sim.faults import FaultPlan
-            plan = FaultPlan.load(faults_path)
-            print(plan.describe())
-            sim_kwargs["faults"] = plan
-        timeout_clocks = getattr(args, "sim_timeout_clocks", None)
-        if timeout_clocks is not None:
-            if timeout_clocks < 1:
-                raise SimulationError(
-                    f"--sim-timeout-clocks must be >= 1, got "
-                    f"{timeout_clocks}")
-            sim_kwargs["max_clocks"] = timeout_clocks
-        emit_dir = getattr(args, "emit_sim_source", None)
-        if emit_dir:
-            sim_kwargs["emit_sim_source"] = emit_dir
-        result = simulate(refined, schedule=schedule, metrics=sim_metrics,
-                          backend=getattr(args, "backend", "interp"),
-                          **sim_kwargs)
-        if captured is not None:
-            captured["result"] = result
-        buses = result.buses.values()
-        print(f"\nsimulated {result.end_time} clocks; "
-              f"{sum(bus.transactions for bus in buses)} "
-              "bus transactions")
-        if result.fault_records:
-            print(f"faults injected: {len(result.fault_records)}; "
-                  f"message retries: {sum(b.retries for b in buses)}")
-            for record in result.fault_records:
-                print(f"  clock {record.clock}: {record.bus}."
-                      f"{record.line} {record.detail}")
-        if loaded.oracle:
-            ok = all(result.final_values[k] == v
-                     for k, v in loaded.oracle.items())
-            print(f"oracle check: {'OK' if ok else 'MISMATCH'}")
-            if not ok:
-                return 1
 
-    if args.verify:
-        from repro.analysis import analyze_refined
-        from repro.verify import verify_refinement
+def _simulate(run: _SynthRun) -> Optional[int]:
+    """Simulate the refined spec (under the fault plan, if any) and
+    check the system's reference outputs."""
+    args = run.args
+    plan = _fault_plan(args.faults, show=True)
+    limit = {} if args.sim_timeout_clocks is None \
+        else {"max_clocks": args.sim_timeout_clocks}
+    run.result = result = simulate(
+        run.refined, schedule=run.loaded.schedule, metrics=run.sim_metrics,
+        faults=plan, backend=args.backend,
+        emit_sim_source=args.emit_sim_source, **limit)
+    buses = result.buses.values()
+    print(f"\nsimulated {result.end_time} clocks; "
+          f"{sum(bus.transactions for bus in buses)} bus transactions")
+    if result.fault_records:
+        print(f"faults injected: {len(result.fault_records)}; "
+              f"message retries: {sum(b.retries for b in buses)}")
+        for record in result.fault_records:
+            print(f"  clock {record.clock}: {record.bus}."
+                  f"{record.line} {record.detail}")
+    ok = run.loaded.oracle_ok(result.final_values)
+    if ok is None:
+        return None
+    print(f"oracle check: {'OK' if ok else 'MISMATCH'}")
+    return None if ok else 1
 
-        diagnostics = analyze_refined(refined)
-        if not diagnostics.clean:
-            print()
-            print(diagnostics.render_text())
-        if diagnostics.errors:
-            print("static analysis failed; skipping simulation-based "
-                  "verification")
-            return 1
-        report = verify_refinement(system, refined, schedule=schedule)
+
+def _verify(run: _SynthRun) -> Optional[int]:
+    """Static analysis, then the refinement against the golden
+    interpreter (values, channel sequences, clocks)."""
+    from repro.analysis import analyze_refined
+    from repro.verify import verify_refinement
+
+    diagnostics = analyze_refined(run.refined)
+    if not diagnostics.clean:
         print()
-        print(report.describe())
-        if not report.passed:
-            return 1
-
-    if args.report:
-        from repro.protogen.report import synthesis_report
-        print()
-        print(synthesis_report(refined))
-
-    if args.vhdl:
-        # Temporal proof gate: refuted response/retry/race properties
-        # mean the controllers are wrong -- emitting HDL for them would
-        # hand a provably broken design to logic synthesis.
-        from repro.analysis.mc import verify_refined as mc_verify
-
-        verification = mc_verify(refined)
-        if captured is not None:
-            captured["verification"] = verification.to_dict()
-        print()
-        print("temporal verification:")
-        print(verification.render_text())
-        if _verification_blocks(verification):
-            print("temporal verification refuted a liveness/race "
-                  "property; VHDL emission blocked")
-            return 1
-        text = emit_refined_spec(refined)
-        structures = [bus.structure for bus in refined.buses]
-        validate_vhdl(text, structures=structures).raise_if_failed()
-        with _user_path(args.vhdl), \
-                open(args.vhdl, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"VHDL written to {args.vhdl} "
-              f"({len(text.splitlines())} lines)")
-    return 0
+        print(diagnostics.render_text())
+    if diagnostics.errors:
+        print("static analysis failed; skipping simulation-based "
+              "verification")
+        return 1
+    report = verify_refinement(run.loaded.system, run.refined,
+                               schedule=run.loaded.schedule)
+    print()
+    print(report.describe())
+    return None if report.passed else 1
 
 
-def _verification_blocks(report) -> bool:
-    """True when a verdict refutes at error severity (P704 starvation
-    is a warning and does not block emission)."""
+def _report(run: _SynthRun) -> None:
+    from repro.protogen.report import synthesis_report
+
+    print()
+    print(synthesis_report(run.refined))
+
+
+def _emit_vhdl(run: _SynthRun) -> Optional[int]:
+    """Write validated VHDL, unless the temporal proof refutes an
+    error-severity property: that would hand a provably broken design
+    to logic synthesis."""
+    from repro.analysis.diagnostics import Severity
+    from repro.analysis.mc import verify_refined as mc_verify
+
+    path = run.args.vhdl
+    verification = mc_verify(run.refined)
+    run.verification = verification.to_dict()
+    print()
+    print("temporal verification:")
+    print(verification.render_text())
+    if _refuted_at(verification, Severity.ERROR):
+        print("temporal verification refuted a liveness/race "
+              "property; VHDL emission blocked")
+        return 1
+    text = emit_refined_spec(run.refined)
+    structures = [bus.structure for bus in run.refined.buses]
+    validate_vhdl(text, structures=structures).raise_if_failed()
+    with _user_path(path), open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"VHDL written to {path} ({len(text.splitlines())} lines)")
+    return None
+
+
+#: The synth steps in order, each with the option that turns it on
+#: (``None``: always run); a step that returns an exit code ends the run.
+_SYNTH_STEPS = (
+    (None, _plan_buses), (None, _refine),
+    ("tighten_fields", _tighten_fields), (None, _report_area),
+    ("simulate", _simulate), ("verify", _verify), ("report", _report),
+    ("vhdl", _emit_vhdl))
+
+
+def _refuted_at(report, threshold) -> bool:
+    """True when a verdict that is not proved carries a code of at least
+    ``threshold`` severity (P704 starvation is only a warning)."""
     from repro.analysis.diagnostics import Severity
     from repro.analysis.mc.passes import SEVERITIES
 
     return any(
         verdict.status != "PROVED" and verdict.code is not None
-        and SEVERITIES.get(verdict.code) is Severity.ERROR
+        and SEVERITIES.get(verdict.code, Severity.ERROR) >= threshold
         for verdict in report.verdicts)
 
 
 def _build_refined(system_name: str, protocol: str,
                    width: Optional[int] = None,
                    protection: Optional[str] = None):
-    """Build the refined spec the flow would synthesize for a system.
+    """``(refined, loaded)``: the refined spec the flow would synthesize
+    for a system, for ``lint``, ``verify``, ``explain`` and ``profile``.
 
-    Shared by ``lint``, ``verify``, ``explain`` and ``profile``: loads
-    the system, plans one bus per group (splitting infeasible groups
-    exactly as ``synth`` does; a designer ``width`` is never split) and
-    refines at the requested protocol/protection (``"none"`` or
-    ``None`` for none).  Returns ``(refined, loaded)`` -- the loaded
-    system's schedule matters to analyses (translation validation among
-    them) whose contention facts depend on which behaviors run
-    concurrently, and its oracle to the simulating commands.
+    Plans one bus per group (splitting infeasible groups as ``synth``
+    does; a designer ``width`` is never split) and refines at the
+    requested protocol and protection.  The loaded system's schedule
+    matters to analyses whose contention facts depend on which behaviors
+    run concurrently, and its oracle to the simulating commands.
     """
     from repro.explore.systems import load_system
 
@@ -412,10 +465,8 @@ def _build_refined(system_name: str, protocol: str,
     plans = plan_buses(loaded.groups, get_protocol(protocol),
                        widths=None if width is None else [width],
                        on_note=_note)
-    refined = refine_system(
-        loaded.system, plans,
-        protection=None if protection == "none" else protection)
-    return refined, loaded
+    return refine_system(loaded.system, plans,
+                         protection=protection), loaded
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -440,31 +491,40 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if diagnostics.at_least(threshold) else 0
 
 
+def _reject_ignored(option: str, reason: str, given) -> None:
+    """Refuse the ``(name, value)`` options of ``given`` that were set
+    explicitly and that ``option`` would silently ignore (exit 2)."""
+    ignored = [name if value is True else f"{name} {value}"
+               for name, value in given
+               if value is not None and value is not False]
+    if ignored:
+        raise AnalysisError(f"{option} {reason}; drop {', '.join(ignored)}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     """Temporal model checking: prove or refute the liveness/race
     properties of every generated channel, with replayable witnesses."""
-    import json as json_module
-
     from repro.analysis.diagnostics import Severity
     from repro.analysis.mc import verify_refined
-    from repro.analysis.mc.passes import SEVERITIES
 
+    # The design options default to None, so an explicit one is told
+    # apart from an absent one.
+    design = [("the system argument", args.system),
+              ("--protocol", args.protocol),
+              ("--protection", args.protection), ("--width", args.width)]
     if args.replay:
+        _reject_ignored(f"--replay {args.replay}",
+                        "rebuilds the design its witness records",
+                        design + [("--json", args.json),
+                                  ("--mutate", args.mutate),
+                                  ("--witness-dir", args.witness_dir)])
         return _replay_witness_file(args.replay)
 
     meta = {}
     if args.mutate:
-        # The corpus builds each defect's own design, so an explicit
-        # design option would be silently ignored.
-        ignored = [f"{name} {value}" for name, value in (
-            ("the system argument", args.system),
-            ("--protocol", args.protocol),
-            ("--protection", args.protection), ("--width", args.width))
-            if value is not None]
-        if ignored:
-            raise AnalysisError(
-                f"--mutate {args.mutate} verifies the design its seeded "
-                f"defect builds; drop {', '.join(ignored)}")
+        _reject_ignored(f"--mutate {args.mutate}",
+                        "verifies the design its seeded defect builds",
+                        design)
         defect, refined = _mutated_spec(args.mutate)
         schedule = None
         meta["mutation"] = defect.name
@@ -494,13 +554,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload = report.to_dict()
         if tv is not None:
             payload["translation_validation"] = {
-                "verdicts": {name: verdict.describe()
-                             for name, verdict
+                "verdicts": {name: verdict.describe() for name, verdict
                              in sorted(tv.verdicts.items())},
-                "diagnostics": [d.to_dict()
-                                for d in tv.diagnostics()],
-            }
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
+                "diagnostics": [d.to_dict() for d in tv.diagnostics()]}
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(report.render_text())
         if tv is not None:
@@ -520,14 +577,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not args.json:
                 print(f"witness written to {path}")
 
-    blocking = Severity.WARNING if args.fail_on == "warning" \
-        else Severity.ERROR
-    failed = any(
-        v.status != "PROVED" and v.code is not None
-        and SEVERITIES.get(v.code, Severity.ERROR) >= blocking
-        for v in report.verdicts)
-    if tv is not None and not tv.all_validated:
-        failed = True
+    failed = (_refuted_at(report, Severity.parse(args.fail_on))
+              or (tv is not None and not tv.all_validated))
     return 1 if failed else 0
 
 
@@ -576,26 +627,16 @@ def _replay_witness_file(path: str) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """Simulate with the causal flight recorder attached and explain
     where every clock of every transaction went."""
-    import json as json_module
-
     from repro.obs import SimMetrics
     from repro.obs import report as obs_report
     from repro.obs.flight import (FlightRecorder, explain_payload,
-                                  render_explain_text,
-                                  write_flight_trace)
+                                  render_explain_text, write_flight_trace)
 
     _check_output_paths(args)
     refined, loaded = _build_refined(args.system, args.protocol,
                                      args.width, args.protection)
 
-    sim_kwargs = {}
-    if args.faults:
-        from repro.sim.faults import FaultPlan
-        plan = FaultPlan.load(args.faults)
-        if not args.json:
-            print(plan.describe())
-        sim_kwargs["faults"] = plan
-
+    plan = _fault_plan(args.faults, show=not args.json)
     recorder = FlightRecorder()
     metrics = SimMetrics()
     aborted: Optional[str] = None
@@ -603,8 +644,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     try:
         result = simulate(refined, schedule=loaded.schedule,
                           metrics=metrics, recorder=recorder,
-                          backend=getattr(args, "backend", "interp"),
-                          **sim_kwargs)
+                          faults=plan, backend=args.backend)
     except SimulationError as error:
         # Explain the run anyway -- a transfer that gave up is exactly
         # what the journal is for.  Seal the recorder at the last
@@ -618,7 +658,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if aborted is not None:
         payload["aborted"] = aborted
     if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         if aborted is not None:
             print(f"simulation aborted: {aborted}")
@@ -672,15 +712,10 @@ def _profile_once(args: argparse.Namespace, systems):
                 ).raise_if_failed()
                 metrics = obs.SimMetrics()
                 result = simulate(refined, schedule=loaded.schedule,
-                                  metrics=metrics,
-                                  backend=getattr(args, "backend",
-                                                  "interp"))
-                ok = True
-                if loaded.oracle:
-                    ok = all(result.final_values[k] == v
-                             for k, v in loaded.oracle.items())
-                    if not ok:
-                        exit_code = 1
+                                  metrics=metrics, backend=args.backend)
+                ok = loaded.oracle_ok(result.final_values) is not False
+                if not ok:
+                    exit_code = 1
                 simulations.append(
                     obs_report.sim_section(name, result, metrics))
                 sim_runs.append((name, result.transactions))
@@ -707,39 +742,29 @@ def cmd_profile(args: argparse.Namespace) -> int:
     _check_output_paths(args)
     systems = list(BUILTIN_SYSTEMS) if args.system == "all" \
         else [args.system]
-    repeat = args.repeat
-
-    stage_order: List[str] = []
     stage_samples = {}
     stage_calls = {}
-    for _ in range(repeat):
+    for _ in range(args.repeat):
         (tracer, simulations, sim_runs,
          summary_rows, exit_code) = _profile_once(args, systems)
         for entry in tracer.breakdown():
-            name = entry["name"]
-            if name not in stage_samples:
-                stage_order.append(name)
-                stage_samples[name] = []
-                stage_calls[name] = entry["calls"]
-            stage_samples[name].append(entry["total_ms"])
+            stage_calls.setdefault(entry["name"], entry["calls"])
+            stage_samples.setdefault(entry["name"], []).append(
+                entry["total_ms"])
 
-    if repeat == 1:
+    if args.repeat == 1:
         print("stage breakdown (wall time):")
-        print(f"  {'stage':<46} {'calls':>5} {'total ms':>10}")
-        for name in stage_order:
-            print(f"  {name:<46} {stage_calls[name]:>5} "
-                  f"{stage_samples[name][0]:>10.3f}")
+        columns = {"total ms": min}
     else:
-        print(f"stage breakdown (wall time over {repeat} runs):")
-        print(f"  {'stage':<46} {'calls':>5} {'min ms':>10} "
-              f"{'median ms':>10}")
-        for name in stage_order:
-            samples = stage_samples[name]
-            print(f"  {name:<46} {stage_calls[name]:>5} "
-                  f"{min(samples):>10.3f} "
-                  f"{statistics.median(samples):>10.3f}")
-    backend = getattr(args, "backend", "interp")
-    print(f"\nsimulation summary (backend: {backend}):")
+        print(f"stage breakdown (wall time over {args.repeat} runs):")
+        columns = {"min ms": min, "median ms": statistics.median}
+    print(f"  {'stage':<46} {'calls':>5}"
+          + "".join(f" {column:>10}" for column in columns))
+    for name, samples in stage_samples.items():
+        print(f"  {name:<46} {stage_calls[name]:>5}"
+              + "".join(f" {statistic(samples):>10.3f}"
+                        for statistic in columns.values()))
+    print(f"\nsimulation summary (backend: {args.backend}):")
     print(f"  {'system':<20} {'clocks':>8} {'transfers':>9} "
           f"{'bus util':>9}  oracle")
     for name, clocks, transfers, utilization, ok in summary_rows:
@@ -760,8 +785,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     """Memoized design-space sweep with Pareto ranking."""
-    import json as json_mod
-
     from repro.explore import (
         ExploreCache,
         canonical_report,
@@ -779,7 +802,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     report = explore(args.system, points, jobs=args.jobs,
                      cache_dir=args.cache, backend=args.backend)
 
-    exit_code = 0
     check_section = None
     if args.check:
         if not args.cache:
@@ -794,21 +816,19 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "incidents": [i.to_dict() for i in diff["incidents"]],
         }
         report["differential"] = check_section
-        if diff["incidents"]:
-            exit_code = 1
-    if report["cache"]["incidents"]:
-        exit_code = 1
-    if all(r["status"] == "error" for r in report["results"]):
-        exit_code = 1
+    failed = (report["cache"]["incidents"]
+              or (check_section is not None and check_section["incidents"])
+              or all(r["status"] == "error" for r in report["results"]))
+    exit_code = 1 if failed else 0
 
     if args.report_out:
         with _user_path(args.report_out), \
                 open(args.report_out, "w", encoding="utf-8") as handle:
-            json_mod.dump(report, handle, indent=2, sort_keys=True)
+            json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.json:
-        print(json_mod.dumps(canonical_report(report), indent=2,
-                             sort_keys=True))
+        print(json.dumps(canonical_report(report), indent=2,
+                         sort_keys=True))
         return exit_code
 
     stats = report["cache"]["stats"]
@@ -820,10 +840,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     print()
     for line in render_table(report["results"], report["pareto"]):
         print(f"  {line}")
-    failed = [r for r in report["results"] if r["status"] == "error"]
-    if failed:
+    errors = [r for r in report["results"] if r["status"] == "error"]
+    if errors:
         print()
-        for result in failed:
+        for result in errors:
             error = result["error"]
             print(f"  {result['label']}: {error['type']} at "
                   f"{error['stage']}: {error['message']}")
@@ -894,70 +914,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
     sub.add_parser("info", help="library and protocol summary") \
         .set_defaults(func=cmd_info)
 
     synth = sub.add_parser("synth", help="run the synthesis pipeline")
+    synth.set_defaults(func=cmd_synth)
     _add_system_options(synth, "--protocol", "--width", "--protection",
                         "--backend")
-    synth.add_argument("--min-width", type=int)
-    synth.add_argument("--max-width", type=int)
-    synth.add_argument("--min-peak", type=float,
-                       help="min peak rate (bits/clock) on the last "
-                            "channel of the group")
-    synth.add_argument("--force", action="store_true",
-                       help="with --width: refine at the designer "
-                            "width even if Equation 1 is infeasible")
-    synth.add_argument("--rates", default="measured",
-                       choices=["measured", "static"],
-                       help="Equation-1 feasibility inputs: estimator "
-                            "rates (measured) or statically proven "
-                            "worst-case bounds (static); static falls "
-                            "back to measured with a bound-gap report "
-                            "when nothing is provably feasible")
-    synth.add_argument("--tighten-fields", action="store_true",
-                       help="re-refine with statically proven value "
-                            "ranges to narrow message data fields")
-    synth.add_argument("--faults", metavar="PLAN.json",
-                       help="inject wire faults from a JSON fault plan "
-                            "during --simulate")
-    synth.add_argument("--sim-timeout-clocks", type=int, metavar="N",
-                       help="abort --simulate with an error after N "
-                            "clocks instead of spinning (guards "
-                            "against faulty designs that hang)")
-    synth.add_argument("--emit-sim-source", metavar="DIR",
-                       help="with --backend compiled, dump the "
-                            "generated per-process Python into DIR "
-                            "(requires --simulate)")
-    synth.add_argument("--simulate", action="store_true",
-                       help="simulate the refined spec and check "
-                            "oracle values")
-    synth.add_argument("--verify", action="store_true",
-                       help="verify the refinement against the golden "
-                            "interpreter (values, channel sequences, "
-                            "clocks)")
-    synth.add_argument("--report", action="store_true",
-                       help="print the full synthesis report "
-                            "(channels, procedures, FSMs, area)")
-    synth.add_argument("--vhdl", metavar="FILE",
-                       help="emit validated VHDL to FILE")
-    _add_observability_flags(synth)
-    synth.set_defaults(func=cmd_synth)
+    add = synth.add_argument
+    add("--min-width", type=int)
+    add("--max-width", type=int)
+    add("--min-peak", type=float,
+        help="min peak rate (bits/clock) on the last channel of the group")
+    add("--force", action="store_true",
+        help="with --width: refine at the designer width even if "
+             "Equation 1 is infeasible")
+    add("--rates", default="measured", choices=["measured", "static"],
+        help="Equation-1 feasibility inputs: estimator rates (measured) or "
+             "statically proven worst-case bounds (static); static falls "
+             "back to measured with a bound-gap report when nothing is "
+             "provably feasible")
+    add("--tighten-fields", action="store_true",
+        help="re-refine with statically proven value ranges to narrow "
+             "message data fields")
+    _shared(synth, "--faults")
+    add("--sim-timeout-clocks", type=int, metavar="N",
+        help="abort --simulate with an error after N clocks instead of "
+             "spinning (guards against faulty designs that hang; requires "
+             "--simulate)")
+    add("--emit-sim-source", metavar="DIR",
+        help="with --backend compiled, dump the generated per-process "
+             "Python into DIR (requires --simulate)")
+    add("--simulate", action="store_true",
+        help="simulate the refined spec and check oracle values")
+    add("--verify", action="store_true",
+        help="verify the refinement against the golden interpreter "
+             "(values, channel sequences, clocks)")
+    add("--report", action="store_true",
+        help="print the full synthesis report (channels, procedures, "
+             "FSMs, area)")
+    add("--vhdl", metavar="FILE", help="emit validated VHDL to FILE")
+    _shared(synth, "--trace-out", "--metrics-out", "--metrics-format")
 
     lint = sub.add_parser(
         "lint",
         help="static protocol analysis: deadlock, contention, width "
              "and dead-code checks without simulating")
-    _add_system_options(lint, "--protocol", "--width")
-    lint.add_argument("--json", action="store_true",
-                      help="machine-readable diagnostics on stdout")
-    lint.add_argument("--fail-on", default="error",
-                      choices=["warning", "error"],
-                      help="exit non-zero when a diagnostic at or "
-                           "above this severity is reported "
-                           "(default: error)")
     lint.set_defaults(func=cmd_lint)
+    _add_system_options(lint, "--protocol", "--width", "--json",
+                        "--fail-on")
 
     verify = sub.add_parser(
         "verify",
@@ -966,102 +971,78 @@ def build_parser() -> argparse.ArgumentParser:
              "generated channel; refutations carry replayable "
              "witnesses")
     _add_system_options(verify, "--protocol", "--protection", "--width",
-                        default=VERIFY_DEFAULTS["system"])
-    verify.add_argument("--json", action="store_true",
-                        help="machine-readable verdicts on stdout")
-    verify.add_argument("--witness-dir", metavar="DIR",
-                        help="write each refutation's witness schedule "
-                             "as replayable JSON into DIR")
-    verify.add_argument("--mutate", metavar="NAME",
-                        help="verify a named seeded defect of the "
-                             "mutation corpus instead; the corpus "
-                             "builds its own FLC design, so the system "
-                             "argument, --protocol, --protection and "
-                             "--width are rejected with it")
-    verify.add_argument("--replay", metavar="WITNESS.json",
-                        help="re-synthesize the witnessed controller "
-                             "pair and run the schedule through the "
-                             "event kernel; exit 0 iff the violation "
-                             "reproduces concretely (2 otherwise)")
-    verify.add_argument("--fail-on", default="error",
-                        choices=["warning", "error"],
-                        help="exit non-zero when a property refutes at "
-                             "or above this severity (default: error; "
-                             "P704 starvation is a warning)")
-    # The design options default to None so that --mutate can tell an
-    # explicit value from an absent one; cmd_verify fills them in.
-    verify.set_defaults(func=cmd_verify,
-                        **dict.fromkeys(VERIFY_DEFAULTS))
+                        "--json", default=VERIFY_DEFAULTS["system"])
+    # The design options default to None so that --mutate and --replay
+    # can tell an explicit value from an absent one; cmd_verify fills
+    # them in.
+    verify.set_defaults(func=cmd_verify, **dict.fromkeys(VERIFY_DEFAULTS))
+    add = verify.add_argument
+    add("--witness-dir", metavar="DIR",
+        help="write each refutation's witness schedule as replayable JSON "
+             "into DIR")
+    add("--mutate", metavar="NAME",
+        help="verify a named seeded defect of the mutation corpus instead; "
+             "the corpus builds its own FLC design, so the system "
+             "argument, --protocol, --protection and --width are rejected "
+             "with it")
+    add("--replay", metavar="WITNESS.json",
+        help="re-synthesize the witnessed controller pair and run the "
+             "schedule through the event kernel; exit 0 iff the violation "
+             "reproduces concretely (2 otherwise); every other option but "
+             "--fail-on is rejected with it")
+    _shared(verify, "--fail-on")
 
     profile = sub.add_parser(
         "profile",
         help="run synth+sim fully instrumented and report a "
              "stage-by-stage time/cycle breakdown ('all': the three "
              "built-in systems)")
-    _add_system_options(profile, "--protocol", "--backend", default="all")
-    profile.add_argument("--repeat", type=_at_least_one, default=1,
-                         metavar="N",
-                         help="run the sweep N times and report "
-                              "min/median stage timings; observability "
-                              "outputs come from the last run "
-                              "(default: 1)")
-    _add_observability_flags(profile)
     profile.set_defaults(func=cmd_profile)
+    _add_system_options(profile, "--protocol", "--backend", default="all")
+    profile.add_argument(
+        "--repeat", type=_at_least_one, default=1, metavar="N",
+        help="run the sweep N times and report min/median stage timings; "
+             "observability outputs come from the last run (default: 1)")
+    _shared(profile, "--trace-out", "--metrics-out", "--metrics-format")
 
     explain = sub.add_parser(
         "explain",
         help="simulate with the causal flight recorder attached and "
              "explain where every clock went: attribution buckets, "
              "critical path, anomalies")
-    _add_system_options(explain, "--protocol", "--width", "--protection",
-                        "--backend")
-    explain.add_argument("--faults", metavar="PLAN.json",
-                         help="inject wire faults from a JSON fault "
-                              "plan and attribute their cost")
-    explain.add_argument("--json", action="store_true",
-                         help="machine-readable explanation "
-                              "(repro.obs/explain/v1) on stdout")
-    explain.add_argument("--top", type=_at_least_one, default=5,
-                         metavar="N",
-                         help="slowest transactions / faults to list "
-                              "in the text report (default: 5)")
-    explain.add_argument("--trace-out", metavar="FILE",
-                         help="write a Perfetto/Chrome trace of the "
-                              "run on the simulated-clock timeline")
-    explain.add_argument("--metrics-out", metavar="FILE",
-                         help="write the unified run report including "
-                              "the attribution section")
     explain.set_defaults(func=cmd_explain)
+    _add_system_options(explain, "--protocol", "--width", "--protection",
+                        "--backend", "--faults", "--json")
+    explain.add_argument(
+        "--top", type=_at_least_one, default=5, metavar="N",
+        help="slowest transactions / faults to list in the text report "
+             "(default: 5)")
+    _shared(explain, "--trace-out", "--metrics-out")
 
     explore = sub.add_parser(
         "explore",
         help="memoized design-space sweep: expand a parameter grid, "
              "run every point through a content-addressed stage "
              "cache, rank the Pareto front (clocks/pins/area)")
-    _add_system_options(explore, "--backend")
-    explore.add_argument("--grid", nargs="+", metavar="AXIS=V1,V2",
-                         help="grid axes: width=4,8,auto "
-                              "protocol=... protection=none,parity,"
-                              "crc8 arbitration=fifo,priority,rr,tdma "
-                              "(unmentioned axes take their default)")
-    explore.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes (default 1: inline, "
-                              "deterministic)")
-    explore.add_argument("--cache", metavar="DIR",
-                         help="content-addressed stage cache directory "
-                              "(omit to recompute everything)")
-    explore.add_argument("--check", action="store_true",
-                         help="differentially verify every cache "
-                              "entry against a fresh compute "
-                              "(byte-identical or EX104)")
-    explore.add_argument("--json", action="store_true",
-                         help="canonical machine-readable report "
-                              "(repro.explore/report/v1 projection) "
-                              "on stdout")
-    explore.add_argument("--report-out", metavar="FILE",
-                         help="write the full run report (spans, "
-                              "cache stats, per-point payloads)")
     explore.set_defaults(func=cmd_explore)
+    _add_system_options(explore, "--backend")
+    add = explore.add_argument
+    add("--grid", nargs="+", metavar="AXIS=V1,V2",
+        help="grid axes: width=4,8,auto protocol=... "
+             "protection=none,parity,crc8 arbitration=fifo,priority,rr,tdma "
+             "(unmentioned axes take their default)")
+    add("--jobs", type=int, default=1, metavar="N",
+        help="worker processes (default 1: inline, deterministic)")
+    add("--cache", metavar="DIR",
+        help="content-addressed stage cache directory (omit to recompute "
+             "everything)")
+    add("--check", action="store_true",
+        help="differentially verify every cache entry against a fresh "
+             "compute (byte-identical or EX104)")
+    _shared(explore, "--json")
+    add("--report-out", metavar="FILE",
+        help="write the full run report (spans, cache stats, per-point "
+             "payloads)")
 
     sub.add_parser("fig7", help="print the Figure 7 sweep") \
         .set_defaults(func=cmd_fig7)
@@ -1071,14 +1052,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: The options several subcommands share, each declared once (flag ->
-#: ``add_argument`` keywords) and attached by :func:`_add_system_options`.
+#: ``add_argument`` keywords) and attached by name by :func:`_shared`.
 SHARED_OPTIONS = {
     "--protocol": dict(default="full_handshake", choices=sorted(PROTOCOLS),
                        help="protocol of every generated bus "
                             "(default: full_handshake)"),
     "--width": dict(type=int, help="designer-specified buswidth "
                                    "(default: run bus generation)"),
-    "--protection": dict(default="none", choices=["none", "parity", "crc8"],
+    "--protection": dict(default="none", choices=list(PROTECTIONS),
                          help="fault-tolerant protocol variant: a check "
                               "field plus NACK/timeout/retry on every "
                               "full-handshake bus (default: none)"),
@@ -1087,10 +1068,32 @@ SHARED_OPTIONS = {
                            "interpreter or the compiled backend, which "
                            "lowers the refined spec to specialized "
                            "Python (default: interp)"),
+    "--faults": dict(metavar="PLAN.json",
+                     help="inject wire faults from a JSON fault plan "
+                          "into the simulation (synth: requires "
+                          "--simulate)"),
+    "--json": dict(action="store_true",
+                   help="machine-readable output on stdout (explain: "
+                        "repro.obs/explain/v1; explore: the canonical "
+                        "repro.explore/report/v1 projection)"),
+    "--fail-on": dict(default="error", choices=["warning", "error"],
+                      help="exit non-zero when a diagnostic or a refuted "
+                           "property reaches this severity (default: "
+                           "error; P704 starvation is a warning)"),
+    "--trace-out": dict(metavar="FILE",
+                        help="write a Chrome trace_event JSON file "
+                             "(chrome://tracing / Perfetto; explain's is "
+                             "on the simulated-clock timeline)"),
+    "--metrics-out": dict(metavar="FILE",
+                          help="write the machine-readable run report"),
+    "--metrics-format": dict(choices=["json", "prom"], default="json",
+                             help="run-report format for --metrics-out: "
+                                  "unified JSON (default) or a flat "
+                                  "Prometheus-style text dump"),
 }
 
 
-#: ``verify``'s design options when not given (see its set_defaults).
+#: ``verify``'s design options when not given (see its parser defaults).
 VERIFY_DEFAULTS = {
     "system": "flc",
     "protocol": SHARED_OPTIONS["--protocol"]["default"],
@@ -1108,21 +1111,13 @@ def _add_system_options(parser: argparse.ArgumentParser, *options: str,
     else:
         parser.add_argument("system", nargs="?", default=default,
                             help=f"{help_text} (default: {default})")
-    for option in options:
-        parser.add_argument(option, **SHARED_OPTIONS[option])
+    _shared(parser, *options)
 
 
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace-out", metavar="FILE",
-                        help="write a Chrome trace_event JSON file "
-                             "(chrome://tracing / Perfetto)")
-    parser.add_argument("--metrics-out", metavar="FILE",
-                        help="write the machine-readable run report")
-    parser.add_argument("--metrics-format", choices=["json", "prom"],
-                        default="json",
-                        help="run-report format for --metrics-out: "
-                             "unified JSON (default) or a flat "
-                             "Prometheus-style text dump")
+def _shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Attach the named :data:`SHARED_OPTIONS` to a subcommand."""
+    for flag in flags:
+        parser.add_argument(flag, **SHARED_OPTIONS[flag])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -19,16 +19,20 @@ from itertools import product
 from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.errors import ExploreError
-from repro.protocols import PROTOCOLS
+from repro import protocols
 
 #: Width axis accepts positive integers or the bus-generation search.
 WIDTH_AUTO = "auto"
 
-PROTECTIONS = ("none", "parity", "crc8")
+PROTECTIONS = tuple(protocols.PROTECTIONS)
 ARBITRATIONS = ("fifo", "priority", "rr", "tdma")
 
 #: Canonical axis order (also the expansion order).
 AXIS_ORDER = ("width", "protocol", "protection", "arbitration")
+
+#: The values each named axis accepts, in the order errors list them.
+_CHOICES = {"protocol": sorted(protocols.PROTOCOLS),
+            "protection": PROTECTIONS, "arbitration": ARBITRATIONS}
 
 DEFAULTS: Dict[str, List[Union[int, str]]] = {
     "width": [WIDTH_AUTO],
@@ -99,24 +103,12 @@ def parse_grid(tokens: Iterable[str]) -> Dict[str, List[Union[int, str]]]:
                 continue
             if name == "width":
                 value: Union[int, str] = _parse_width(raw)
-            elif name == "protocol":
-                if raw not in PROTOCOLS:
-                    raise ExploreError(
-                        f"unknown protocol {raw!r}; choose from "
-                        f"{', '.join(sorted(PROTOCOLS))}")
-                value = raw
-            elif name == "protection":
-                if raw not in PROTECTIONS:
-                    raise ExploreError(
-                        f"unknown protection {raw!r}; choose from "
-                        f"{', '.join(PROTECTIONS)}")
+            elif raw in _CHOICES[name]:
                 value = raw
             else:
-                if raw not in ARBITRATIONS:
-                    raise ExploreError(
-                        f"unknown arbitration {raw!r}; choose from "
-                        f"{', '.join(ARBITRATIONS)}")
-                value = raw
+                raise ExploreError(
+                    f"unknown {name} {raw!r}; choose from "
+                    f"{', '.join(_CHOICES[name])}")
             if value not in values:
                 values.append(value)
         if not values:

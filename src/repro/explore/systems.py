@@ -38,6 +38,13 @@ class LoadedSystem:
     schedule: Optional[Sequence[Any]]
     oracle: Optional[Dict[str, Any]]
 
+    def oracle_ok(self, final_values: Dict[str, Any]) -> Optional[bool]:
+        """Whether a run's final values match the reference outputs
+        (``None`` when the system has none)."""
+        if not self.oracle:
+            return None
+        return all(final_values[k] == v for k, v in self.oracle.items())
+
 
 def build_demo():
     """A deliberately tiny two-behavior system (the paper's Figure 3

@@ -24,7 +24,7 @@ too.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.busgen.split import plan_buses
 from repro.channels.group import ChannelGroup
@@ -35,6 +35,7 @@ from repro.explore.keys import TaskSpec, fingerprint_system
 from repro.explore.systems import LoadedSystem
 from repro.protocols import get_protocol
 from repro.protogen.refine import refine_system
+from repro.sim.arbiter import PriorityArbiter, RoundRobinArbiter, TdmaArbiter
 from repro.sim.runtime import simulate
 
 #: Stage names, in pipeline order.
@@ -44,41 +45,43 @@ STAGES = ("partition", "busgen", "refine", "sim")
 TDMA_SLOT_CLOCKS = 8
 
 
+def _priority(sim, members):
+    return PriorityArbiter(
+        sim, {name: index for index, name in enumerate(members)})
+
+
+def _round_robin(sim, members):
+    return RoundRobinArbiter(sim, members)
+
+
+def _tdma(sim, members):
+    return TdmaArbiter(sim, members, slot_clocks=TDMA_SLOT_CLOCKS)
+
+
+#: The arbiter factory of each arbitration axis value (``None`` keeps
+#: the runtime's zero-delay FIFO default).
+ARBITERS = {"fifo": None, "priority": _priority, "rr": _round_robin,
+            "tdma": _tdma}
+
+
+class _EveryBus(dict):
+    """``arbiter_factories`` mapping that gives every bus one factory."""
+
+    def __init__(self, factory):
+        super().__init__()
+        self.factory = factory
+
+    def get(self, _name, _default=None):
+        return self.factory
+
+
 def arbiter_factories(arbitration: str):
     """``arbiter_factories`` argument for :func:`simulate` (``None``
     keeps the runtime's zero-delay FIFO default)."""
-    from repro.sim.arbiter import (
-        PriorityArbiter,
-        RoundRobinArbiter,
-        TdmaArbiter,
-    )
-
-    if arbitration == "fifo":
-        return None
-    if arbitration == "priority":
-        def priority(sim, members):
-            return PriorityArbiter(
-                sim, {name: index for index, name in enumerate(members)})
-        factory = priority
-    elif arbitration == "rr":
-        def rr(sim, members):
-            return RoundRobinArbiter(sim, members)
-        factory = rr
-    elif arbitration == "tdma":
-        def tdma(sim, members):
-            return TdmaArbiter(sim, members,
-                               slot_clocks=TDMA_SLOT_CLOCKS)
-        factory = tdma
-    else:
+    if arbitration not in ARBITERS:
         raise ExploreError(f"unknown arbitration {arbitration!r}")
-
-    class _All(dict):
-        """Factory for every bus of the spec."""
-
-        def get(self, _name, _default=None):
-            return factory
-
-    return _All()
+    factory = ARBITERS[arbitration]
+    return None if factory is None else _EveryBus(factory)
 
 
 def build_point_tasks(fingerprint: Dict[str, Any], point: GridPoint,
@@ -198,14 +201,12 @@ class PointContext:
                        busgen: Dict[str, Any],
                        refine_key: str) -> Dict[str, Any]:
         protocol = get_protocol(params["protocol"])
-        protection = params["protection"]
         plans = [
             (self.rebuild_group(plan), plan["width"], protocol)
             for plan in busgen["plans"]
         ]
-        refined = refine_system(
-            self.loaded.system, plans, protocol=protocol,
-            protection=None if protection == "none" else protection)
+        refined = refine_system(self.loaded.system, plans, protocol=protocol,
+                                protection=params["protection"])
         self._refined[refine_key] = refined
 
         buses = []
@@ -249,11 +250,6 @@ class PointContext:
         result = simulate(refined, schedule=self.loaded.schedule,
                           arbiter_factories=factories,
                           backend=params["backend"])
-        oracle = self.loaded.oracle
-        oracle_ok: Optional[bool] = None
-        if oracle:
-            oracle_ok = all(result.final_values[k] == v
-                            for k, v in oracle.items())
         return {
             "backend": result.backend,
             "end_clock": result.end_time,
@@ -272,7 +268,7 @@ class PointContext:
             "arbitration_wait": dict(sorted(
                 result.arbitration_wait.items())),
             "fallbacks": dict(sorted(result.fallbacks.items())),
-            "oracle_ok": oracle_ok,
+            "oracle_ok": self.loaded.oracle_ok(result.final_values),
         }
 
 

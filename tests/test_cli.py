@@ -1,5 +1,7 @@
 """Tests for the repro-synth command-line interface."""
 
+import contextlib
+import io
 import os
 import shutil
 
@@ -105,7 +107,7 @@ class TestOutputPathsCheckedUpFront:
                                         capsys):
         target = tmp_path / "m.json"
 
-        def failing_flow(args, sim_metrics, captured):
+        def failing_flow(run):
             assert not target.exists()
             raise cli.ReproError("flow broke")
 
@@ -119,7 +121,7 @@ class TestOutputPathsCheckedUpFront:
         directory.mkdir()
         target = str(directory / "m.json")
 
-        def failing_flow(args, sim_metrics, captured):
+        def failing_flow(run):
             shutil.rmtree(directory)  # the write after the flow fails
             raise cli.ReproError("flow broke")
 
@@ -161,6 +163,105 @@ class TestVerifyMutateRejectsDesignOptions:
         assert main(["verify", "--json"]) == 0
         assert '"system": "fuzzy_logic_controller_refined"' \
             in capsys.readouterr().out
+
+
+class TestVerifyReplayRejectsIgnoredOptions:
+    """``verify --replay`` rebuilds the design its witness records and
+    prints the replay as text, so every other option it would ignore
+    is refused."""
+
+    @pytest.fixture(scope="class")
+    def witness(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("witnesses")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--mutate", "ack_never_raised",
+                         "--witness-dir", str(directory)]) == 1
+        return str(directory / "witness_00_P701_ch1.json")
+
+    @pytest.mark.parametrize("options,named", [
+        (["ethernet"], "the system argument ethernet"),
+        (["--protocol", "half_handshake"], "--protocol half_handshake"),
+        (["--protection", "crc8"], "--protection crc8"),
+        (["--width", "8"], "--width 8"),
+        (["--json"], "--json"),
+        (["--mutate", "ack_never_raised"], "--mutate ack_never_raised"),
+        (["--witness-dir", "out"], "--witness-dir out"),
+    ], ids=["system", "protocol", "protection", "width", "json", "mutate",
+            "witness-dir"])
+    def test_ignored_option_exits_2(self, witness, options, named,
+                                    capsys):
+        assert main(["verify", *options, "--replay", witness]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --replay {witness} ")
+        assert named in captured.err
+
+    def test_every_ignored_option_is_named(self, witness, capsys):
+        assert main(["verify", "ethernet", "--protection", "crc8",
+                     "--json", "--replay", witness]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --replay {witness} rebuilds the design its witness "
+            "records; drop the system argument ethernet, --protection "
+            "crc8, --json\n")
+
+    def test_plain_replay_still_replays(self, witness, capsys):
+        assert main(["verify", "--replay", witness]) == 0
+        assert "CONFIRMED" in capsys.readouterr().out
+
+    def test_fail_on_is_accepted(self, witness, capsys):
+        assert main(["verify", "--fail-on", "warning", "--replay",
+                     witness]) == 0
+
+
+class TestSynthSimulateOnlyOptions:
+    """synth's simulate-only options are judged before the flow prints
+    anything: without --simulate, or with a value the simulation would
+    reject, the run ends in ``error: …`` with exit 2 and no stdout."""
+
+    def test_faults_without_simulate(self, tmp_path, capsys):
+        assert main(["synth", "flc", "--faults",
+                     str(tmp_path / "absent.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --faults injects wire faults into "
+                                "the simulation and requires --simulate\n")
+
+    def test_sim_timeout_clocks_without_simulate(self, capsys):
+        assert main(["synth", "flc", "--sim-timeout-clocks", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --sim-timeout-clocks bounds the "
+                                "simulation and requires --simulate\n")
+
+    def test_every_simulate_only_option_is_named(self, tmp_path, capsys):
+        assert main(["synth", "flc", "--faults", "plan.json",
+                     "--emit-sim-source", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--faults injects" in captured.err
+        assert "--emit-sim-source dumps" in captured.err
+
+    def test_zero_sim_timeout_clocks_before_any_output(self, capsys):
+        assert main(["synth", "flc", "--simulate",
+                     "--sim-timeout-clocks", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --sim-timeout-clocks must be >= 1, "
+                                "got 0\n")
+
+    def test_emit_sim_source_on_interp_before_any_output(self, tmp_path,
+                                                         capsys):
+        target = tmp_path / "src"
+        assert main(["synth", "flc", "--simulate", "--emit-sim-source",
+                     str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: emit_sim_source dumps generated code and requires "
+            "backend='compiled', got backend='interp'\n")
+        assert not target.exists()
 
 
 class TestSynth:

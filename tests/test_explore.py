@@ -364,6 +364,13 @@ class TestRunner:
         with pytest.raises(ExploreError):
             arbiter_factories("coin-flip")
 
+    def test_axis_names_have_one_source(self):
+        from repro import protocols
+        from repro.explore.grid import ARBITRATIONS, PROTECTIONS
+        from repro.explore.tasks import ARBITERS
+        assert PROTECTIONS == tuple(protocols.PROTECTIONS)
+        assert tuple(ARBITERS) == ARBITRATIONS
+
     def test_differential_check_clean_on_honest_cache(self, tmp_path):
         points = demo_points()
         explore("_demo", points, jobs=1, cache_dir=str(tmp_path))

@@ -362,7 +362,8 @@ class TestSynthGate:
     def test_blocking_predicate(self):
         from repro.analysis.mc.checker import PropertyVerdict
         from repro.analysis.mc import VerificationReport
-        from repro.cli import _verification_blocks
+        from repro.analysis.diagnostics import Severity
+        from repro.cli import _refuted_at
 
         def rep(status, code):
             r = VerificationReport(system="s")
@@ -371,11 +372,13 @@ class TestSynthGate:
                 status=status, code=code))
             return r
 
-        assert not _verification_blocks(rep(PROVED, None))
-        assert _verification_blocks(rep(REFUTED, "P701"))
-        assert _verification_blocks(rep(UNKNOWN, "P705"))
+        assert not _refuted_at(rep(PROVED, None), Severity.ERROR)
+        assert _refuted_at(rep(REFUTED, "P701"), Severity.ERROR)
+        assert _refuted_at(rep(UNKNOWN, "P705"), Severity.ERROR)
         # Starvation warnings never block VHDL emission.
-        assert not _verification_blocks(rep(REFUTED, "P704"))
+        assert not _refuted_at(rep(REFUTED, "P704"), Severity.ERROR)
+        # ... but they do fail `verify --fail-on warning`.
+        assert _refuted_at(rep(REFUTED, "P704"), Severity.WARNING)
 
     def test_vhdl_emission_gated_on_proof(self, tmp_path, monkeypatch,
                                           capsys):

@@ -46,9 +46,9 @@ validate-compiled: ## translation-validation gate: proofs and backend
                    ## agreement
 	PYTHONPATH=src $(PYTHON) tools/validate_compiled.py
 
-defect-corpus:    ## every seeded defect of the analyzer, codegen and
-                  ## cache corpora fires exactly its codes, every
-                  ## control fires nothing
+defect-corpus:    ## every seeded defect of the analyzer, codegen,
+                  ## cache and shared-proof corpora fires exactly its
+                  ## codes, every control fires nothing
 	PYTHONPATH=src $(PYTHON) -m repro.corpus
 
 profile:          ## instrumented synth+sim sweep with stage breakdown
@@ -115,6 +115,12 @@ verify-examples:  ## temporal model checking on the built-in systems,
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify ethernet
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify flc --protection parity
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify flc --protection crc8
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify answering-machine \
+		--protection parity
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify answering-machine \
+		--protection crc8
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify ethernet --protection parity
+	PYTHONPATH=src $(PYTHON) -m repro.cli verify ethernet --protection crc8
 	rm -rf observability/witnesses
 	PYTHONPATH=src $(PYTHON) -m repro.cli verify --mutate ack_never_raised \
 		--witness-dir observability/witnesses; status=$$?; \

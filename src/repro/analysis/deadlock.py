@@ -4,7 +4,10 @@ For every channel of every generated bus, explore the product
 automaton of the channel's controller model
 (:func:`~repro.analysis.product.channel_models`: the accessor/server
 pair synthesized once per spec, whose explored product the temporal
-checker shares).  Four defect classes fall out of the exploration:
+checker shares).  A pair whose :func:`~repro.analysis.product.proof_key`
+already proved clean in this process is not explored again
+(:data:`~repro.analysis.product.PROOFS`): it has nothing to report.
+Four defect classes fall out of the exploration:
 
 * **P101 deadlock** -- a reachable product state offers no move: each
   side waits on a line level the other will never produce (the classic
@@ -26,6 +29,7 @@ from repro.analysis.diagnostics import (
     SourceLocation,
 )
 from repro.analysis.product import (
+    PROOFS,
     ProductResult,
     channel_models,
     describe_state,
@@ -38,7 +42,7 @@ from repro.protogen.refine import RefinedSpec
 def check_handshakes(spec: RefinedSpec, diagnostics: DiagnosticSet) -> None:
     """Run the product-automaton pass over every channel of the spec."""
     for (bus_name, channel_name), model in channel_models(spec).items():
-        _report(bus_name, channel_name, model.explore(), diagnostics)
+        _report(bus_name, channel_name, PROOFS.product(model), diagnostics)
 
 
 def check_fsm_pair(accessor: ProtocolFsm, server: ProtocolFsm,

@@ -15,7 +15,11 @@ The package layers on top of the product-automaton engine of
 * :mod:`repro.analysis.mc.replay` -- runs a witness schedule through
   the event kernel on real wires;
 * :mod:`repro.analysis.mc.passes` -- the lint pass and the
-  ``repro-synth verify`` engine.
+  ``repro-synth verify`` engine, with each clean channel proof shared
+  across channels whose controllers match, and the differential check
+  of that sharing;
+* :mod:`repro.analysis.mc.defects` -- the seeded proof-key defect that
+  the differential check must catch.
 """
 
 from repro.analysis.mc.checker import (
@@ -25,7 +29,11 @@ from repro.analysis.mc.checker import (
     check_channel,
 )
 from repro.analysis.mc.graph import TemporalGraph, build_temporal_graph
-from repro.analysis.mc.passes import check_temporal, verify_refined
+from repro.analysis.mc.passes import (
+    check_temporal,
+    differential_proof_check,
+    verify_refined,
+)
 from repro.analysis.mc.replay import ReplayResult, replay_witness
 from repro.analysis.mc.witness import Witness, WitnessStep
 
@@ -40,6 +48,7 @@ __all__ = [
     "build_temporal_graph",
     "check_channel",
     "check_temporal",
+    "differential_proof_check",
     "replay_witness",
     "verify_refined",
 ]

@@ -12,12 +12,19 @@ Reports are memoized on the spec per ``witness_meta``, so lint's
 temporal pass and a later ``verify`` of it model-check once, and every
 channel is checked on its shared controller model
 (:func:`~repro.analysis.product.channel_models`), whose product the
-handshake pass explores too.
+handshake pass explores too.  Across specs, :func:`prove_channel`
+model-checks each distinct controller pair, protection plan, protocol
+and word count once per process: an all-PROVED verdict list is kept in
+:data:`~repro.analysis.product.PROOFS` and re-rendered with the bus and
+channel of every later channel with the same key.  Any other outcome
+is model-checked on its own channel, so every refutation, UNKNOWN and
+witness comes from a real exploration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from dataclasses import replace
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.absint import refined_channel_bounds
 from repro.analysis.diagnostics import (
@@ -34,7 +41,12 @@ from repro.analysis.mc.checker import (
     check_channel,
 )
 from repro.analysis.mc.races import bus_window_races
-from repro.analysis.product import channel_models
+from repro.analysis.product import (
+    PROOFS,
+    ProofTable,
+    _Explorer,
+    channel_models,
+)
 from repro.protogen.refine import RefinedSpec
 
 #: Diagnostic severity per P7xx code.  Starvation is a warning: the
@@ -72,25 +84,88 @@ def verify_refined(spec: RefinedSpec,
 def _verify(spec: RefinedSpec,
             witness_meta: Optional[Dict[str, Any]]) -> VerificationReport:
     report = VerificationReport(system=spec.name)
-    meta = dict(witness_meta or {})
-    models = channel_models(spec)
     for bus in spec.buses:
-        meta_bus = dict(meta, width=bus.structure.width)
-        for channel in bus.group:
-            model = models[(bus.name, channel.name)]
-            pair = bus.procedures[channel.name]
-            words = len(pair.layout.words(bus.structure.width))
-            report.verdicts.extend(check_channel(
-                model.accessor, model.server, model=model,
-                plan=bus.structure.protection,
-                protocol=bus.structure.protocol,
-                words=words,
-                system=spec.name,
-                bus_name=bus.name,
-                channel_name=channel.name,
-                witness_meta=meta_bus))
+        for model, inputs in _channel_inputs(spec, bus, witness_meta):
+            report.verdicts.extend(prove_channel(model, **inputs))
         report.verdicts.extend(_bus_race_verdicts(spec, bus))
     return report
+
+
+def _channel_inputs(spec: RefinedSpec, bus,
+                    witness_meta: Optional[Dict[str, Any]],
+                    ) -> Iterator[Tuple[_Explorer, Dict[str, Any]]]:
+    """Each channel of ``bus``: its controller model and the inputs of
+    its temporal proof (:func:`prove_channel`'s keywords)."""
+    models = channel_models(spec)
+    meta = dict(witness_meta or {}, width=bus.structure.width)
+    for channel in bus.group:
+        pair = bus.procedures[channel.name]
+        yield models[(bus.name, channel.name)], dict(
+            plan=bus.structure.protection,
+            protocol=bus.structure.protocol,
+            words=len(pair.layout.words(bus.structure.width)),
+            system=spec.name,
+            bus_name=bus.name,
+            channel_name=channel.name,
+            witness_meta=meta)
+
+
+def prove_channel(model: _Explorer, proofs: ProofTable = PROOFS,
+                  **inputs: Any) -> List[PropertyVerdict]:
+    """:func:`check_channel` of one channel's controller ``model`` and
+    its ``inputs`` (:func:`_channel_inputs`), shared through ``proofs``:
+    PROVED verdicts name neither the pair nor its ID codes, and their
+    bound depends only on the key."""
+    key = proofs.keyer.temporal(model, inputs["plan"], inputs["protocol"],
+                                inputs["words"])
+    return proofs.prove(
+        key,
+        lambda: check_channel(model.accessor, model.server, model=model,
+                              **inputs),
+        keep=_proved,
+        render=lambda kept: [replace(verdict, bus=inputs["bus_name"],
+                                     channel=inputs["channel_name"])
+                             for verdict in kept])
+
+
+def _proved(verdicts: List[PropertyVerdict]):
+    """What the proof table keeps of a verdict list: all of it when
+    every verdict is PROVED, else nothing."""
+    if all(verdict.proved for verdict in verdicts):
+        return tuple(verdicts)
+    return None
+
+
+def differential_proof_check(spec: RefinedSpec,
+                             proofs: ProofTable = PROOFS) -> DiagnosticSet:
+    """Every channel's proofs through ``proofs`` against fresh ones.
+
+    The table's handshake answer must agree with a fresh exploration
+    on whether the product is clean, and its temporal verdicts must
+    equal a fresh :func:`check_channel` by ``to_dict``.  Each channel
+    that differs is a P706 finding.
+    """
+    diagnostics = DiagnosticSet(system=spec.name)
+    for bus in spec.buses:
+        for model, inputs in _channel_inputs(spec, bus, None):
+            fresh = check_channel(model.accessor, model.server,
+                                  model=model, **inputs)
+            shared = prove_channel(model, proofs=proofs, **inputs)
+            differs = [name for name, same in (
+                ("handshake",
+                 proofs.product(model).ok == model.explore().ok),
+                ("temporal", [v.to_dict() for v in shared]
+                 == [v.to_dict() for v in fresh])) if not same]
+            if differs:
+                diagnostics.add(
+                    "P706", Severity.ERROR,
+                    f"{' and '.join(differs)} proof from the proof "
+                    "table differs from a fresh proof of the channel",
+                    SourceLocation("channel", inputs["channel_name"],
+                                   detail=f"bus {bus.name}"),
+                    hint="the proof key leaves out an input the proof "
+                         "depends on")
+    return diagnostics
 
 
 def _bus_race_verdicts(spec: RefinedSpec, bus):

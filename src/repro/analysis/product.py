@@ -27,16 +27,26 @@ Each channel of a refined spec has one **controller model**
 (:func:`channel_models`, memoized on the spec): its synthesized pair
 and one explorer that computes each product state's successors once,
 shared by the handshake (P1xx) and temporal (P7xx) passes.
+
+Across channels, a clean proof is shared: :func:`proof_key` names a
+controller pair up to its ID codes, and the process-wide
+:data:`PROOFS` table keeps each key's clean handshake and temporal
+outcomes, so every later channel whose controllers match is answered
+without exploring its product.  Refuted, unknown and raising outcomes
+are never kept; they are always derived on the channel itself.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Set,
-                    Tuple)
+from functools import cached_property
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, List,
+                    Optional, Set, Tuple, TypeVar)
 
 from repro.errors import AnalysisError
+from repro.fifo import FifoTable
+from repro.protocols import ProtectionPlan, Protocol
 from repro.protogen.fsm import FsmTransition, ProtocolFsm, synthesize_fsm
 from repro.protogen.refine import RefinedSpec
 
@@ -48,6 +58,10 @@ MAX_PRODUCT_STATES = 20_000
 
 #: ``drive DATA(hi:lo) <= field`` actions, at bit granularity.
 _DATA_DRIVE_RE = re.compile(r"^drive DATA\((\d+):(\d+)\)")
+
+#: An ID-code guard atom (``ID = "01"``) and an ID-driving action.
+_ID_GUARD = "ID = "
+_ID_DRIVE = "drive ID = "
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +98,8 @@ def parse_guard(guard: Optional[str]) -> Guard:
             invoke = True
         elif atom in STROBE_TOKENS:
             strobes.append(atom)
-        elif atom.startswith("ID = "):
-            id_code = atom[len("ID = "):].strip('"')
+        elif atom.startswith(_ID_GUARD):
+            id_code = atom[len(_ID_GUARD):].strip('"')
         elif " = " in atom:
             line, value = atom.split(" = ", 1)
             levels.append((line.strip(), int(value.strip().strip("'"))))
@@ -132,8 +146,8 @@ def parse_actions(actions: Tuple[str, ...]) -> StateEffects:
             data_mask |= ((1 << (hi - lo + 1)) - 1) << lo
         elif action in STROBE_TOKENS:
             strobes.append(action)
-        elif action.startswith("drive ID = "):
-            id_code = action[len("drive ID = "):].strip('"')
+        elif action.startswith(_ID_DRIVE):
+            id_code = action[len(_ID_DRIVE):].strip('"')
         elif " <= '" in action and not action.startswith(("drive ",
                                                           "latch ")):
             line, value = action.split(" <= ", 1)
@@ -175,7 +189,8 @@ class ProductResult:
 
     accessor: ProtocolFsm
     server: ProtocolFsm
-    #: Every reachable product state.
+    #: Every reachable product state (none on a clean result shared
+    #: from :data:`PROOFS`).
     reachable: Set[ProductState] = field(default_factory=set)
     #: Reachable states with no enabled move (excluding the rest state).
     deadlocks: List[ProductState] = field(default_factory=list)
@@ -221,10 +236,24 @@ class _Explorer:
     def __init__(self, accessor: ProtocolFsm, server: ProtocolFsm):
         self.accessor = accessor
         self.server = server
-        self.a = _FsmIndex(accessor)
-        self.s = _FsmIndex(server)
         self._successors: Dict[ProductState,
                                List[Tuple[Move, ProductState]]] = {}
+
+    # The FSMs are indexed on first use: a channel whose proofs are
+    # all shared (:data:`PROOFS`) never needs its guards parsed.
+
+    @cached_property
+    def a(self) -> _FsmIndex:
+        return _FsmIndex(self.accessor)
+
+    @cached_property
+    def s(self) -> _FsmIndex:
+        return _FsmIndex(self.server)
+
+    @cached_property
+    def proof_key(self) -> str:
+        """:func:`proof_key` of the pair, computed once."""
+        return proof_key(self.accessor, self.server)
 
     # -- state helpers ------------------------------------------------------
 
@@ -405,6 +434,117 @@ def explore_product(accessor: ProtocolFsm,
                     server: ProtocolFsm) -> ProductResult:
     """Build and explore the product automaton of one channel pair."""
     return product_model(accessor, server).explore()
+
+
+# ---------------------------------------------------------------------------
+# Shared proofs
+# ---------------------------------------------------------------------------
+
+def proof_key(accessor: ProtocolFsm, server: ProtocolFsm) -> str:
+    """What the P1xx and P7xx proofs of one controller pair depend on.
+
+    Both FSMs' states (name, initial/final flags, actions), their
+    transitions (source, target, guard, ``is_retry``) and their
+    ``protocol_name``, in order.  ID bit strings are renamed
+    consistently across the pair, in order of first appearance: the
+    product only ever compares two codes for equality, so pairs that
+    differ by a one-to-one renaming of their codes explore alike.  The
+    FSM, channel and bus names are left out; they only appear in the
+    messages of refuted outcomes, which are never shared.  The renaming
+    reads ID atoms exactly as :func:`parse_guard` and
+    :func:`parse_actions` do.
+    """
+    codes: Dict[str, str] = {}
+
+    def renamed(code: str) -> str:
+        return codes.setdefault(code.strip('"'), f"#{len(codes)}")
+
+    def guard_key(guard: Optional[str]) -> Optional[str]:
+        if guard is None or _ID_GUARD not in guard:
+            return guard
+        atoms = guard.split(" and ")
+        for k, raw in enumerate(atoms):
+            atom = raw.strip()
+            if atom.startswith(_ID_GUARD):
+                atoms[k] = _ID_GUARD + renamed(atom[len(_ID_GUARD):])
+        return " and ".join(atoms)
+
+    def action_key(action: str) -> str:
+        if action.startswith(_ID_DRIVE):
+            return _ID_DRIVE + renamed(action[len(_ID_DRIVE):])
+        return action
+
+    def fsm_key(fsm: ProtocolFsm) -> Tuple:
+        return (tuple([(state.name, state.is_initial, state.is_final,
+                        tuple([action_key(a) for a in state.actions]))
+                       for state in fsm.states]),
+                tuple([(t.source, t.target, guard_key(t.guard), t.is_retry)
+                       for t in fsm.transitions]),
+                fsm.protocol_name)
+
+    # One string, not the tuples: its hash is computed once, and a
+    # table of keys holds no per-state objects.
+    return repr((fsm_key(accessor), fsm_key(server)))
+
+
+class ProofKeyer:
+    """The proof-table key of each pass's proof of one channel."""
+
+    def handshake(self, model: _Explorer) -> Hashable:
+        """P1xx: the exploration depends on the pair alone."""
+        return ("handshake", model.proof_key)
+
+    def temporal(self, model: _Explorer, plan: Optional[ProtectionPlan],
+                 protocol: Protocol, words: int) -> Hashable:
+        """P7xx: the counter abstraction also reads the whole
+        protection plan, and the proven clock bound the protocol and
+        the message's word count."""
+        return ("temporal", model.proof_key, plan, protocol, words)
+
+
+#: Distinct clean proofs one :class:`ProofTable` keeps.
+PROOF_TABLE_LIMIT = 1024
+
+_Result = TypeVar("_Result")
+
+
+class ProofTable:
+    """Clean channel proofs, shared across channels with equal keys."""
+
+    def __init__(self, keyer: Optional[ProofKeyer] = None,
+                 limit: int = PROOF_TABLE_LIMIT):
+        self.keyer = keyer if keyer is not None else ProofKeyer()
+        self.clean = FifoTable(limit)
+
+    def prove(self, key: Hashable, derive: Callable[[], _Result],
+              keep: Callable[[_Result], Any],
+              render: Callable[[Any], _Result]) -> _Result:
+        """``render`` of the clean proof kept under ``key``, else
+        ``derive()``.  A derived outcome is kept as ``keep(outcome)``,
+        which is None for anything but a clean outcome: refutations
+        and unknowns are always re-derived, so every diagnostic and
+        witness comes from an exploration of its own channel."""
+        shared = self.clean.get(key)
+        if shared is not None:
+            return render(shared)
+        outcome = derive()
+        kept = keep(outcome)
+        if kept is not None:
+            self.clean.put(key, kept)
+        return outcome
+
+    def product(self, model: _Explorer) -> ProductResult:
+        """The explored product of ``model``.  A shared clean result
+        is rendered for this pair with no reachable states: nothing
+        reads them but the reports of defects, and it has none."""
+        return self.prove(
+            self.keyer.handshake(model), model.explore,
+            keep=lambda result: True if result.ok else None,
+            render=lambda _: ProductResult(model.accessor, model.server))
+
+
+#: The process-wide proof table of the handshake and temporal passes.
+PROOFS = ProofTable()
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from repro.analysis.tv.trace import (
     wrap_code,
 )
 from repro.errors import AnalysisError
+from repro.fifo import FifoTable
 from repro.sim.compiled.codegen import CHUNK_CLOCKS
 from repro.spec.stmt import (
     Assign,
@@ -894,8 +895,7 @@ class _Checker:
 #: (facts key, generated source) -> verdict.  Facts keys embed the IR
 #: fingerprint, variable placement, contested set and transfer plans,
 #: so a hit is only possible when the proof would be identical.
-_CACHE: Dict[Tuple[str, str], ProcessVerdict] = {}
-_CACHE_LIMIT = 1024
+_CACHE = FifoTable(1024)
 
 REPLAY_HINT = ("replay with repro.analysis.tv."
                "replay_backend_divergence() to reproduce the "
@@ -930,9 +930,7 @@ def validate_behavior(facts: BehaviorFacts,
         verdict = ProcessVerdict(
             behavior=facts.name, status="validated",
             obligations=obligations)
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.pop(next(iter(_CACHE)))
-    _CACHE[key] = verdict
+    _CACHE.put(key, verdict)
     return verdict
 
 

@@ -3,9 +3,10 @@
 A check that nothing has ever made fire proves nothing, so each of the
 tool's checkers is proven by a corpus of seeded defects.  Each of
 :mod:`repro.analysis.mutations` (the static analyzer, P1xx-P7xx),
-:mod:`repro.analysis.tv.mutations` (the translation validator, P8xx) and
-:mod:`repro.explore.defects` (the explore cache, EX1xx) exports one
-:class:`Corpus` as ``CORPUS``: its :class:`SeededDefect` entries, its
+:mod:`repro.analysis.tv.mutations` (the translation validator, P8xx),
+:mod:`repro.explore.defects` (the explore cache, EX1xx) and
+:mod:`repro.analysis.mc.defects` (the shared proof table, P706) exports
+one :class:`Corpus` as ``CORPUS``: its :class:`SeededDefect` entries, its
 defect-free control builds and a *judge* that turns one build into
 ``(fired codes, problems)``.  An entry is **exact** when it fires
 exactly its declared code set -- the empty set for a control -- and the
@@ -100,10 +101,12 @@ class Corpus:
 def all_corpora() -> List[Corpus]:
     # Imported here: each corpus module imports this one.
     from repro.analysis import mutations
+    from repro.analysis.mc import defects as proof_defects
     from repro.analysis.tv import mutations as tv_mutations
     from repro.explore import defects
 
-    return [mutations.CORPUS, tv_mutations.CORPUS, defects.CORPUS]
+    return [mutations.CORPUS, tv_mutations.CORPUS, defects.CORPUS,
+            proof_defects.CORPUS]
 
 
 def main() -> int:

@@ -192,6 +192,9 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
     "P705": "retry/timeout abstraction failure: the controller has "
             "retry-shaped loops no protection plan bounds, so the "
             "finite counter abstraction cannot prove termination",
+    "P706": "shared-proof mismatch: a channel proof served from the "
+            "process-wide proof table differs from a fresh proof of "
+            "the same channel",
     "P801": "clock-count divergence: the compiled process's batched "
             "clock accumulation does not telescope to the "
             "interpreter's per-statement wait sum",

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
+from repro.fifo import FifoTable
 from repro.sim.arbiter import ImmediateArbiter
 from repro.sim.compiled.analyze import (
     Analysis,
@@ -644,8 +645,7 @@ def _memo_key(runtime, behavior, analysis: Analysis, channel_modes,
 
 
 #: memo key -> (generated source, binding recipe).
-_SOURCE_MEMO: Dict[tuple, Tuple[str, tuple]] = {}
-_SOURCE_MEMO_LIMIT = 512
+_SOURCE_MEMO = FifoTable(512)
 
 
 def _rebind(runtime, behavior, recipe, pair_map,
@@ -734,9 +734,7 @@ def compile_spec(runtime) -> CompiledProgram:
             except CompileFallback as exc:
                 program.fallbacks[behavior.name] = str(exc)
                 continue
-            if len(_SOURCE_MEMO) >= _SOURCE_MEMO_LIMIT:
-                _SOURCE_MEMO.pop(next(iter(_SOURCE_MEMO)))
-            _SOURCE_MEMO[memo_key] = (source, tuple(compiler.recipe))
+            _SOURCE_MEMO.put(memo_key, (source, tuple(compiler.recipe)))
         if _SOURCE_TRANSFORM is not None:
             source = _SOURCE_TRANSFORM(behavior.name, source)
         code = _compile_source(

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List
 
 import pytest
 
+from repro.analysis.product import PROOFS
 from repro.apps.flc import FlcModel, build_flc
 from repro.channels.channel import Channel
 from repro.channels.group import ChannelGroup
+from repro.fifo import FifoTable
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
 from repro.protogen.fsm import synthesize_fsm
@@ -85,6 +88,24 @@ FIG3_EXPECTED = {"X": 32, "MEM[5]": 39, "MEM[60]": 42}
 @pytest.fixture
 def fig3() -> Fig3System:
     return make_fig3()
+
+
+@contextmanager
+def cold_proof_table():
+    """The process-wide proof table emptied, and restored on exit:
+    every channel proof in between is derived afresh."""
+    saved = PROOFS.clean
+    PROOFS.clean = FifoTable(saved.limit)
+    try:
+        yield
+    finally:
+        PROOFS.clean = saved
+
+
+@pytest.fixture
+def cold_proofs():
+    with cold_proof_table():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -117,7 +117,7 @@ def test_traced_lint_and_verify_run_absint_once(name):
 @pytest.mark.parametrize("protection", [None, "parity"])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_lint_and_verify_share_one_controller_model_per_channel(
-        name, protection, monkeypatch):
+        name, protection, monkeypatch, cold_proofs):
     spec = _case_study(name, protection)
     channels = sum(len(list(bus.group)) for bus in spec.buses)
     calls = {"synthesize_fsm": [], "__init__": [], "_moves": []}

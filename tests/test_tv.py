@@ -34,6 +34,7 @@ from repro.analysis.tv.pyparse import Renamer, alpha_equal
 from repro.busgen.split import plan_buses
 from repro.errors import DIAGNOSTIC_CODES, SimulationError
 from repro.explore.systems import load_system
+from repro.fifo import FifoTable
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
 from repro.protocols import FIXED_DELAY, get_protocol
@@ -337,7 +338,7 @@ def recorded_alpha_equal(monkeypatch):
         tally[got] += 1
         return got
 
-    monkeypatch.setattr(checker, "_CACHE", {})
+    monkeypatch.setattr(checker, "_CACHE", FifoTable(checker._CACHE.limit))
     monkeypatch.setattr(pyparse, "alpha_equal", checked)
     yield tally
 

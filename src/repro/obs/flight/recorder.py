@@ -39,13 +39,14 @@ Bucket semantics:
 The recorder is attached with ``simulate(..., recorder=
 FlightRecorder())``.  Its hooks are the simulator's only per-event
 observers besides the kernel counters: each recorder call in the
-kernel, the interpreter's bus and arbiter coroutines, the compiled
-backend's specialized transfers and the fault injector sits behind an
-``is not None`` guard, so a run without a recorder pays one pointer
-test per site.  The compiled backend's fused transfers have no hooks
-at all: an attached recorder keeps a bus off that tier
-(:func:`repro.sim.compiled.transfer.plan_channel`).  Either way the
-golden transaction logs stay byte-identical.
+kernel, the bus and arbiter coroutines and the fault injector sits
+behind an ``is not None`` guard, so a run without a recorder pays one
+pointer test per site.  The compiled backend has two transfer tiers:
+its fused transfers have no hooks at all, and an attached recorder
+keeps a bus off that tier
+(:func:`repro.sim.compiled.transfer.plan_channel`), so every observed
+transfer runs :meth:`repro.sim.bus.SimBus.accessor_transfer` on either
+backend.  Either way the golden transaction logs stay byte-identical.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ Uses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.protogen.procedures import CommProcedure, Role, WordSpec
@@ -106,30 +106,32 @@ class ProtocolFsm:
         names = [s.name for s in self.states]
         if len(set(names)) != len(names):
             raise ProtocolError(f"FSM {self.name}: duplicate state names")
-        known = set(names)
+        # Outgoing targets per state, indexed once: one scan of the
+        # transitions instead of one per state.
+        targets: Dict[str, List[str]] = {name: [] for name in names}
         for transition in self.transitions:
-            if transition.source not in known:
+            if transition.source not in targets:
                 raise ProtocolError(
                     f"FSM {self.name}: transition from unknown state "
                     f"{transition.source!r}")
-            if transition.target not in known:
+            if transition.target not in targets:
                 raise ProtocolError(
                     f"FSM {self.name}: transition to unknown state "
                     f"{transition.target!r}")
+            targets[transition.source].append(transition.target)
         for state in self.states:
-            if not state.is_final and not self.successors(state.name):
+            if not state.is_final and not targets[state.name]:
                 raise ProtocolError(
                     f"FSM {self.name}: state {state.name} is a dead end")
         # Reachability from the initial state.
         frontier = [self.initial_state().name]
         reached = set(frontier)
         while frontier:
-            current = frontier.pop()
-            for transition in self.successors(current):
-                if transition.target not in reached:
-                    reached.add(transition.target)
-                    frontier.append(transition.target)
-        unreachable = known - reached
+            for target in targets[frontier.pop()]:
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
+        unreachable = set(targets) - reached
         if unreachable:
             raise ProtocolError(
                 f"FSM {self.name}: unreachable states {sorted(unreachable)}")

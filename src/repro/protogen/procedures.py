@@ -108,6 +108,24 @@ class WordSlice:
         return self.field_hi - self.field_lo + 1
 
 
+#: ``(parts, mask)`` of one role in one word: each part is a
+#: ``(message_shift, slice_mask, word_offset)`` triple moving a field
+#: slice between the message integer and the bus word; ``mask`` covers
+#: every bus wire the role drives.
+_Fold = Tuple[Tuple[Tuple[int, int, int], ...], int]
+
+
+def _fold(slices: Tuple[WordSlice, ...]) -> _Fold:
+    parts = []
+    mask = 0
+    for word_slice in slices:
+        slice_mask = (1 << word_slice.bits) - 1
+        parts.append((word_slice.field.offset + word_slice.field_lo,
+                      slice_mask, word_slice.word_offset))
+        mask |= slice_mask << word_slice.word_offset
+    return tuple(parts), mask
+
+
 @dataclass(frozen=True)
 class WordSpec:
     """One bus word of a message transfer."""
@@ -140,6 +158,34 @@ class WordSpec:
         if role is Role.SERVER:
             return self._server_slices
         return tuple(s for s in self.slices if s.field.driver is role)
+
+    @cached_property
+    def _accessor_fold(self) -> _Fold:
+        return _fold(self._accessor_slices)
+
+    @cached_property
+    def _server_fold(self) -> _Fold:
+        return _fold(self._server_slices)
+
+    def drive(self, role: Role, message: int) -> Tuple[int, int]:
+        """``(value, mask)`` that ``role`` drives onto the bus in this
+        word, given the full message value of its fields."""
+        parts, mask = self._accessor_fold if role is Role.ACCESSOR \
+            else self._server_fold
+        value = 0
+        for shift, slice_mask, offset in parts:
+            value |= ((message >> shift) & slice_mask) << offset
+        return value, mask
+
+    def gather(self, role: Role, bus_word: int) -> int:
+        """Message bits ``role`` drove in ``bus_word``, repositioned
+        into the message integer (the inverse of :meth:`drive`)."""
+        parts, _ = self._accessor_fold if role is Role.ACCESSOR \
+            else self._server_fold
+        message = 0
+        for shift, slice_mask, offset in parts:
+            message |= ((bus_word >> offset) & slice_mask) << shift
+        return message
 
 
 class MessageLayout:

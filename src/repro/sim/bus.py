@@ -33,7 +33,6 @@ from typing import (
     Generator,
     List,
     Optional,
-    Tuple,
 )
 
 from repro.errors import SimulationError
@@ -92,33 +91,9 @@ class StorageAdapter:
         self.write = write
 
 
-def _word_parts(word: WordSpec, role: Role,
-                message: int) -> Tuple[int, int]:
-    """(value, mask) a role drives onto the bus word, given the full
-    message value of its fields."""
-    value = 0
-    mask = 0
-    for word_slice in word.slices_driven_by(role):
-        field = word_slice.field
-        bits = word_slice.bits
-        slice_mask = (1 << bits) - 1
-        field_value = (message >> (field.offset + word_slice.field_lo))
-        value |= (field_value & slice_mask) << word_slice.word_offset
-        mask |= slice_mask << word_slice.word_offset
-    return value, mask
-
-
-def _gather(word: WordSpec, role: Role, bus_word: int) -> int:
-    """Message bits a role drove in ``bus_word``, repositioned into the
-    message integer."""
-    message = 0
-    for word_slice in word.slices_driven_by(role):
-        field = word_slice.field
-        bits = word_slice.bits
-        slice_mask = (1 << bits) - 1
-        chunk = (bus_word >> word_slice.word_offset) & slice_mask
-        message |= chunk << (field.offset + word_slice.field_lo)
-    return message
+#: Shared kernel requests: a request carries no per-process state.
+_W1 = Wait(1)
+_DELTA = Delta()
 
 
 class SimBus:
@@ -164,6 +139,13 @@ class SimBus:
         #: Fault-tolerance policy of the generated structure (None for
         #: the paper's plain buses).
         self.protection = structure.protection
+        #: Word loop of an unprotected transfer, fixed by the protocol.
+        if self.uses_burst:
+            self._accessor_words = self._accessor_burst
+        elif self.uses_handshake:
+            self._accessor_words = self._accessor_handshake
+        else:
+            self._accessor_words = self._accessor_strobed
 
     # ------------------------------------------------------------------
 
@@ -232,14 +214,8 @@ class SimBus:
         if self.protection is not None:
             received, retries = yield from self._accessor_protected(
                 procs, code, words, message, flight)
-        elif self.uses_burst:
-            received = yield from self._accessor_burst(
-                code, words, message, flight)
-        elif self.uses_handshake:
-            received = yield from self._accessor_handshake(
-                code, words, message, flight)
         else:
-            received = yield from self._accessor_strobed(
+            received = yield from self._accessor_words(
                 code, words, message, flight)
 
         if channel.is_write:
@@ -283,25 +259,25 @@ class SimBus:
         for word in words:
             if injector is not None:
                 injector.begin_word(self.name, word.index)
-            value, mask = _word_parts(word, Role.ACCESSOR, message)
+            value, mask = word.drive(Role.ACCESSOR, message)
             self._clear_word()
             self.id_lines.set(code)
             self.data.drive("accessor", value, mask)
             start.set(1)
             if flight is not None:
                 recorder.on_word_start(flight, self.sim.now, word.index)
-            yield Wait(1)
+            yield _W1
             if done.value != 1:
                 raise SimulationError(
                     f"bus {self.structure.name}: DONE not asserted one "
                     f"clock after START (word {word.index}, ID {code}); "
                     "is the variable process running?"
                 )
-            received |= _gather(word, Role.SERVER, self.data.value)
+            received |= word.gather(Role.SERVER, self.data.value)
             if flight is not None:
                 recorder.on_data_phase(flight, self.sim.now, word.index)
             start.set(0)
-            yield Wait(1)
+            yield _W1
             if done.value != 0:
                 raise SimulationError(
                     f"bus {self.structure.name}: DONE stuck high after "
@@ -323,7 +299,7 @@ class SimBus:
         self._clear_word()
         self.id_lines.set(code)
         start.set(1)
-        yield Wait(1)
+        yield _W1
         if done.value != 1:
             raise SimulationError(
                 f"bus {self.structure.name}: burst grant not acknowledged "
@@ -337,20 +313,20 @@ class SimBus:
         for word in words:
             if injector is not None:
                 injector.begin_word(self.name, word.index)
-            value, mask = _word_parts(word, Role.ACCESSOR, message)
+            value, mask = word.drive(Role.ACCESSOR, message)
             self._clear_word()
             self.data.drive("accessor", value, mask)
             self._strobe.set(self._strobe.value + 1)
             if flight is not None:
                 recorder.on_word_start(flight, self.sim.now, word.index)
-            yield Delta()
-            received |= _gather(word, Role.SERVER, self.data.value)
-            yield Wait(1)
+            yield _DELTA
+            received |= word.gather(Role.SERVER, self.data.value)
+            yield _W1
             if flight is not None:
                 recorder.on_data_phase(flight, self.sim.now, word.index)
         # Release phase.
         start.set(0)
-        yield Wait(1)
+        yield _W1
         if done.value != 0:
             raise SimulationError(
                 f"bus {self.structure.name}: DONE stuck high after burst "
@@ -370,17 +346,17 @@ class SimBus:
         for word in words:
             if injector is not None:
                 injector.begin_word(self.name, word.index)
-            value, mask = _word_parts(word, Role.ACCESSOR, message)
+            value, mask = word.drive(Role.ACCESSOR, message)
             self._clear_word()
             self.id_lines.set(code)
             self.data.drive("accessor", value, mask)
             self._strobe.set(self._strobe.value + 1)
             if flight is not None:
                 recorder.on_word_start(flight, self.sim.now, word.index)
-            yield Delta()
+            yield _DELTA
             # The server answered within this clock's passes.
-            received |= _gather(word, Role.SERVER, self.data.value)
-            yield Wait(1)
+            received |= word.gather(Role.SERVER, self.data.value)
+            yield _W1
             if flight is not None:
                 recorder.on_data_phase(flight, self.sim.now, word.index)
         return received
@@ -424,7 +400,7 @@ class SimBus:
             for word in words:
                 if injector is not None:
                     injector.begin_word(self.name, word.index)
-                value, mask = _word_parts(word, Role.ACCESSOR, message)
+                value, mask = word.drive(Role.ACCESSOR, message)
                 self._clear_word()
                 self.id_lines.set(code)
                 self.data.drive("accessor", value, mask)
@@ -432,7 +408,7 @@ class SimBus:
                 if flight is not None:
                     recorder.on_word_start(flight, self.sim.now,
                                            word.index)
-                yield Wait(1)
+                yield _W1
                 if done.value != 1:
                     yield WaitOn((done,), lambda: done.value == 1,
                                  timeout=timeout)
@@ -440,14 +416,14 @@ class SimBus:
                     failure = (f"DONE never rose (word {word.index}, "
                                f"ID {code})")
                     break
-                received |= _gather(word, Role.SERVER, self.data.value)
+                received |= word.gather(Role.SERVER, self.data.value)
                 if flight is not None:
                     recorder.on_data_phase(flight, self.sim.now,
                                            word.index)
                 if nack.value == 1:
                     nacked = True
                 start.set(0)
-                yield Wait(1)
+                yield _W1
                 if done.value != 0:
                     yield WaitOn((done,), lambda: done.value == 0,
                                  timeout=timeout)
@@ -683,12 +659,10 @@ class _ServerTransfer:
                 "message completed"
             )
         word = self.words[self.next_word]
-        self.accessor_message |= _gather(word, Role.ACCESSOR,
-                                         data_lines.value)
-        server_slices = word.slices_driven_by(Role.SERVER)
-        if server_slices:
-            value, mask = _word_parts(word, Role.SERVER,
-                                      self._server_message())
+        self.accessor_message |= word.gather(Role.ACCESSOR,
+                                             data_lines.value)
+        if word.slices_driven_by(Role.SERVER):
+            value, mask = word.drive(Role.SERVER, self._server_message())
             data_lines.drive("server", value, mask)
         self.next_word += 1
 

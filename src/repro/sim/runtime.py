@@ -255,7 +255,7 @@ class RefinedSimulation:
         #: servers and the compiled backend's fused transfers (both must
         #: hit the same closure over the environment).
         self._storages: Dict[Variable, StorageAdapter] = {}
-        self._packers: Dict[Variable, Callable[[int], int]] = {}
+        self._encoders: Dict[Variable, Callable[[int], int]] = {}
         self._decoders: Dict[Variable, Callable[[int], int]] = {}
 
         self.compiled: Optional["CompiledProgram"] = None
@@ -386,11 +386,11 @@ class RefinedSimulation:
     def packer_for(self, variable: Variable) -> Callable[[int], int]:
         """value -> raw bus bits, with the write-side wrap (compiled
         backend's equivalent of ``_wrap_value`` + ``_encode``)."""
-        packer = self._packers.get(variable)
+        packer = self._encoders.get(variable)
         if packer is None:
             def packer(value: int, _v: Variable = variable) -> int:
                 return _encode(_v, _wrap_value(_v, value))
-            self._packers[variable] = packer
+            self._encoders[variable] = packer
         return packer
 
     def decoder_for(self, variable: Variable) -> Callable[[int], int]:

@@ -255,6 +255,75 @@ def test_backends_agree_under_random_faults(protection, transaction,
 
 
 # ---------------------------------------------------------------------------
+# Observed runs: a flight recorder or fault injector sends every compiled
+# transfer through the bus's own word loop, so both backends must write
+# the same journal, event for event.
+
+#: Case study -> its bus (the target of its fault plan).
+OBSERVED_SYSTEMS = {"flc": "B", "answering-machine": "AM_BUS",
+                    "ethernet": "ETH_BUS"}
+OBSERVED_PROTOCOLS = ("full_handshake", "half_handshake", "fixed_delay",
+                      "burst_handshake")
+
+
+def _observed_runs(name, protocol, fault_plan=None):
+    """Both backends' ``(result, recorder)`` with a recorder attached;
+    ``fault_plan()`` builds a fresh plan for each run."""
+    from repro.busgen.split import plan_buses
+    from repro.explore.systems import load_system
+    from repro.obs.flight import FlightRecorder
+    from repro.protocols import get_protocol
+    from repro.protogen.refine import refine_system
+
+    loaded = load_system(name)
+    refined = refine_system(loaded.system, plan_buses(
+        loaded.groups, protocol=get_protocol(protocol)))
+    runs = []
+    for backend in BACKENDS:
+        recorder = FlightRecorder()
+        result = simulate(refined, schedule=loaded.schedule,
+                          recorder=recorder, backend=backend,
+                          faults=fault_plan() if fault_plan else None)
+        runs.append((result, recorder))
+    return runs
+
+
+def _assert_journals_agree(name, runs):
+    from repro.obs.flight import explain_payload
+
+    (interp, interp_rec), (compiled, compiled_rec) = runs
+    _assert_results_agree(interp, compiled)
+    assert ([e.to_dict() for e in compiled_rec.events]
+            == [e.to_dict() for e in interp_rec.events])
+    assert (explain_payload(compiled_rec, compiled, system=name)
+            == explain_payload(interp_rec, interp, system=name))
+
+
+@pytest.mark.parametrize("protocol", OBSERVED_PROTOCOLS)
+@pytest.mark.parametrize("name", sorted(OBSERVED_SYSTEMS))
+def test_observed_runs_agree_across_backends(name, protocol):
+    runs = _observed_runs(name, protocol)
+    _assert_journals_agree(name, runs)
+    assert runs[0][1].events, "recorder journalled nothing"
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED_SYSTEMS))
+def test_observed_faulty_runs_agree_across_backends(name):
+    """One bit flip on an unprotected bus: nothing retries, but the
+    injector and the recorder both watch every word."""
+    from repro.sim.faults import Fault, FaultKind, FaultPlan
+
+    def fault_plan():
+        return FaultPlan(faults=[Fault(
+            kind=FaultKind.BIT_FLIP, bus=OBSERVED_SYSTEMS[name],
+            flip_mask=1, transaction=2, word=0)])
+
+    runs = _observed_runs(name, "full_handshake", fault_plan)
+    _assert_journals_agree(name, runs)
+    assert runs[1][0].fault_records, "fault plan never fired"
+
+
+# ---------------------------------------------------------------------------
 # Unit pins
 
 

@@ -11,7 +11,10 @@ Two checks over every built-in system at every protection level:
    per-behavior clocks, transaction logs, and the whole per-bus and
    per-arbiter folds of :mod:`repro.sim.analysis` -- words, latency
    histogram, per-channel stats, utilization, grant waits and queue
-   depths).
+   depths).  A second, observed pass runs both backends again with a
+   :class:`~repro.obs.flight.FlightRecorder` attached (which sends
+   every compiled transfer through the bus's own word loop) and
+   compares the transaction logs and the whole flight journal.
 
 A failure in either means the backend could silently produce wrong
 results, so the script exits non-zero and CI fails the build.  That
@@ -32,8 +35,9 @@ from repro.analysis.tv import validate_refined
 from repro.busgen.split import plan_buses
 from repro.errors import ReproError
 from repro.explore.systems import BUILTIN_SYSTEMS, load_system
+from repro.obs.flight import FlightRecorder
 from repro.protogen.refine import refine_system
-from repro.sim.runtime import simulate
+from repro.sim.runtime import BACKENDS, simulate
 
 PROTECTIONS = (None, "parity", "crc8")
 
@@ -49,6 +53,22 @@ def _agreement_failures(interp, compiled):
         "arbiter_stats": (interp.arbiters, compiled.arbiters),
     }
     return [name for name, (want, got) in checks.items() if want != got]
+
+
+def _observed_failures(refined, schedule):
+    """Both backends with a flight recorder attached; list of mismatch
+    names."""
+    runs = []
+    for backend in BACKENDS:
+        recorder = FlightRecorder()
+        result = simulate(refined, schedule=schedule, backend=backend,
+                          recorder=recorder)
+        runs.append({
+            "observed_transactions": result.transactions,
+            "flight_journal": [e.to_dict() for e in recorder.events],
+        })
+    interp, compiled = runs
+    return [name for name in interp if interp[name] != compiled[name]]
 
 
 def check_system(name: str) -> int:
@@ -81,7 +101,8 @@ def check_system(name: str) -> int:
             print(f"FAIL {label} unexpected fallbacks: "
                   f"{compiled.fallbacks}")
             continue
-        mismatched = _agreement_failures(interp, compiled)
+        mismatched = (_agreement_failures(interp, compiled)
+                      + _observed_failures(refined, schedule))
         if mismatched:
             failures += 1
             print(f"FAIL {label} backends disagree on "
@@ -89,7 +110,8 @@ def check_system(name: str) -> int:
             continue
         obligations = sum(v.obligations for v in report.verdicts.values())
         print(f"ok   {label} processes={len(report.verdicts):>2} "
-              f"obligations={obligations:>4} backends agree")
+              f"obligations={obligations:>4} backends agree "
+              "(observed too)")
     return failures
 
 

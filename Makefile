@@ -102,6 +102,9 @@ sim-source-examples: ## dump the compiled backend's generated Python
 	PYTHONPATH=src $(PYTHON) -m repro.cli synth ethernet --simulate \
 		--backend compiled \
 		--emit-sim-source observability/sim-source/ethernet
+	PYTHONPATH=src $(PYTHON) -m repro.cli synth flc --protection parity \
+		--simulate --backend compiled \
+		--emit-sim-source observability/sim-source/flc-parity
 
 verify-all:       ## verify every built-in system's refinement
 	PYTHONPATH=src $(PYTHON) -m repro.cli synth flc --verify

@@ -93,6 +93,8 @@ class Interval:
 
     @classmethod
     def of(cls, lo: Bound, hi: Bound) -> "Interval":
+        if type(lo) is int and type(hi) is int:
+            return cls(lo, hi)
         return cls(_as_int(lo), _as_int(hi))
 
     @property
@@ -466,6 +468,8 @@ class AbsVal:
         if not values:
             return cls.bottom()
         first = values[0]
+        if values.count(first) == len(values):
+            return cls.const(first)
         modulus, residue = 0, first
         for value in values:
             step = math.gcd(modulus, value - first)
@@ -581,12 +585,11 @@ class AbsVal:
         wrap is smeared over the full type range (sound: wrapping can
         land anywhere in it).
         """
-        if self.is_bottom:
-            return self
-        rng = type_range(dtype)
-        if rng is None:
-            return self
-        if self.interval.subset_of(rng):
+        return self.wrap_to_range(type_range(dtype))
+
+    def wrap_to_range(self, rng: Optional[Interval]) -> "AbsVal":
+        """:meth:`wrap_to` given the type's :func:`type_range`."""
+        if self.is_bottom or rng is None or self.interval.subset_of(rng):
             return self
         return AbsVal.make(rng)
 

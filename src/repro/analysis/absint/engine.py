@@ -186,22 +186,28 @@ def _widen_env(old: Env, new: Env) -> Env:
 
 
 class _Interpreter:
-    """One abstract execution pass over behaviors sharing a store."""
+    """One abstract execution of one behavior over a shared store.
 
-    def __init__(self, store: Dict[Variable, AbsVal], report: bool = False):
+    Besides its findings, trip bounds and sent ranges, the run records
+    the first value each store read returned (``None`` for a variable
+    absent from the store).  A later read can only differ when the run
+    itself grew that entry, and the store never shrinks back, so the
+    first value stands for all of them.  The run is a function of
+    those reads alone: while they all equal the store
+    (:meth:`is_current`) a re-run would repeat it exactly -- and,
+    writes only joining, add nothing to the store.
+    """
+
+    def __init__(self, store: Dict[Variable, AbsVal]):
         self.store = store
-        self.report = report
         self.while_trips: Dict[int, TripBounds] = {}
         self.sent_ranges: Dict[str, AbsVal] = {}
         #: (kind, behavior, id(node)) -> Finding, insertion-ordered.
-        self._findings: Dict[Tuple[str, str, int], Finding] = {}
+        self.findings: Dict[Tuple[str, str, int], Finding] = {}
+        self.reads: Dict[Variable, Optional[AbsVal]] = {}
         self.behavior_name = ""
         self.widenings = 0
         self.unroll_iterations = 0
-
-    @property
-    def findings(self) -> List[Finding]:
-        return list(self._findings.values())
 
     # ------------------------------------------------------------------
     # Driver
@@ -212,16 +218,18 @@ class _Interpreter:
         env: Env = {v: _init_absval(v) for v in behavior.local_variables}
         return self._exec_body(behavior.body, env)
 
+    def is_current(self) -> bool:
+        """Would a re-run over the current store read what this one
+        read?"""
+        store = self.store
+        return all(store.get(variable) == value
+                   for variable, value in self.reads.items())
+
     def _emit(self, kind: str, node: object, message: str,
               certain: bool = True, channels: Tuple[str, ...] = ()) -> None:
-        if not self.report:
-            return
-        key = (kind, self.behavior_name, id(node))
-        previous = self._findings.get(key)
-        if previous is not None and previous.certain and not certain:
-            return  # keep the stronger claim
-        self._findings[key] = Finding(kind, self.behavior_name, message,
-                                      certain, channels)
+        _merge_finding(self.findings, (kind, self.behavior_name, id(node)),
+                       Finding(kind, self.behavior_name, message, certain,
+                               channels))
 
     # ------------------------------------------------------------------
     # Variable access
@@ -232,6 +240,7 @@ class _Interpreter:
         if value is not None:
             return value
         value = self.store.get(variable)
+        self.reads.setdefault(variable, value)
         if value is not None:
             return value
         # Unknown storage (e.g. a shared variable of a behavior analyzed
@@ -273,7 +282,7 @@ class _Interpreter:
         return AbsVal.top()
 
     def _check_divisor(self, expr: BinOp, divisor: AbsVal) -> None:
-        if not self.report or divisor.is_bottom:
+        if divisor.is_bottom:
             return
         if not divisor.interval.contains_zero():
             return
@@ -396,7 +405,7 @@ class _Interpreter:
             self._eval(target.index, env)
         dtype = _scalar_dtype(target.variable)
         rng = type_range(dtype)
-        if (self.report and rng is not None and not value.is_bottom
+        if (rng is not None and not value.is_bottom
                 and value.interval.disjoint_from(rng)):
             self._emit(
                 "overflow", stmt,
@@ -404,13 +413,14 @@ class _Interpreter:
                 f"{value.interval} can never fit the declared type "
                 f"{dtype} (range {rng}); the stored value always wraps",
             )
-        self._write(target.variable, value.wrap_to(dtype), env, element)
+        self._write(target.variable, value.wrap_to_range(rng), env,
+                    element)
         return env
 
     def _exec_if(self, stmt: If, env: Env) -> Optional[Env]:
         cond_val = self._eval(stmt.cond, env)
         t = cond_val.interval.truthiness()
-        if self.report and t.is_const:
+        if t.is_const:
             if t.lo == 0 and stmt.then_body:
                 self._emit(
                     "dead_guard", stmt,
@@ -456,7 +466,7 @@ class _Interpreter:
     def _exec_while(self, stmt: While, env: Env) -> Optional[Env]:
         cond_val = self._eval(stmt.cond, env)
         t0 = cond_val.interval.truthiness()
-        if self.report and t0.is_const and t0.lo == 0 and stmt.body:
+        if t0.is_const and t0.lo == 0 and stmt.body:
             self._emit(
                 "dead_guard", stmt,
                 f"loop condition `{stmt.cond}` is proven always false "
@@ -499,7 +509,7 @@ class _Interpreter:
         if trips_lo is None:
             trips_lo = trips_hi if trips_hi is not None else 0
         self.while_trips[id(stmt)] = TripBounds(trips_lo, trips_hi)
-        if self.report and trips_hi is None:
+        if trips_hi is None:
             channels = _transferred_channels(stmt.body)
             if channels:
                 self._emit(
@@ -564,8 +574,6 @@ class _Interpreter:
         return env
 
     def _record_sent(self, channel_name: str, value: AbsVal) -> None:
-        if not self.report:
-            return
         current = self.sent_ranges.get(channel_name, AbsVal.bottom())
         self.sent_ranges[channel_name] = current.join(value)
 
@@ -631,6 +639,38 @@ def _transferred_channels(body: Sequence[Stmt]) -> Tuple[str, ...]:
 # Entry points
 # ---------------------------------------------------------------------------
 
+def _merge_finding(findings: Dict[Tuple[str, str, int], Finding],
+                   key: Tuple[str, str, int], finding: Finding) -> None:
+    """Record ``finding`` under ``key``, keeping an earlier certain
+    claim over a later merely possible one."""
+    previous = findings.get(key)
+    if previous is not None and previous.certain and not finding.certain:
+        return
+    findings[key] = finding
+
+
+def _sweep(behaviors: Sequence[Behavior],
+           runs: List[Optional[_Interpreter]],
+           store: Dict[Variable, AbsVal]) -> int:
+    """Run, in order, every behavior whose last run is not current;
+    returns how many ran."""
+    ran = 0
+    widenings = unroll_iterations = 0
+    for index, behavior in enumerate(behaviors):
+        last = runs[index]
+        if last is not None and last.is_current():
+            continue
+        interp = _Interpreter(store)
+        interp.run_behavior(behavior)
+        runs[index] = interp
+        ran += 1
+        widenings += interp.widenings
+        unroll_iterations += interp.unroll_iterations
+    obs_count("absint.loop_unroll_iterations", unroll_iterations)
+    obs_count("absint.widenings", widenings)
+    return ran
+
+
 def analyze_behaviors(behaviors: Sequence[Behavior],
                       store: Optional[Dict[Variable, AbsVal]] = None,
                       max_passes: int = MAX_GLOBAL_PASSES,
@@ -642,32 +682,29 @@ def analyze_behaviors(behaviors: Sequence[Behavior],
     their full declared type range on read (sound for modular analysis
     of a single behavior).
 
-    Every pass after the first also reports.  Writes only join into the
-    store and widening happens between passes, so a pass that leaves
-    the store unchanged saw that store throughout: its findings, trip
-    bounds and sent ranges are those of the final store, and it is the
-    reporter.  Only a loop that ends without such a pass (the first
-    pass converged, or the budget ran out) runs a separate report pass.
+    Every pass reports, and a pass re-runs only the behaviors whose
+    recorded store reads no longer match the store at their turn.  A
+    skipped behavior would run identically -- and since writes only
+    join (and widening only grows the store), its writes are already
+    in the store -- so its last run's findings, trip bounds and sent
+    ranges stand.  At convergence every behavior's last run therefore
+    saw the final store, and the result is assembled from those runs
+    in behavior order.  A loop that ends without converging makes one
+    more (uncounted) sweep over the widened store.
     """
     store = dict(store) if store is not None else {}
+    runs: List[Optional[_Interpreter]] = [None] * len(behaviors)
     with obs_span("absint.analyze", system=system,
                   behaviors=len(behaviors)) as sp:
         passes = 0
         converged = False
-        reporter: Optional[_Interpreter] = None
+        behavior_runs = 0
         for global_pass in range(max_passes):
             passes += 1
             snapshot = dict(store)
-            interp = _Interpreter(store, report=global_pass > 0)
-            for behavior in behaviors:
-                interp.run_behavior(behavior)
-            obs_count("absint.loop_unroll_iterations",
-                      interp.unroll_iterations)
-            obs_count("absint.widenings", interp.widenings)
+            behavior_runs += _sweep(behaviors, runs, store)
             if store == snapshot:
                 converged = True
-                if interp.report:
-                    reporter = interp
                 break
             if global_pass >= WIDEN_AFTER - 1:
                 # Accelerate: widen growing store entries, bounded by
@@ -678,18 +715,28 @@ def analyze_behaviors(behaviors: Sequence[Behavior],
                     if previous is not None and previous != value:
                         store[variable] = previous.widen(value).meet(
                             AbsVal.of_type(variable.dtype))
-        if reporter is None:
-            reporter = _Interpreter(store, report=True)
-            for behavior in behaviors:
-                reporter.run_behavior(behavior)
+        if not converged:
+            behavior_runs += _sweep(behaviors, runs, store)
+        findings: Dict[Tuple[str, str, int], Finding] = {}
+        while_trips: Dict[int, TripBounds] = {}
+        sent_ranges: Dict[str, AbsVal] = {}
+        for interp in runs:
+            assert interp is not None
+            for key, finding in interp.findings.items():
+                _merge_finding(findings, key, finding)
+            while_trips.update(interp.while_trips)
+            for name, value in interp.sent_ranges.items():
+                sent_ranges[name] = sent_ranges.get(
+                    name, AbsVal.bottom()).join(value)
         obs_count("absint.global_passes", passes)
+        obs_count("absint.behavior_runs", behavior_runs)
         sp.set(passes=passes, converged=converged,
-               findings=len(reporter.findings))
+               findings=len(findings), behavior_runs=behavior_runs)
     return ValueAnalysis(
         store=store,
-        while_trips=reporter.while_trips,
-        findings=reporter.findings,
-        sent_ranges=reporter.sent_ranges,
+        while_trips=while_trips,
+        findings=list(findings.values()),
+        sent_ranges=sent_ranges,
         passes=passes,
         converged=converged,
     )

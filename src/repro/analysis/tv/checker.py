@@ -51,12 +51,17 @@ from repro.analysis.tv.trace import (
     CallPlan,
     ExprLowerer,
     UnprovenExpr,
+    assign,
+    call,
+    checked_index,
+    effect,
+    name,
     needs_exact_clock,
     reads_contested,
     sanitize,
     scalar_bounds,
     spec_facts,
-    wrap_code,
+    wrap,
 )
 from repro.errors import AnalysisError
 from repro.fifo import FifoTable
@@ -281,20 +286,19 @@ class _Checker:
             self.ren_e.restore(snap_e)
         return ok
 
-    def match_block(self, cur: _Cursor, expected_src: str, what: str,
-                    probe_src: Optional[str] = None) -> None:
+    def match_block(self, cur: _Cursor, expected: List[ast.stmt],
+                    what: str,
+                    probe: Optional[List[ast.stmt]] = None) -> None:
         """Consume ``len(expected)`` generated statements and prove
-        them alpha-equivalent to the obliged lowering.  ``probe_src``
-        is the *unsoundly unwrapped* variant: matching it (and not the
+        them alpha-equivalent to the obliged lowering.  ``probe`` is
+        the *unsoundly unwrapped* variant: matching it (and not the
         wrapped form) is precisely a dropped wrap -> P803."""
-        expected = ast.parse(expected_src).body
         actuals = [cur.next(what) for _ in expected]
         if self._block_eq(actuals, expected):
             self._discharge(len(expected))
             return
         lineno = P.line_of(actuals[0])
-        if probe_src is not None \
-                and self._block_eq(actuals, ast.parse(probe_src).body):
+        if probe is not None and self._block_eq(actuals, probe):
             raise Refutation(
                 "P803", f"{what} omits the dtype wrap and no range "
                 "certificate covers the stored value", lineno)
@@ -417,24 +421,23 @@ class _Checker:
 
     def match_prologue(self, cur: _Cursor) -> None:
         self._reset_names()
-        lines = []
-        for _, info in sorted(self.facts.variables.items()):
-            if info.mode in ("native", "array") and info.loadable:
-                lines.append(
-                    f"{info.label} = env_read(v_{sanitize(info.name)})")
-        if lines:
-            self.match_block(cur, "\n".join(lines), "prologue load")
+        expected: List[ast.stmt] = [
+            assign(info.label,
+                   call("env_read", name(f"v_{sanitize(info.name)}")))
+            for _, info in sorted(self.facts.variables.items())
+            if info.mode in ("native", "array") and info.loadable]
+        if expected:
+            self.match_block(cur, expected, "prologue load")
 
     def match_epilogue(self, cur: _Cursor) -> None:
         self._reset_names()
-        lines = []
-        for _, info in sorted(self.facts.variables.items()):
-            if info.mode == "native" and info.original:
-                lines.append(
-                    f"env_write(v_{sanitize(info.name)}, {info.label})")
-        if not lines:
+        expected: List[ast.stmt] = [
+            effect(call("env_write", name(f"v_{sanitize(info.name)}"),
+                        name(info.label)))
+            for _, info in sorted(self.facts.variables.items())
+            if info.mode == "native" and info.original]
+        if not expected:
             return
-        expected = ast.parse("\n".join(lines)).body
         actuals = [cur.next("shared-variable write-back")
                    for _ in expected]
         if not self._block_eq(actuals, expected):
@@ -498,7 +501,7 @@ class _Checker:
                 "P805", f"statement {kind.__name__} is outside the "
                 "validated trace algebra")
 
-    def _lower(self, low: ExprLowerer, expr) -> str:
+    def _lower(self, low: ExprLowerer, expr) -> ast.expr:
         try:
             return low.lower(expr)
         except UnprovenExpr as exc:
@@ -511,31 +514,23 @@ class _Checker:
         if isinstance(target, ElementTarget):
             value = low.fresh_temp()
             index = low.fresh_temp()
-            vcode = self._lower(low, stmt.expr)
-            icode = self._lower(low, target.index)
-            check = f"ixchk_{sanitize(target.variable.name)}"
-            store = (f"{info.label}[{index} if 0 <= {index} < "
-                     f"{info.length} else {check}({index})]")
-            wrapped = wrap_code(info.elem_dtype, value)
+            computed = [assign(value, self._lower(low, stmt.expr)),
+                        assign(index, self._lower(low, target.index))]
+            store = checked_index(
+                info.label, index, name(index), info.length,
+                f"ixchk_{sanitize(target.variable.name)}", ast.Store())
             self.match_block(
                 cur,
-                f"{value} = {vcode}\n{index} = {icode}\n"
-                f"{store} = {wrapped}",
+                computed + [ast.Assign(
+                    [store], wrap(info.elem_dtype, name(value)))],
                 f"element store to {target.variable.name}",
-                probe_src=(f"{value} = {vcode}\n{index} = {icode}\n"
-                           f"{store} = {value}"))
+                probe=computed + [ast.Assign([store], name(value))])
         else:
             vcode = self._lower(low, stmt.expr)
-            wrapped = wrap_code(info.dtype, vcode)
-            if info.mode == "native":
-                expected = f"{info.label} = {wrapped}"
-                probe = f"{info.label} = {vcode}"
-            else:
-                expected = f"env_write({info.label}, {wrapped})"
-                probe = f"env_write({info.label}, {vcode})"
             self.match_block(
-                cur, expected, f"assignment to {target.variable.name}",
-                probe_src=probe)
+                cur, [self._store(info, wrap(info.dtype, vcode))],
+                f"assignment to {target.variable.name}",
+                probe=[self._store(info, vcode)])
         self.expect_tinc(cur, 1, "the assignment")
 
     def match_if(self, stmt: If, cur: _Cursor) -> None:
@@ -607,10 +602,9 @@ class _Checker:
             self._consume_flush(head)
             self.match_block(
                 body_cur,
-                f"env_write({info.label}, "
-                f"{wrap_code(info.dtype, target)})",
+                [self._store(info, wrap(info.dtype, name(target)))],
                 f"loop-variable write of {stmt.var.name}",
-                probe_src=f"env_write({info.label}, {target})")
+                probe=[self._store(info, name(target))])
         elif target == info.label:
             lo_ok, hi_ok = scalar_bounds(info.dtype)
             if not (lo_ok <= stmt.lo and stmt.hi <= hi_ok):
@@ -627,9 +621,9 @@ class _Checker:
                     P.line_of(node))
             self.match_block(
                 body_cur,
-                f"{info.label} = {wrap_code(info.dtype, target)}",
+                [self._store(info, wrap(info.dtype, name(target)))],
                 f"loop-variable wrap of {stmt.var.name}",
-                probe_src=f"{info.label} = {target}")
+                probe=[self._store(info, name(target))])
         self.expect_tinc(body_cur, 1, "each For iteration")
         self.match_body(stmt.body, body_cur)
         self._finish_cursor(body_cur, "the For body")
@@ -719,25 +713,25 @@ class _Checker:
             self.require_exact_clock(
                 f"transfer on {plan.bus}.{plan.channel}", lineno)
         args = list(stmt.args)
-        addr_name = "None"
+        addr_name: Optional[str] = None
         if plan.takes_address:
-            addr_tmp = low.fresh_temp()
+            addr_name = low.fresh_temp()
             acode = self._lower(low, args.pop(0))
-            check = f"ixchk_{sanitize(plan.var_name)}"
             self.match_block(
-                cur, f"{addr_tmp} = {acode}\n{check}({addr_tmp})",
+                cur,
+                [assign(addr_name, acode),
+                 effect(call(f"ixchk_{sanitize(plan.var_name)}",
+                             name(addr_name)))],
                 f"address of {plan.proc_name}")
-            addr_name = addr_tmp
-        data_name = "None"
+        data_name: Optional[str] = None
         if plan.is_write:
-            data_tmp = low.fresh_temp()
+            data_name = low.fresh_temp()
             dcode = self._lower(low, args[0])
             self.match_block(
                 cur,
-                f"{data_tmp} = pack_{sanitize(plan.var_name)}"
-                f"({dcode})",
+                [assign(data_name,
+                        call(f"pack_{sanitize(plan.var_name)}", dcode))],
                 f"data pack of {plan.proc_name}")
-            data_name = data_tmp
         result_tmp = low.fresh_temp()
         xf = f"xf_{sanitize(plan.channel)}_{plan.mode}"
         node = cur.next(f"the {plan.proc_name} transfer")
@@ -767,83 +761,86 @@ class _Checker:
             value_tmp = low.fresh_temp()
             target = stmt.results[0]
             info = self.facts.info(target.variable)
-            decode = (f"{value_tmp} = dec_{sanitize(plan.var_name)}"
-                      f"({result_tmp})")
+            decode = assign(value_tmp,
+                            call(f"dec_{sanitize(plan.var_name)}",
+                                 name(result_tmp)))
             if isinstance(target, ElementTarget):
                 index_tmp = low.fresh_temp()
                 icode = self._lower(low, target.index)
                 self.match_block(
                     cur,
-                    f"{decode}\n{index_tmp} = {icode}\n"
-                    f"env_write_element(v_{sanitize(target.variable.name)}"
-                    f", {index_tmp}, {value_tmp})",
+                    [decode, assign(index_tmp, icode),
+                     effect(call(
+                         "env_write_element",
+                         name(f"v_{sanitize(target.variable.name)}"),
+                         name(index_tmp), name(value_tmp)))],
                     f"element result store of {plan.proc_name}")
             else:
-                wrapped = wrap_code(info.dtype, value_tmp)
-                if info.mode == "native":
-                    store = f"{info.label} = {wrapped}"
-                    probe = f"{info.label} = {value_tmp}"
-                else:
-                    store = f"env_write({info.label}, {wrapped})"
-                    probe = f"env_write({info.label}, {value_tmp})"
                 self.match_block(
-                    cur, f"{decode}\n{store}",
+                    cur,
+                    [decode,
+                     self._store(info, wrap(info.dtype, name(value_tmp)))],
                     f"result store of {plan.proc_name}",
-                    probe_src=f"{decode}\n{probe}")
+                    probe=[decode, self._store(info, name(value_tmp))])
 
     @staticmethod
     def _is_deferred_transfer(node: ast.stmt) -> bool:
         target = P.simple_assign(node)
         if target is None:
             return False
-        call = P.yield_from_call(node.value)  # type: ignore
-        return call is not None and len(call.args) == 3
+        transfer = P.yield_from_call(node.value)  # type: ignore
+        return transfer is not None and len(transfer.args) == 3
 
     def _match_transfer_call(self, node: ast.stmt, xf: str,
-                             addr_name: str, data_name: str,
+                             addr_name: Optional[str],
+                             data_name: Optional[str],
                              result_tmp: str, deferred: bool,
                              plan: CallPlan) -> None:
         """``<r> = yield from xf_<ch>_<mode>(addr, data[, t])``."""
-        suffix = ", t" if deferred else ""
-        expected_src = (f"{result_tmp} = yield from {xf}"
-                        f"({addr_name}, {data_name}{suffix})")
-        expected = ast.parse(expected_src).body
+        args = [ast.Constant(None) if arg is None else name(arg)
+                for arg in (addr_name, data_name)]
+        if deferred:
+            args.append(name("t"))
+        expected = [assign(result_tmp,
+                           ast.YieldFrom(call(xf, *args)))]
         if self._block_eq([node], expected):
             self._discharge()
             return
         # Wrong third argument (or a missing one) on an otherwise
         # correct deferred transfer is the virtual-grant defect.
-        call = P.yield_from_call(node.value)  # type: ignore
-        if deferred and call is not None \
-                and isinstance(call.func, ast.Name) \
-                and P.hint_of(call.func.id) == xf \
-                and not (len(call.args) == 3
-                         and P.is_name(call.args[2], "t")):
+        actual = P.yield_from_call(node.value)  # type: ignore
+        if deferred and actual is not None \
+                and isinstance(actual.func, ast.Name) \
+                and P.hint_of(actual.func.id) == xf \
+                and not (len(actual.args) == 3
+                         and P.is_name(actual.args[2], "t")):
             raise Refutation(
                 "P804", f"deferred transfer on {plan.bus}."
                 f"{plan.channel} does not forward the live pending "
                 "batch as its virtual-grant timestamp",
                 P.line_of(node))
-        if call is not None and isinstance(call.func, ast.Name) \
-                and P.hint_of(call.func.id) != xf:
+        if actual is not None and isinstance(actual.func, ast.Name) \
+                and P.hint_of(actual.func.id) != xf:
             raise Refutation(
                 "P804", f"transfer on {plan.bus}.{plan.channel} does "
                 f"not use the planned {plan.mode} tier "
-                f"(found {P.hint_of(call.func.id)!r})",
+                f"(found {P.hint_of(actual.func.id)!r})",
                 P.line_of(node))
         raise Refutation(
             "P805", f"transfer of {plan.proc_name} does not have the "
             "obliged form", P.line_of(node))
 
     def _match_acquired_transfer(self, node: ast.stmt, cur: _Cursor,
-                                 xf: str, addr_name: str,
-                                 data_name: str, result_tmp: str,
+                                 xf: str, addr_name: Optional[str],
+                                 data_name: Optional[str],
+                                 result_tmp: str,
                                  plan: CallPlan) -> None:
         """``yield from acq(<me>)`` / ``try: <transfer> finally:
         rel(<me>)`` -- the non-deferred arbitration protocol."""
-        me = self.facts.name
-        acq_src = f"yield from acq_{sanitize(plan.bus)}({me!r})"
-        if not self._block_eq([node], ast.parse(acq_src).body):
+        me = ast.Constant(self.facts.name)
+        acquire = effect(ast.YieldFrom(
+            call(f"acq_{sanitize(plan.bus)}", me)))
+        if not self._block_eq([node], [acquire]):
             raise Refutation(
                 "P805", f"transfer of {plan.proc_name} does not "
                 "acquire the bus in the obliged form",
@@ -856,9 +853,8 @@ class _Checker:
             raise Refutation(
                 "P802", f"transfer of {plan.proc_name} does not "
                 "release the bus on every path", P.line_of(guarded))
-        rel_src = f"rel_{sanitize(plan.bus)}({me!r})"
-        if not self._block_eq(list(guarded.finalbody),
-                              ast.parse(rel_src).body):
+        release = effect(call(f"rel_{sanitize(plan.bus)}", me))
+        if not self._block_eq(list(guarded.finalbody), [release]):
             raise Refutation(
                 "P802", f"transfer of {plan.proc_name} does not "
                 "release the bus it acquired", P.line_of(guarded))
@@ -869,10 +865,17 @@ class _Checker:
 
     # -- helpers -------------------------------------------------------
 
-    def _match_expr_node(self, actual: ast.expr, expected_code: str,
+    @staticmethod
+    def _store(info, value: ast.expr) -> ast.stmt:
+        """A scalar store: a native local's assignment or a contested
+        variable's environment write."""
+        if info.mode == "native":
+            return assign(info.label, value)
+        return effect(call("env_write", name(info.label), value))
+
+    def _match_expr_node(self, actual: ast.expr, expected: ast.expr,
                          what: str) -> None:
-        if not P.alpha_equal(actual, P.parse_expr(expected_code),
-                             self.ren_a, self.ren_e):
+        if not P.alpha_equal(actual, expected, self.ren_a, self.ren_e):
             raise Refutation(
                 "P806", f"{what} is not alpha-equivalent to the "
                 "interpreter's evaluation", P.line_of(actual))
@@ -936,13 +939,21 @@ def validate_behavior(facts: BehaviorFacts,
 
 def validate_program(runtime, program=None) -> ValidationReport:
     """Validate every compiled process of an elaborated
-    :class:`~repro.sim.runtime.RefinedSimulation`."""
+    :class:`~repro.sim.runtime.RefinedSimulation`.
+
+    The report is kept on the program's
+    :class:`~repro.sim.compiled.codegen.Lowering`: every runtime bound
+    from that lowering runs the very sources it judged, under the same
+    plan, so a second call returns it without re-deriving any fact."""
     if program is None:
         program = getattr(runtime, "compiled", None)
     if program is None:
         raise AnalysisError(
             "translation validation needs a compiled program; "
             "elaborate with backend='compiled'")
+    lowering = getattr(program, "lowering", None)
+    if lowering is not None and lowering.report is not None:
+        return lowering.report
     _, facts_map = spec_facts(
         runtime, analysis=getattr(program, "analysis", None))
     report = ValidationReport(system=runtime.spec.name,
@@ -956,4 +967,6 @@ def validate_program(runtime, program=None) -> ValidationReport:
             report.verdicts[name] = ProcessVerdict(
                 behavior=name, status="fallback",
                 reason=program.fallbacks[name])
+    if lowering is not None:
+        lowering.report = report
     return report

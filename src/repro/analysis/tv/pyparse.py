@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import ast
 import re
-from collections import deque
 from typing import Dict, Optional
 
 #: Namespace binding: ``_b12_env_read`` -> hint ``env_read``.
@@ -47,6 +46,9 @@ class Renamer:
     def rename(self, name: str) -> str:
         if not name.startswith("_"):
             return name
+        mapped = self._map.get(name)
+        if mapped is not None:
+            return mapped
         bind = _BIND_RE.match(name)
         if bind:
             return bind.group(1)
@@ -79,17 +81,19 @@ def alpha_equal(actual: ast.AST, expected: ast.AST, ren_a: Renamer,
     exactly as a walk of its own tree would.  The walk stops at the
     first difference and never mutates a node.
     """
-    todo = deque([(actual, expected)])
-    while todo:
-        a, e = todo.popleft()
-        if type(a) is not type(e):
+    todo = [(actual, expected)]
+    # Appending while iterating visits the pairs breadth first.
+    for a, e in todo:
+        kind = type(a)
+        if kind is not type(e):
             return False
-        is_name = type(a) is ast.Name
-        if is_name and ren_a.rename(a.id) != ren_e.rename(e.id):
-            return False
-        for field_name in a._fields:
-            if is_name and field_name == "id":
-                continue
+        if kind is ast.Name:
+            # A Name's only other field is its childless ``ctx``.
+            if (ren_a.rename(a.id) != ren_e.rename(e.id)
+                    or type(a.ctx) is not type(getattr(e, "ctx", None))):
+                return False
+            continue
+        for field_name in kind._fields:
             va = getattr(a, field_name, None)
             ve = getattr(e, field_name, None)
             if isinstance(va, ast.AST):
@@ -104,17 +108,24 @@ def alpha_equal(actual: ast.AST, expected: ast.AST, ren_a: Renamer,
                         if not isinstance(ie, ast.AST):
                             return False
                         todo.append((ia, ie))
-                    elif isinstance(ie, ast.AST) or repr(ia) != repr(ie):
+                    elif not _same_value(ia, ie):
                         return False
-            elif isinstance(ve, (ast.AST, list)) \
-                    or (va is not ve and repr(va) != repr(ve)):
+            elif not _same_value(va, ve):
                 return False
     return True
 
 
-def parse_expr(code: str) -> ast.expr:
-    """Parse one expression string (the IR-side obliged lowering)."""
-    return ast.parse(code, mode="eval").body
+def _same_value(va: object, ve: object) -> bool:
+    """Equal ``repr`` of two non-AST field values."""
+    if va is ve:
+        return True
+    if type(va) is not type(ve):
+        # A leaf never shares its repr with another type's value, nor
+        # with an AST node or a list.
+        return False
+    if type(va) is int or type(va) is str:
+        return va == ve
+    return repr(va) == repr(ve)
 
 
 def hint_of(name: str) -> str:

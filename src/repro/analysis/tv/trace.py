@@ -4,14 +4,14 @@ The validator's ground truth.  From a behavior's statement IR and the
 simulation's elaboration facts it derives what the compiled backend is
 *obliged* to emit:
 
-* the canonical **expression lowering** (:func:`lower_expr`) -- an
+* the canonical **expression lowering** (:class:`ExprLowerer`) -- an
   independent re-statement of the interpreter's evaluation contract
   (eager ``and``/``or``, checked div/mod, value-preserving constant
-  folding computed with the IR's own ``evaluate``), written at
-  *hint level*: binding names appear as their semantic hint
-  (``env_read``, ``div``, ``ixchk_MEM``), the same form the source
-  normalizer (:mod:`repro.analysis.tv.pyparse`) reduces generated
-  names to;
+  folding computed with the IR's own ``evaluate``), built directly as
+  ``ast`` nodes at *hint level*: binding names appear as their
+  semantic hint (``env_read``, ``div``, ``ixchk_MEM``), the same form
+  the source normalizer (:mod:`repro.analysis.tv.pyparse`) reduces
+  generated names to;
 * the **clock cost model** of :mod:`repro.spec.stmt` (Assign/If test =
   1, For/While per-iteration = 1 + body, WaitClocks(n) = n, Nop = 0);
 * the **wrap model**: which dtype wrap every store must carry, and the
@@ -28,6 +28,7 @@ on ``(IR fingerprint, facts key, generated source)``.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -72,13 +73,74 @@ def scalar_bounds(dtype) -> Tuple[int, int]:
     return 0, (1 << dtype.bits) - 1
 
 
-def wrap_code(dtype, code: str) -> str:
+def wrap(dtype, node: ast.expr) -> ast.expr:
     """The mandatory dtype wrap around every stored value."""
     if isinstance(dtype, IntType) and dtype.signed:
         half = 1 << (dtype.bits - 1)
         mask = (1 << dtype.bits) - 1
-        return f"((({code} + {half}) & {mask}) - {half})"
-    return f"(({code}) & {(1 << dtype.bits) - 1})"
+        return ast.BinOp(
+            ast.BinOp(ast.BinOp(node, ast.Add(), ast.Constant(half)),
+                      ast.BitAnd(), ast.Constant(mask)),
+            ast.Sub(), ast.Constant(half))
+    return ast.BinOp(node, ast.BitAnd(),
+                     ast.Constant((1 << dtype.bits) - 1))
+
+
+# ----------------------------------------------------------------------
+# Obligation builders
+#
+# The obliged lowering is built as the ``ast`` nodes that parsing its
+# source text would give -- same node types, fields and ``ctx`` -- so
+# :func:`~repro.analysis.tv.pyparse.alpha_equal` compares it with the
+# generated code without a parse per obligation.
+# ----------------------------------------------------------------------
+
+def name(ident: str) -> ast.Name:
+    return ast.Name(ident, ast.Load())
+
+
+def literal(value) -> ast.expr:
+    """A folded constant: a negative one is a unary minus, as its
+    source text ``(-<n>)`` parses."""
+    if value >= 0:
+        return ast.Constant(value)
+    return ast.UnaryOp(ast.USub(), ast.Constant(-value))
+
+
+def call(func: str, *args: ast.expr) -> ast.Call:
+    return ast.Call(name(func), list(args), [])
+
+
+def assign(target: str, value: ast.expr) -> ast.Assign:
+    """``<target> = <value>``."""
+    return ast.Assign([ast.Name(target, ast.Store())], value)
+
+
+def effect(value: ast.expr) -> ast.Expr:
+    """An expression statement, e.g. ``env_write(v_x, ...)``."""
+    return ast.Expr(value)
+
+
+def checked_index(label: str, temp: str, index: ast.expr, length: int,
+                  check: str, ctx: ast.expr_context) -> ast.Subscript:
+    """``<label>[<temp> if 0 <= <index> < <length> else
+    <check>(<temp>)]``, where ``index`` binds or names ``<temp>``."""
+    return ast.Subscript(
+        name(label),
+        ast.IfExp(
+            ast.Compare(ast.Constant(0), [ast.LtE(), ast.Lt()],
+                        [index, ast.Constant(length)]),
+            name(temp), call(check, name(temp))),
+        ctx)
+
+
+def _truth(test: ast.expr) -> ast.IfExp:
+    """``(1 if <test> else 0)``."""
+    return ast.IfExp(test, ast.Constant(1), ast.Constant(0))
+
+
+def _compare(left: ast.expr, op: ast.cmpop, right: ast.expr) -> ast.Compare:
+    return ast.Compare(left, [op], [right])
 
 
 # ----------------------------------------------------------------------
@@ -316,9 +378,9 @@ def ir_fingerprint(behavior: Behavior) -> str:
 # Independent expression lowering (hint-level)
 # ----------------------------------------------------------------------
 
-_DIRECT = {"+": "+", "-": "-", "*": "*"}
-_COMPARE = {"=": "==", "/=": "!=", "<": "<", "<=": "<=",
-            ">": ">", ">=": ">="}
+_DIRECT = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+_COMPARE = {"=": ast.Eq, "/=": ast.NotEq, "<": ast.Lt, "<=": ast.LtE,
+            ">": ast.Gt, ">=": ast.GtE}
 
 
 class UnprovenExpr(Exception):
@@ -326,39 +388,40 @@ class UnprovenExpr(Exception):
 
 
 class ExprLowerer:
-    """Derives the obliged lowering of an IR expression at hint level.
+    """Derives the obliged lowering of an IR expression at hint level,
+    as the ``ast`` nodes of its source form.
 
-    The walrus temporaries of element reads are emitted as ``_w<n>``;
-    the source-side normalizer alpha-renames both sides, so only the
-    order and multiplicity of temporaries must agree.
+    The walrus temporaries of element reads are named ``_w<n>``; the
+    source-side normalizer alpha-renames both sides, so only the order
+    and multiplicity of temporaries must agree.
     """
 
     def __init__(self, facts: BehaviorFacts):
         self.facts = facts
         self._tmp = 0
 
-    def _temp(self) -> str:
+    def fresh_temp(self) -> str:
+        """A temporary: statement-level slots (value, index, result)
+        and the walrus of element reads."""
         self._tmp += 1
         return f"_w{self._tmp}"
 
-    def fresh_temp(self) -> str:
-        """A statement-level temporary (value/index/result slots)."""
-        return self._temp()
-
-    def read_scalar(self, variable: Variable) -> str:
+    def read_scalar(self, variable: Variable) -> ast.expr:
         info = self.facts.info(variable)
         if info.mode == "native":
-            return info.label
-        return f"env_read({info.label})"
+            return name(info.label)
+        return call("env_read", name(info.label))
 
-    def read_element(self, variable: Variable, index_code: str) -> str:
+    def read_element(self, variable: Variable,
+                     index: ast.expr) -> ast.Subscript:
         info = self.facts.info(variable)
-        tmp = self._temp()
-        return (f"{info.label}[{tmp} if 0 <= ({tmp} := {index_code}) "
-                f"< {info.length} else ixchk_{sanitize(variable.name)}"
-                f"({tmp})]")
+        temp = self.fresh_temp()
+        return checked_index(
+            info.label, temp,
+            ast.NamedExpr(ast.Name(temp, ast.Store()), index),
+            info.length, f"ixchk_{sanitize(variable.name)}", ast.Load())
 
-    def lower(self, expr: Expr) -> str:
+    def lower(self, expr: Expr) -> ast.expr:
         # Value-preserving constant folding: computed with the IR's own
         # evaluator, so a mis-folded literal in generated code cannot
         # match.  Folds that would raise stay unfolded (the error must
@@ -369,10 +432,9 @@ class ExprLowerer:
             except ReproError:
                 pass
             else:
-                return repr(value) if value >= 0 else f"({value})"
+                return literal(value)
         if isinstance(expr, Const):
-            value = expr.value
-            return repr(value) if value >= 0 else f"({value})"
+            return literal(expr.value)
         if isinstance(expr, Ref):
             if isinstance(expr.variable.dtype, ArrayType):
                 raise UnprovenExpr(
@@ -386,30 +448,32 @@ class ExprLowerer:
             rhs = self.lower(expr.rhs)
             op = expr.op
             if op in _DIRECT:
-                return f"({lhs} {_DIRECT[op]} {rhs})"
+                return ast.BinOp(lhs, _DIRECT[op](), rhs)
             if op in _COMPARE:
-                return f"(1 if {lhs} {_COMPARE[op]} {rhs} else 0)"
+                return _truth(_compare(lhs, _COMPARE[op](), rhs))
             if op == "/":
-                return f"div({lhs}, {rhs})"
+                return call("div", lhs, rhs)
             if op == "mod":
-                return f"mod({lhs}, {rhs})"
-            if op == "and":
+                return call("mod", lhs, rhs)
+            if op in ("and", "or"):
                 # Eager on both sides, like BinOp.evaluate: a division
                 # by zero right of a false `and` must still raise.
-                return f"(1 if ({lhs} != 0) & ({rhs} != 0) else 0)"
-            if op == "or":
-                return f"(1 if ({lhs} != 0) | ({rhs} != 0) else 0)"
+                both = ast.BitAnd() if op == "and" else ast.BitOr()
+                return _truth(ast.BinOp(
+                    _compare(lhs, ast.NotEq(), ast.Constant(0)), both,
+                    _compare(rhs, ast.NotEq(), ast.Constant(0))))
             if op in ("min", "max"):
-                return f"{op}({lhs}, {rhs})"
+                return call(op, lhs, rhs)
             raise UnprovenExpr(f"unknown binary operator {op!r}")
         if isinstance(expr, UnOp):
             operand = self.lower(expr.operand)
             if expr.op == "-":
-                return f"(-{operand})"
+                return ast.UnaryOp(ast.USub(), operand)
             if expr.op == "not":
-                return f"(1 if {operand} == 0 else 0)"
+                return _truth(_compare(operand, ast.Eq(),
+                                       ast.Constant(0)))
             if expr.op == "abs":
-                return f"abs({operand})"
+                return call("abs", operand)
             raise UnprovenExpr(f"unknown unary operator {expr.op!r}")
         raise UnprovenExpr(
             f"unsupported expression {type(expr).__name__}")

@@ -33,6 +33,7 @@ from repro.estimate.area import estimate_bus_area
 from repro.explore.grid import WIDTH_AUTO, GridPoint
 from repro.explore.keys import TaskSpec, fingerprint_system
 from repro.explore.systems import LoadedSystem
+from repro.fifo import FifoTable
 from repro.protocols import get_protocol
 from repro.protogen.refine import refine_system
 from repro.sim.arbiter import PriorityArbiter, RoundRobinArbiter, TdmaArbiter
@@ -40,6 +41,12 @@ from repro.sim.runtime import simulate
 
 #: Stage names, in pipeline order.
 STAGES = ("partition", "busgen", "refine", "sim")
+
+#: Refined specs a :class:`PointContext` keeps for the sim stages that
+#: follow their refine stage.  Each spec carries its memoized analyses
+#: and compiled lowering; an evicted one is rebuilt from the cached
+#: busgen payload, identically.
+REFINED_MEMO_LIMIT = 64
 
 #: Deterministic TDMA slot length for the ``tdma`` arbitration axis.
 TDMA_SLOT_CLOCKS = 8
@@ -124,7 +131,7 @@ class PointContext:
     def __init__(self, loaded: LoadedSystem):
         self.loaded = loaded
         self._fingerprint: Optional[Dict[str, Any]] = None
-        self._refined: Dict[str, Any] = {}
+        self._refined = FifoTable(REFINED_MEMO_LIMIT)
 
     @property
     def fingerprint(self) -> Dict[str, Any]:
@@ -207,7 +214,7 @@ class PointContext:
         ]
         refined = refine_system(self.loaded.system, plans, protocol=protocol,
                                 protection=params["protection"])
-        self._refined[refine_key] = refined
+        self._refined.put(refine_key, refined)
 
         buses = []
         for bus in refined.buses:
@@ -241,7 +248,7 @@ class PointContext:
         if refined is None:
             self.compute_refine(refine_task.params, busgen_payload,
                                 refine_key)
-            refined = self._refined[refine_key]
+            refined = self._refined.get(refine_key)
         return refined
 
     def compute_sim(self, params: Dict[str, Any], refined: Any

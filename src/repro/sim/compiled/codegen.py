@@ -31,6 +31,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.fifo import FifoTable
+from repro.obs.tracer import span as obs_span
 from repro.sim.arbiter import ImmediateArbiter
 from repro.sim.compiled.analyze import (
     Analysis,
@@ -80,12 +81,17 @@ class CompiledProgram:
     #: ("validated (N obligations)", "REFUTED (P80x: ...)",
     #: "interpreter fallback"); empty until the validator runs.
     verdicts: Dict[str, str] = field(default_factory=dict)
-    #: the compile-time :class:`~repro.sim.compiled.analyze.Analysis`.
-    #: The translation validator reuses it instead of re-running
-    #: ``analyze_spec`` on an identical spec (the validator's
-    #: independence lives in re-deriving per-variable/per-call facts
-    #: and the trace semantics, not in repeating this pure function).
+    #: the compile-time :class:`~repro.sim.compiled.analyze.Analysis`
+    #: when this runtime lowered the spec itself (None when it reused a
+    #: memoized lowering).  The translation validator reuses it instead
+    #: of re-running ``analyze_spec`` on an identical spec (the
+    #: validator's independence lives in re-deriving per-variable/
+    #: per-call facts and the trace semantics, not in repeating this
+    #: pure function).
     analysis: object = None
+    #: the (spec, plan) :class:`Lowering` these processes were bound
+    #: from, shared by every runtime of that plan.
+    lowering: Optional["Lowering"] = None
 
     @property
     def compiled_count(self) -> int:
@@ -649,11 +655,12 @@ _SOURCE_MEMO = FifoTable(512)
 
 
 def _rebind(runtime, behavior, recipe, pair_map,
-            analysis: Analysis) -> Dict[str, object]:
+            touched) -> Dict[str, object]:
     """Replay a binding recipe against a (new) runtime, producing the
-    namespace a memoized source expects."""
+    namespace a memoized source expects.  ``touched`` holds the
+    variables the behavior touches directly."""
     ns: Dict[str, object] = {"W": Wait}
-    varmap = {v.name: v for v in analysis.touches[behavior.name]}
+    varmap = {v.name: v for v in touched}
     for name, desc in recipe:
         kind = desc[0]
         if kind == "static":
@@ -689,16 +696,63 @@ def _rebind(runtime, behavior, recipe, pair_map,
     return ns
 
 
-def compile_spec(runtime) -> CompiledProgram:
-    """Compile every compilable behavior of a
-    :class:`~repro.sim.runtime.RefinedSimulation`."""
+@dataclass
+class Lowering:
+    """Everything compiling one (refined spec, simulation plan) yields
+    that does not depend on a particular runtime: memoized on the spec
+    (:meth:`~repro.protogen.refine.RefinedSpec.memoized`), so a second
+    runtime of the same plan -- validate, then simulate -- only rebinds
+    namespaces.  It holds no runtime and no bound namespace, and only
+    what a rebind needs: code objects come back from
+    :func:`_compile_source`, so a spec kept alive does not keep them
+    too."""
+
+    channel_modes: Dict[Tuple[str, str], Tuple[str, str]]
+    #: behavior name -> why it stayed on the interpreter (compile time).
+    fallbacks: Dict[str, str]
+    #: behavior name -> (generated source, binding recipe, variables
+    #: the behavior touches directly).
+    units: Dict[str, Tuple[str, tuple, Tuple[Variable, ...]]]
+    #: The translation validator's report on these sources, once run
+    #: (:func:`repro.analysis.tv.validate_program` fills it in).
+    report: object = None
+
+
+def _plan_key(runtime) -> tuple:
+    """Every input of a lowering beyond the spec itself: the schedule,
+    the observers that pin channels to the interpreter tier, and each
+    bus's fault injector and arbiter type.  ``_scalar_bounds`` and
+    ``CHUNK_CLOCKS`` ride along as in :func:`_memo_key`."""
+    return ("lowering", _scalar_bounds, CHUNK_CLOCKS,
+            tuple(tuple(stage) for stage in runtime._stages),
+            runtime.recorder is not None, bool(runtime.trace),
+            tuple((name, bus.injector is not None, type(bus.arbiter))
+                  for name, bus in runtime.buses.items()))
+
+
+def _pair_map(runtime) -> Dict[Tuple[str, str], Tuple[object, object]]:
+    return {(refined_bus.name, pair.channel.name):
+            (runtime.buses[refined_bus.name], pair)
+            for refined_bus in runtime.spec.buses
+            for pair in refined_bus.procedures.values()}
+
+
+def _code(spec, behavior: Behavior, source: str):
+    return _compile_source(f"<compiled {spec.name}.{behavior.name}>",
+                           source)
+
+
+def _lower(runtime) -> Tuple[Lowering, Analysis, Dict[str, tuple]]:
+    """Compile every compilable behavior of ``runtime``'s spec; returns
+    the lowering, its analysis and, per behavior, its namespace bound
+    to ``runtime`` and its code object."""
     spec = runtime.spec
     analysis = analyze_spec(spec, runtime._stages, runtime._proc_map)
-    program = CompiledProgram(fallbacks=dict(analysis.fallbacks),
-                              analysis=analysis)
+    lowering = Lowering(channel_modes={},
+                        fallbacks=dict(analysis.fallbacks), units={})
+    bound: Dict[str, tuple] = {}
 
     deferred = set()
-    pair_map: Dict[Tuple[str, str], Tuple[object, object]] = {}
     for refined_bus in spec.buses:
         sim_bus = runtime.buses[refined_bus.name]
         deferrable = (
@@ -706,43 +760,87 @@ def compile_spec(runtime) -> CompiledProgram:
             and sim_bus.name in analysis.uncontended_buses
         )
         for pair in refined_bus.procedures.values():
-            pair_map[(sim_bus.name, pair.channel.name)] = (sim_bus, pair)
             mode, reason = plan_channel(
                 sim_bus, pair, analysis.contested, runtime.recorder,
                 runtime.trace)
-            program.channel_modes[(sim_bus.name, pair.channel.name)] = \
+            lowering.channel_modes[(sim_bus.name, pair.channel.name)] = \
                 (mode, reason)
             if mode == FUSED and deferrable:
                 deferred.add((sim_bus.name, pair.channel.name))
     deferred_channels = frozenset(deferred)
 
+    pair_map = None
     for behavior in spec.behaviors:
-        if behavior.name in program.fallbacks:
+        if behavior.name in lowering.fallbacks:
             continue
+        touched = tuple(analysis.touches[behavior.name])
         memo_key = _memo_key(runtime, behavior, analysis,
-                             program.channel_modes, deferred_channels)
+                             lowering.channel_modes, deferred_channels)
         cached = _SOURCE_MEMO.get(memo_key)
         if cached is not None:
             source, recipe = cached
-            ns = _rebind(runtime, behavior, recipe, pair_map, analysis)
+            if pair_map is None:
+                pair_map = _pair_map(runtime)
+            ns = _rebind(runtime, behavior, recipe, pair_map, touched)
         else:
             compiler = _BehaviorCompiler(runtime, behavior, analysis,
-                                         program.channel_modes,
+                                         lowering.channel_modes,
                                          deferred_channels)
             try:
                 source, ns = compiler.compile()
             except CompileFallback as exc:
-                program.fallbacks[behavior.name] = str(exc)
+                lowering.fallbacks[behavior.name] = str(exc)
                 continue
-            _SOURCE_MEMO.put(memo_key, (source, tuple(compiler.recipe)))
+            recipe = tuple(compiler.recipe)
+            _SOURCE_MEMO.put(memo_key, (source, recipe))
         if _SOURCE_TRANSFORM is not None:
             source = _SOURCE_TRANSFORM(behavior.name, source)
-        code = _compile_source(
-            f"<compiled {spec.name}.{behavior.name}>", source)
+        lowering.units[behavior.name] = (source, recipe, touched)
+        bound[behavior.name] = (ns, _code(spec, behavior, source))
+    # Deterministic rendering everywhere the dict is iterated (MANIFEST,
+    # run reports, SimResult.fallbacks): sorted by process name.
+    lowering.fallbacks = dict(sorted(lowering.fallbacks.items()))
+    return lowering, analysis, bound
+
+
+def compile_spec(runtime) -> CompiledProgram:
+    """Compile every compilable behavior of a
+    :class:`~repro.sim.runtime.RefinedSimulation`.
+
+    The lowering is memoized on the spec under :func:`_plan_key`; a
+    hit only rebinds each generated source's namespace to ``runtime``.
+    Under a :class:`source_transform` (the codegen defect corpus) every
+    call lowers afresh."""
+    spec = runtime.spec
+    program = CompiledProgram()
+    bound: Dict[str, tuple] = {}
+
+    def lower() -> Lowering:
+        with obs_span("sim.compile", category="sim", system=spec.name):
+            lowering, program.analysis, fresh = _lower(runtime)
+        bound.update(fresh)
+        return lowering
+
+    if _SOURCE_TRANSFORM is None:
+        lowering = spec.memoized(_plan_key(runtime), lower)
+    else:
+        lowering = lower()
+    program.lowering = lowering
+    program.channel_modes = lowering.channel_modes
+    program.fallbacks = dict(lowering.fallbacks)
+    pair_map = None
+    for behavior in spec.behaviors:
+        unit = lowering.units.get(behavior.name)
+        if unit is None:
+            continue
+        source, recipe, touched = unit
+        ns, code = bound.get(behavior.name, (None, None))
+        if ns is None:
+            if pair_map is None:
+                pair_map = _pair_map(runtime)
+            ns = _rebind(runtime, behavior, recipe, pair_map, touched)
+            code = _code(spec, behavior, source)
         exec(code, ns)
         program.processes[behavior.name] = ns["run"]  # type: ignore
         program.sources[behavior.name] = source
-    # Deterministic rendering everywhere the dict is iterated (MANIFEST,
-    # run reports, SimResult.fallbacks): sorted by process name.
-    program.fallbacks = dict(sorted(program.fallbacks.items()))
     return program

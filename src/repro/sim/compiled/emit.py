@@ -22,7 +22,7 @@ def _bus_lines(spec) -> List[str]:
     for refined_bus in spec.buses:
         structure = refined_bus.structure
         protection = structure.protection
-        guarded = protection.scheme.value if protection is not None \
+        guarded = protection.protection.name if protection is not None \
             else "none"
         lines.append(f"#   bus {refined_bus.name}: "
                      f"protocol={structure.protocol.name} "

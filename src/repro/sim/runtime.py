@@ -264,9 +264,7 @@ class RefinedSimulation:
         self.tv_report = None
         if backend == "compiled":
             from repro.sim.compiled import compile_spec, emit_sources
-            with obs_span("sim.compile", category="sim",
-                          system=spec.name):
-                self.compiled = compile_spec(self)
+            self.compiled = compile_spec(self)
             if validate_compiled:
                 # The correctness gate: every lowered process must be
                 # statically proven clock- and effect-equivalent to the

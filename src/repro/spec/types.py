@@ -240,7 +240,9 @@ class ArrayType(DataType):
         ]
 
     def default(self) -> Value:
-        return [self.element.default() for _ in range(self.length)]
+        # Elements are scalars (nesting is rejected above): one shared
+        # immutable default repeated, in a fresh list per call.
+        return [self.element.default()] * self.length
 
     def __str__(self) -> str:
         return f"array({self.length - 1} downto 0) of {self.element}"

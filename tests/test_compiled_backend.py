@@ -425,6 +425,20 @@ class TestCli:
                      "compiled", "--emit-sim-source", str(out_dir)]) == 0
         assert list(out_dir.glob("*.py"))
 
+    def test_emit_sim_source_names_the_protection(self, tmp_path,
+                                                  capsys):
+        from repro.cli import main
+        out_dir = tmp_path / "src"
+        assert main(["synth", "flc", "--protection", "parity",
+                     "--simulate", "--backend", "compiled",
+                     "--emit-sim-source", str(out_dir)]) == 0
+        sources = sorted(out_dir.glob("*.py"))
+        assert sources
+        for path in sources:
+            header = path.read_text().split("\ndef run", 1)[0]
+            assert "protection=parity" in header
+            assert "protection=none" not in header
+
     def test_emit_sim_source_requires_simulate(self, capsys):
         from repro.cli import main
         assert main(["synth", "flc",

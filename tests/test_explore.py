@@ -381,6 +381,43 @@ class TestRunner:
         assert diff["skipped_gated"] == 0
 
 
+    def test_an_evicted_refined_spec_is_rebuilt_identically(
+            self, tmp_path, monkeypatch):
+        """A context keeps at most ``REFINED_MEMO_LIMIT`` refined specs;
+        a sim stage whose spec was evicted rebuilds it from the cached
+        busgen payload and reports exactly what a kept spec gives."""
+        from repro.explore import runner, tasks
+
+        # The second arbitration of width 4 comes after width 8 has
+        # displaced width 4's refined spec from a one-spec memo.
+        points = [GridPoint(4, "full_handshake", "none", "fifo"),
+                  GridPoint(8, "full_handshake", "none", "fifo"),
+                  GridPoint(4, "full_handshake", "none", "priority")]
+        refines = []
+        compute_refine = tasks.PointContext.compute_refine
+
+        def counting_refine(self, params, busgen, refine_key):
+            refines.append(refine_key)
+            return compute_refine(self, params, busgen, refine_key)
+
+        monkeypatch.setattr(tasks.PointContext, "compute_refine",
+                            counting_refine)
+        reports = []
+        for limit in (tasks.REFINED_MEMO_LIMIT, 1):
+            refines.clear()
+            monkeypatch.setattr(runner, "_CONTEXTS", {})
+            monkeypatch.setattr(tasks, "REFINED_MEMO_LIMIT", limit)
+            reports.append(canonical_report(explore(
+                "answering-machine", points, jobs=1,
+                cache_dir=str(tmp_path / str(limit)),
+                backend="compiled")))
+            assert len(runner._CONTEXTS["answering-machine"]._refined) \
+                <= limit
+            # Two refine stages, plus the rebuild of the evicted spec.
+            assert len(refines) == (2 if limit > 1 else 3)
+        assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # Seeded cache-defect corpus: each bug caught by exactly its check
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ backend="compiled")`` call, so its cost rides on every compiled run --
 it has to stay a small fraction of the speedup it certifies.  This
 bench holds that to a number on the paper's three case studies:
 cold-cache validation wall time (facts recomputation + per-process
-proofs), warm-cache revalidation (the verdict cache keyed on IR
-fingerprint + source text), and one sweep of the seeded
+proofs), revalidation of the same spec (its memoized lowering already
+holds the report, so this row times a memo hit, not the verdict
+cache), and one sweep of the seeded
 codegen-defect corpus (the validator's own regression workload).
 Written to ``benchmarks/reports/BENCH_tv.json`` for the wall-time
 regression gate (``benchmarks/compare_baselines.py``).

@@ -93,8 +93,6 @@ class Interval:
 
     @classmethod
     def of(cls, lo: Bound, hi: Bound) -> "Interval":
-        if type(lo) is int and type(hi) is int:
-            return cls(lo, hi)
         return cls(_as_int(lo), _as_int(hi))
 
     @property
@@ -468,8 +466,6 @@ class AbsVal:
         if not values:
             return cls.bottom()
         first = values[0]
-        if values.count(first) == len(values):
-            return cls.const(first)
         modulus, residue = 0, first
         for value in values:
             step = math.gcd(modulus, value - first)

@@ -744,8 +744,9 @@ def _code(spec, behavior: Behavior, source: str):
 
 def _lower(runtime) -> Tuple[Lowering, Analysis, Dict[str, tuple]]:
     """Compile every compilable behavior of ``runtime``'s spec; returns
-    the lowering, its analysis and, per behavior, its namespace bound
-    to ``runtime`` and its code object."""
+    the lowering, its analysis and, per behavior whose source was
+    generated here (not taken from :data:`_SOURCE_MEMO`), its namespace
+    bound to ``runtime`` and its code object."""
     spec = runtime.spec
     analysis = analyze_spec(spec, runtime._stages, runtime._proc_map)
     lowering = Lowering(channel_modes={},
@@ -769,7 +770,6 @@ def _lower(runtime) -> Tuple[Lowering, Analysis, Dict[str, tuple]]:
                 deferred.add((sim_bus.name, pair.channel.name))
     deferred_channels = frozenset(deferred)
 
-    pair_map = None
     for behavior in spec.behaviors:
         if behavior.name in lowering.fallbacks:
             continue
@@ -777,11 +777,9 @@ def _lower(runtime) -> Tuple[Lowering, Analysis, Dict[str, tuple]]:
         memo_key = _memo_key(runtime, behavior, analysis,
                              lowering.channel_modes, deferred_channels)
         cached = _SOURCE_MEMO.get(memo_key)
+        ns = None
         if cached is not None:
             source, recipe = cached
-            if pair_map is None:
-                pair_map = _pair_map(runtime)
-            ns = _rebind(runtime, behavior, recipe, pair_map, touched)
         else:
             compiler = _BehaviorCompiler(runtime, behavior, analysis,
                                          lowering.channel_modes,
@@ -796,7 +794,8 @@ def _lower(runtime) -> Tuple[Lowering, Analysis, Dict[str, tuple]]:
         if _SOURCE_TRANSFORM is not None:
             source = _SOURCE_TRANSFORM(behavior.name, source)
         lowering.units[behavior.name] = (source, recipe, touched)
-        bound[behavior.name] = (ns, _code(spec, behavior, source))
+        if ns is not None:
+            bound[behavior.name] = (ns, _code(spec, behavior, source))
     # Deterministic rendering everywhere the dict is iterated (MANIFEST,
     # run reports, SimResult.fallbacks): sorted by process name.
     lowering.fallbacks = dict(sorted(lowering.fallbacks.items()))
@@ -808,7 +807,8 @@ def compile_spec(runtime) -> CompiledProgram:
     :class:`~repro.sim.runtime.RefinedSimulation`.
 
     The lowering is memoized on the spec under :func:`_plan_key`; a
-    hit only rebinds each generated source's namespace to ``runtime``.
+    hit only rebinds each generated source's namespace to ``runtime``,
+    as does a miss whose source came from :data:`_SOURCE_MEMO`.
     Under a :class:`source_transform` (the codegen defect corpus) every
     call lowers afresh."""
     spec = runtime.spec

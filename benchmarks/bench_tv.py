@@ -4,10 +4,10 @@ The validator runs inside every gated ``simulate(...,
 backend="compiled")`` call, so its cost rides on every compiled run --
 it has to stay a small fraction of the speedup it certifies.  This
 bench holds that to a number on the paper's three case studies:
-cold-cache validation wall time (facts recomputation + per-process
-proofs), revalidation of the same spec (its memoized lowering already
-holds the report, so this row times a memo hit, not the verdict
-cache), and one sweep of the seeded
+cold validation wall time (lowering plus the per-process proofs, with
+the compiled backend's unit table emptied), revalidation of the same
+spec (a hit of its memoized lowering, whose units already carry their
+verdicts), and one sweep of the seeded
 codegen-defect corpus (the validator's own regression workload).
 Written to ``benchmarks/reports/BENCH_tv.json`` for the wall-time
 regression gate (``benchmarks/compare_baselines.py``).
@@ -21,11 +21,12 @@ from benchmarks._report import (
     write_json_report,
     write_report,
 )
-from repro.analysis.tv import checker, validate_refined
+from repro.analysis.tv import validate_refined
 from repro.analysis.tv.mutations import CORPUS
 from repro.busgen.split import plan_buses
 from repro.explore.systems import load_system
 from repro.protogen.refine import refine_system
+from repro.sim.compiled import codegen
 
 
 def test_translation_validation_walltime():
@@ -37,8 +38,8 @@ def test_translation_validation_walltime():
         refined = refine_system(loaded.system, plan_buses(loaded.groups))
 
         # Cold means cold: earlier benches in the same session (the
-        # compiled-backend bench among them) fill the verdict cache.
-        checker._CACHE.clear()
+        # compiled-backend bench among them) fill the unit table.
+        codegen.UNITS.clear()
         started = time.perf_counter()
         report = validate_refined(refined, schedule=schedule)
         cold_seconds = time.perf_counter() - started

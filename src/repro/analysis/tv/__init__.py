@@ -14,9 +14,11 @@ the speedup did not change the semantics.  Per process it either
 * **refutes** with a ``P801``-``P806`` diagnostic and a counterexample
   recipe replayable with :func:`replay_backend_divergence`.
 
-``simulate(..., backend="compiled")`` runs this pass by default and
-demotes refuted processes to the interpreter, so the compiled backend
-never executes an unproven process.
+The compiled backend proves each lowered unit when it builds it
+(:mod:`repro.sim.compiled.codegen`) and keeps the verdict with it;
+``simulate(..., backend="compiled")`` then demotes refuted processes
+to the interpreter by default, so the compiled backend never executes
+an unproven process.
 """
 
 from repro.analysis.mc.replay import ReplayResult

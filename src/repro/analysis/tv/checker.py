@@ -20,8 +20,8 @@ obligation per legal codegen transform:
   **P803**);
 * **transfer timing** -- a deferred fused transfer must forward the
   live pending batch as its third argument, zero it afterwards, and is
-  only accepted where the checker independently re-derives
-  deferred-arbitration eligibility (else **P804**);
+  only accepted where the call's plan grants deferred arbitration
+  (else **P804**);
 * **algebra membership** -- any construct outside these patterns is
   unprovable (**P805**);
 * **value preservation** -- every lowered expression must be
@@ -60,11 +60,9 @@ from repro.analysis.tv.trace import (
     reads_contested,
     sanitize,
     scalar_bounds,
-    spec_facts,
     wrap,
 )
 from repro.errors import AnalysisError
-from repro.fifo import FifoTable
 from repro.sim.compiled.codegen import CHUNK_CLOCKS
 from repro.spec.stmt import (
     Assign,
@@ -356,13 +354,7 @@ class _Checker:
 
     # -- whole-source walk --------------------------------------------
 
-    def check(self, source: str) -> int:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            raise Refutation(
-                "P805", f"generated source does not parse: {exc}",
-                exc.lineno)
+    def check(self, tree: ast.Module) -> int:
         if len(tree.body) != 1 \
                 or not isinstance(tree.body[0], ast.FunctionDef) \
                 or tree.body[0].name != "run" \
@@ -892,28 +884,22 @@ class _Checker:
 
 
 # ----------------------------------------------------------------------
-# Entry points + verdict cache
+# Entry points
 # ----------------------------------------------------------------------
-
-#: (facts key, generated source) -> verdict.  Facts keys embed the IR
-#: fingerprint, variable placement, contested set and transfer plans,
-#: so a hit is only possible when the proof would be identical.
-_CACHE = FifoTable(1024)
 
 REPLAY_HINT = ("replay with repro.analysis.tv."
                "replay_backend_divergence() to reproduce the "
                "divergence on the real backends")
 
 
-def validate_behavior(facts: BehaviorFacts,
-                      source: str) -> ProcessVerdict:
-    """Validate one behavior's generated source against its facts."""
-    key = (facts.key, source)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
+def validate_behavior(facts: BehaviorFacts, source: str,
+                      ) -> Tuple[ast.Module, ProcessVerdict]:
+    """Parse one behavior's generated source and judge the tree against
+    its facts.  Returns the tree -- the one the compiled backend then
+    compiles, so what runs is what was judged -- and the verdict."""
+    tree = ast.parse(source)
     try:
-        obligations = _Checker(facts).check(source)
+        obligations = _Checker(facts).check(tree)
     except Refutation as refutation:
         detail = (f"line {refutation.lineno}"
                   if refutation.lineno is not None else None)
@@ -925,48 +911,36 @@ def validate_behavior(facts: BehaviorFacts,
                                     detail=detail),
             hint=REPLAY_HINT,
         )
-        verdict = ProcessVerdict(
+        return tree, ProcessVerdict(
             behavior=facts.name, status="refuted",
             reason=f"{refutation.code}: {refutation.message}",
             diagnostics=(diagnostic,))
-    else:
-        verdict = ProcessVerdict(
-            behavior=facts.name, status="validated",
-            obligations=obligations)
-    _CACHE.put(key, verdict)
-    return verdict
+    return tree, ProcessVerdict(behavior=facts.name, status="validated",
+                                obligations=obligations)
 
 
 def validate_program(runtime, program=None) -> ValidationReport:
-    """Validate every compiled process of an elaborated
+    """The verdicts of every process of an elaborated
     :class:`~repro.sim.runtime.RefinedSimulation`.
 
-    The report is kept on the program's
-    :class:`~repro.sim.compiled.codegen.Lowering`: every runtime bound
-    from that lowering runs the very sources it judged, under the same
-    plan, so a second call returns it without re-deriving any fact."""
+    Each lowered unit was proven when it was built
+    (:mod:`repro.sim.compiled.codegen`), against the facts of the plan
+    it runs under, so this only assembles the units' verdicts."""
     if program is None:
         program = getattr(runtime, "compiled", None)
     if program is None:
         raise AnalysisError(
             "translation validation needs a compiled program; "
             "elaborate with backend='compiled'")
-    lowering = getattr(program, "lowering", None)
-    if lowering is not None and lowering.report is not None:
-        return lowering.report
-    _, facts_map = spec_facts(
-        runtime, analysis=getattr(program, "analysis", None))
+    units = program.lowering.units
     report = ValidationReport(system=runtime.spec.name,
                               stages=[list(s) for s in runtime._stages])
     for behavior in runtime.spec.behaviors:
         name = behavior.name
-        if name in program.sources:
-            report.verdicts[name] = validate_behavior(
-                facts_map[name], program.sources[name])
+        if name in units:
+            report.verdicts[name] = units[name][0].verdict
         elif name in program.fallbacks:
             report.verdicts[name] = ProcessVerdict(
                 behavior=name, status="fallback",
                 reason=program.fallbacks[name])
-    if lowering is not None:
-        lowering.report = report
     return report

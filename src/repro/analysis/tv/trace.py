@@ -17,13 +17,15 @@ simulation's elaboration facts it derives what the compiled backend is
 * the **wrap model**: which dtype wrap every store must carry, and the
   representable-range certificate under which a loop-variable wrap may
   be elided;
-* the per-behavior **elaboration facts** (:func:`behavior_facts`):
+* the per-behavior **elaboration facts** (:func:`spec_facts`):
   variable placement modes, contested-variable set, and per-call
-  transfer plans (tier, deferred-arbitration eligibility), recomputed
-  from the same analyses the code generator consumes.
+  transfer plans (tier, deferred-arbitration eligibility), stated from
+  the analysis and channel plan the code generator consumes.
 
-Everything here is pure in the IR + facts, so verdicts can be memoized
-on ``(IR fingerprint, facts key, generated source)``.
+Everything here is pure in the IR + facts: a verdict is a function of
+:attr:`BehaviorFacts.key` and the generated source, and the generated
+source is a function of that key too, which is why the compiled backend
+keys its lowered units on it.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
-from repro.sim.arbiter import ImmediateArbiter
-from repro.sim.compiled.analyze import (
-    Analysis,
-    analyze_spec,
-    walk_statements,
-)
-from repro.sim.compiled.transfer import FUSED, plan_channel
+from repro.sim.compiled.analyze import Analysis, walk_statements
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Const, Environment, Expr, Index, Ref, UnOp
 from repro.spec.stmt import (
@@ -177,8 +173,7 @@ class VarInfo:
 
 @dataclass(frozen=True)
 class CallPlan:
-    """Transfer facts for one ``Call`` site, recomputed independently
-    of the code generator's own planning pass."""
+    """Transfer facts for one ``Call`` site, from the channel plan."""
 
     proc_name: str
     bus: str
@@ -245,45 +240,30 @@ def _var_info(variable: Variable, contested: Set[Variable],
         dtype=dtype, elem_dtype=elem)
 
 
-def spec_facts(runtime, analysis: Optional[Analysis] = None,
-               ) -> Tuple[Analysis, Dict[str, "BehaviorFacts"]]:
-    """Recompute the elaboration facts for every behavior of an
-    elaborated :class:`~repro.sim.runtime.RefinedSimulation`.
+def spec_facts(runtime, analysis: Analysis,
+               channel_modes: Dict[Tuple[str, str], Tuple[str, str]],
+               deferred: frozenset) -> Dict[str, "BehaviorFacts"]:
+    """The elaboration facts of every behavior ``analysis`` lets
+    compile, under the channel plan the lowering chose: its
+    ``(bus, channel) -> (tier, reason)`` modes and the fused channels
+    whose arbitration is deferred.
 
-    Mirrors ``compile_spec``'s planning (same analyses, same channel
-    tiering) without touching its outputs: the validator judges the
-    *generated code* against these facts.  ``analysis`` accepts the
-    compile-time :func:`analyze_spec` result to skip recomputing it --
-    a pure function of the same spec, so reuse changes nothing the
-    validator concludes, only how fast it concludes it.
+    The validator judges the *generated code* against these facts; its
+    independence lives in restating variable placement, wraps, the
+    expression lowering and the trace semantics, not in re-planning the
+    same channels.
     """
     spec = runtime.spec
-    if analysis is None:
-        analysis = analyze_spec(spec, runtime._stages, runtime._proc_map)
-
-    channel_modes: Dict[Tuple[str, str], str] = {}
-    deferred: Set[Tuple[str, str]] = set()
-    for refined_bus in spec.buses:
-        sim_bus = runtime.buses[refined_bus.name]
-        deferrable = (
-            type(sim_bus.arbiter) is ImmediateArbiter
-            and sim_bus.name in analysis.uncontended_buses
-        )
-        for pair in refined_bus.procedures.values():
-            mode, _ = plan_channel(sim_bus, pair, analysis.contested,
-                                   runtime.recorder, runtime.trace)
-            channel_modes[(sim_bus.name, pair.channel.name)] = mode
-            if mode == FUSED and deferrable:
-                deferred.add((sim_bus.name, pair.channel.name))
-
     original = set(spec.original.variables)
+    contested = {v.name for v in analysis.contested}
     out: Dict[str, BehaviorFacts] = {}
     for behavior in spec.behaviors:
-        touched = analysis.touches[behavior.name]
+        if behavior.name in analysis.fallbacks:
+            continue
         loadable = original | set(behavior.local_variables)
         variables = {
             v.name: _var_info(v, analysis.contested, loadable, original)
-            for v in touched
+            for v in analysis.touches[behavior.name]
         }
         call_plans: Dict[int, CallPlan] = {}
         for stmt in walk_statements(behavior.body):
@@ -298,7 +278,7 @@ def spec_facts(runtime, analysis: Optional[Analysis] = None,
                 proc_name=stmt.procedure.name,
                 bus=sim_bus.name,
                 channel=pair.channel.name,
-                mode=channel_modes[key],
+                mode=channel_modes[key][0],
                 deferred=key in deferred,
                 takes_address=stmt.procedure.takes_address,
                 is_write=pair.channel.is_write,
@@ -306,10 +286,9 @@ def spec_facts(runtime, analysis: Optional[Analysis] = None,
                 var_name=pair.channel.variable.name,
                 behavior=behavior.name,
             )
-        out[behavior.name] = BehaviorFacts(
-            behavior, variables,
-            {v.name for v in analysis.contested}, call_plans)
-    return analysis, out
+        out[behavior.name] = BehaviorFacts(behavior, variables, contested,
+                                           call_plans)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -146,7 +146,8 @@ _SIMULATE_ONLY = {
 
 def _check_simulate_options(args: argparse.Namespace) -> None:
     """Refuse, before the flow prints anything, a simulate-only option
-    the run would ignore or the simulation would reject."""
+    the run would ignore or the simulation would reject, and a
+    ``--emit-sim-source`` directory that cannot be created."""
     if not args.simulate:
         given = [what for dest, what in _SIMULATE_ONLY.items()
                  if getattr(args, dest) is not None]
@@ -160,6 +161,9 @@ def _check_simulate_options(args: argparse.Namespace) -> None:
         raise SimulationError(
             "emit_sim_source dumps generated code and requires "
             f"backend='compiled', got backend={args.backend!r}")
+    if args.emit_sim_source is not None:
+        with _user_path(args.emit_sim_source):
+            os.makedirs(args.emit_sim_source, exist_ok=True)
 
 
 def _fault_plan(path: Optional[str], show: bool):

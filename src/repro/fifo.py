@@ -1,9 +1,9 @@
 """One bounded, insertion-ordered lookup table.
 
-Process-wide memo tables -- translation validation's verdicts, the
-compiled backend's generated sources, the model checker's clean
-channel proofs -- must not grow without bound in a long-running
-process.  Each is a :class:`FifoTable`: once it holds ``limit``
+Process-wide memo tables -- the compiled backend's lowered units
+(source, code object and translation-validation verdict), the model
+checker's clean channel proofs -- must not grow without bound in a
+long-running process.  Each is a :class:`FifoTable`: once it holds ``limit``
 entries, storing a new key evicts the oldest one.
 """
 

@@ -22,27 +22,28 @@ the environment's backing list, so element writes are visible to the
 semantics -- evaluation order, wrap-on-assign, the loop-variable wrap,
 ``For``/``While`` clock costs -- mirror
 :class:`repro.sim.runtime.RefinedSimulation` exactly.
+
+Each lowered behavior is a :class:`Unit` built once per process and
+kept in :data:`UNITS`, keyed on the facts translation validation
+(:mod:`repro.analysis.tv`) judges its source against: the source is
+parsed once, the validator judges that tree, and the code object is
+compiled from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.fifo import FifoTable
 from repro.obs.tracer import span as obs_span
 from repro.sim.arbiter import ImmediateArbiter
-from repro.sim.compiled.analyze import (
-    Analysis,
-    analyze_spec,
-    walk_statements,
-)
+from repro.sim.compiled.analyze import Analysis, analyze_spec
 from repro.sim.compiled.exprgen import CompileFallback, compile_expr
 from repro.sim.compiled.transfer import FUSED, make_transfer, plan_channel
 from repro.sim.kernel import Wait
 from repro.spec.behavior import Behavior
-from repro.spec.expr import BinOp, Const, Index, Ref, UnOp
 from repro.spec.stmt import (
     Assign,
     Call,
@@ -79,16 +80,9 @@ class CompiledProgram:
         default_factory=dict)
     #: behavior name -> translation-validation verdict line
     #: ("validated (N obligations)", "REFUTED (P80x: ...)",
-    #: "interpreter fallback"); empty until the validator runs.
+    #: "interpreter fallback"); empty unless the runtime gates on them
+    #: (``validate_compiled=True``).
     verdicts: Dict[str, str] = field(default_factory=dict)
-    #: the compile-time :class:`~repro.sim.compiled.analyze.Analysis`
-    #: when this runtime lowered the spec itself (None when it reused a
-    #: memoized lowering).  The translation validator reuses it instead
-    #: of re-running ``analyze_spec`` on an identical spec (the
-    #: validator's independence lives in re-deriving per-variable/
-    #: per-call facts and the trace semantics, not in repeating this
-    #: pure function).
-    analysis: object = None
     #: the (spec, plan) :class:`Lowering` these processes were bound
     #: from, shared by every runtime of that plan.
     lowering: Optional["Lowering"] = None
@@ -158,8 +152,7 @@ class _BehaviorCompiler:
         self._bound: Dict[object, str] = {}
         #: (bound name, rebind descriptor) per *new* binding, in
         #: binding order: the recipe :func:`_rebind` replays to rebuild
-        #: the namespace against a different runtime when the source
-        #: text itself comes out of :data:`_SOURCE_MEMO`.
+        #: the namespace against another runtime.
         self.recipe: List[Tuple[str, tuple]] = []
         self._tmp = 0
         #: Variable -> ("native", name) | ("env", bound var name)
@@ -509,14 +502,6 @@ class _BehaviorCompiler:
         return "\n".join(self.lines) + "\n", self.ns
 
 
-@lru_cache(maxsize=256)
-def _compile_source(filename: str, source: str):
-    """``compile`` is pure in (filename, source) and costs ~0.3 ms per
-    generated behavior; re-simulating the same design (benchmark
-    repeats, parameter sweeps) hits this cache instead."""
-    return compile(source, filename, "exec")
-
-
 #: When set, every generated source is passed through this
 #: ``(behavior_name, source) -> source`` hook before being exec'd and
 #: recorded.  This is the seam the translation validator's codegen
@@ -547,117 +532,47 @@ class source_transform:
 
 
 # ----------------------------------------------------------------------
-# Source memoization
+# Lowered units
 #
-# Re-elaborating the same design point (benchmark repeats, width sweeps
-# that revisit a width, verify-then-simulate flows) re-runs the whole
-# text emission even though the generated source is a pure function of
-# the behavior IR plus the planning facts.  We memoize (source, binding
-# recipe) under a structural key and, on a hit, only rebuild the
-# namespace against the new runtime.  A key that failed to capture some
-# input would surface immediately: the translation validator proves
-# every source against the *current* spec's facts before the kernel
-# runs it, so a stale hit is refuted and demoted, never silently wrong.
+# A lowered behavior -- its generated source, binding recipe, code
+# object and translation-validation verdict -- is a pure function of
+# the facts the validator judges the source against
+# (:class:`~repro.analysis.tv.trace.BehaviorFacts`: IR fingerprint,
+# variable placement, contested set and transfer plans).  Each is built
+# once, on a miss of :data:`UNITS`: generate, parse once, prove that
+# tree, compile that tree.  Any runtime then only rebinds a namespace.
 # ----------------------------------------------------------------------
 
-def _dtype_code(dtype) -> str:
-    if isinstance(dtype, ArrayType):
-        elem = dtype.element
-        sign = "s" if getattr(elem, "signed", False) else "u"
-        return f"a{dtype.length}x{elem.bits}{sign}"
-    return f"{dtype.bits}{'s' if getattr(dtype, 'signed', False) else 'u'}"
+#: Entries :data:`UNITS` keeps.  One 20 s design-flow benchmark run
+#: (seed 1: 1080 requests, 5451 lookups) builds 2725 units at this
+#: limit, 2863 at 512 and 2606 unbounded.
+UNIT_TABLE_LIMIT = 1024
 
 
-def _fp_expr(expr) -> str:
-    if isinstance(expr, Const):
-        return f"C{expr.value}"
-    if isinstance(expr, Ref):
-        return f"R({expr.variable.name})"
-    if isinstance(expr, Index):
-        return f"X({expr.variable.name},{_fp_expr(expr.index)})"
-    if isinstance(expr, BinOp):
-        return f"B({expr.op},{_fp_expr(expr.lhs)},{_fp_expr(expr.rhs)})"
-    if isinstance(expr, UnOp):
-        return f"U({expr.op},{_fp_expr(expr.operand)})"
-    return f"?{type(expr).__name__}"
+@dataclass(frozen=True)
+class Unit:
+    """One lowered behavior.  ``code`` is compiled from the very tree
+    the validator judged; the tree itself is not kept."""
+
+    source: str
+    #: (bound name, rebind descriptor) per binding: see :func:`_rebind`.
+    recipe: tuple
+    code: object
+    #: the :class:`~repro.analysis.tv.checker.ProcessVerdict`.
+    verdict: object
 
 
-def _fp_target(target) -> str:
-    index = target.index_expr()
-    if index is None:
-        return target.variable.name
-    return f"{target.variable.name}[{_fp_expr(index)}]"
-
-
-def _fp_stmt(stmt) -> str:
-    if isinstance(stmt, Assign):
-        return f"A({_fp_target(stmt.target)},{_fp_expr(stmt.expr)})"
-    if isinstance(stmt, If):
-        return (f"I({_fp_expr(stmt.cond)},[{_fp_body(stmt.then_body)}],"
-                f"[{_fp_body(stmt.else_body)}])")
-    if isinstance(stmt, For):
-        return (f"F({stmt.var.name},{stmt.lo},{stmt.hi},"
-                f"[{_fp_body(stmt.body)}])")
-    if isinstance(stmt, While):
-        return f"W({_fp_expr(stmt.cond)},[{_fp_body(stmt.body)}])"
-    if isinstance(stmt, WaitClocks):
-        return f"T{stmt.clocks}"
-    if isinstance(stmt, Call):
-        args = ",".join(_fp_expr(a) for a in stmt.args)
-        results = ",".join(_fp_target(r) for r in stmt.results)
-        return f"K({stmt.procedure.name},[{args}],[{results}])"
-    if isinstance(stmt, Nop):
-        return "N"
-    return f"?{type(stmt).__name__}"
-
-
-def _fp_body(body) -> str:
-    return ",".join(_fp_stmt(s) for s in body)
-
-
-def _memo_key(runtime, behavior, analysis: Analysis, channel_modes,
-              deferred_channels) -> tuple:
-    """Everything the emitted text depends on.  ``_scalar_bounds`` and
-    ``CHUNK_CLOCKS`` ride along so a monkeypatched codegen (the test
-    suite forces unsound elision this way) never shares entries with
-    the stock one."""
-    touched = analysis.touches[behavior.name]
-    loadable = set(runtime.spec.original.variables) \
-        | set(behavior.local_variables)
-    original = set(runtime.spec.original.variables)
-    variables = ";".join(
-        f"{v.name}:{_dtype_code(v.dtype)}"
-        f":{v in analysis.contested:d}{v in loadable:d}{v in original:d}"
-        for v in sorted(touched, key=lambda v: v.name))
-    calls = []
-    for stmt in walk_statements(behavior.body):
-        if not isinstance(stmt, Call):
-            continue
-        entry = runtime._proc_map.get(id(stmt.procedure))
-        if entry is None:
-            calls.append("?")
-            continue
-        sim_bus, pair = entry
-        key = (sim_bus.name, pair.channel.name)
-        mode, _ = channel_modes[key]
-        proc = stmt.procedure
-        calls.append(
-            f"{sim_bus.name}.{pair.channel.name}:{mode}"
-            f":{key in deferred_channels:d}{proc.takes_address:d}"
-            f"{pair.channel.is_write:d}{pair.channel.is_read:d}")
-    return (_scalar_bounds, CHUNK_CLOCKS,
-            f"{behavior.name}|{_fp_body(behavior.body)}|{variables}|"
-            + ";".join(calls))
-
-
-#: memo key -> (generated source, binding recipe).
-_SOURCE_MEMO = FifoTable(512)
+#: ``(_scalar_bounds, CHUNK_CLOCKS, BehaviorFacts.key)`` -> :class:`Unit`.
+#: The two codegen seams ride along so a monkeypatched codegen (the test
+#: suite forces unsound elision this way) never shares entries with the
+#: stock one.
+UNITS = FifoTable(UNIT_TABLE_LIMIT)
 
 
 def _rebind(runtime, behavior, recipe, pair_map,
             touched) -> Dict[str, object]:
     """Replay a binding recipe against a (new) runtime, producing the
-    namespace a memoized source expects.  ``touched`` holds the
+    namespace a unit's source expects.  ``touched`` holds the
     variables the behavior touches directly."""
     ns: Dict[str, object] = {"W": Wait}
     varmap = {v.name: v for v in touched}
@@ -702,27 +617,22 @@ class Lowering:
     that does not depend on a particular runtime: memoized on the spec
     (:meth:`~repro.protogen.refine.RefinedSpec.memoized`), so a second
     runtime of the same plan -- validate, then simulate -- only rebinds
-    namespaces.  It holds no runtime and no bound namespace, and only
-    what a rebind needs: code objects come back from
-    :func:`_compile_source`, so a spec kept alive does not keep them
-    too."""
+    namespaces.  It holds no runtime and no bound namespace; its units
+    are the shared :data:`UNITS` entries."""
 
     channel_modes: Dict[Tuple[str, str], Tuple[str, str]]
     #: behavior name -> why it stayed on the interpreter (compile time).
     fallbacks: Dict[str, str]
-    #: behavior name -> (generated source, binding recipe, variables
-    #: the behavior touches directly).
-    units: Dict[str, Tuple[str, tuple, Tuple[Variable, ...]]]
-    #: The translation validator's report on these sources, once run
-    #: (:func:`repro.analysis.tv.validate_program` fills it in).
-    report: object = None
+    #: behavior name -> (its :class:`Unit`, variables the behavior
+    #: touches directly).
+    units: Dict[str, Tuple[Unit, Tuple[Variable, ...]]]
 
 
 def _plan_key(runtime) -> tuple:
     """Every input of a lowering beyond the spec itself: the schedule,
     the observers that pin channels to the interpreter tier, and each
     bus's fault injector and arbiter type.  ``_scalar_bounds`` and
-    ``CHUNK_CLOCKS`` ride along as in :func:`_memo_key`."""
+    ``CHUNK_CLOCKS`` ride along as in :data:`UNITS`."""
     return ("lowering", _scalar_bounds, CHUNK_CLOCKS,
             tuple(tuple(stage) for stage in runtime._stages),
             runtime.recorder is not None, bool(runtime.trace),
@@ -737,21 +647,18 @@ def _pair_map(runtime) -> Dict[Tuple[str, str], Tuple[object, object]]:
             for pair in refined_bus.procedures.values()}
 
 
-def _code(spec, behavior: Behavior, source: str):
-    return _compile_source(f"<compiled {spec.name}.{behavior.name}>",
-                           source)
+def _lower(runtime, bound: Dict[str, dict]) -> Lowering:
+    """Lower every compilable behavior of ``runtime``'s spec.  A unit
+    built here (not served by :data:`UNITS`) leaves its namespace,
+    bound to ``runtime``, in ``bound``."""
+    # Imported here: the validator imports this module.
+    from repro.analysis.tv.checker import validate_behavior
+    from repro.analysis.tv.trace import spec_facts
 
-
-def _lower(runtime) -> Tuple[Lowering, Analysis, Dict[str, tuple]]:
-    """Compile every compilable behavior of ``runtime``'s spec; returns
-    the lowering, its analysis and, per behavior whose source was
-    generated here (not taken from :data:`_SOURCE_MEMO`), its namespace
-    bound to ``runtime`` and its code object."""
     spec = runtime.spec
     analysis = analyze_spec(spec, runtime._stages, runtime._proc_map)
     lowering = Lowering(channel_modes={},
                         fallbacks=dict(analysis.fallbacks), units={})
-    bound: Dict[str, tuple] = {}
 
     deferred = set()
     for refined_bus in spec.buses:
@@ -769,78 +676,87 @@ def _lower(runtime) -> Tuple[Lowering, Analysis, Dict[str, tuple]]:
             if mode == FUSED and deferrable:
                 deferred.add((sim_bus.name, pair.channel.name))
     deferred_channels = frozenset(deferred)
+    facts_map = spec_facts(runtime, analysis, lowering.channel_modes,
+                           deferred_channels)
 
+    fresh = []
     for behavior in spec.behaviors:
-        if behavior.name in lowering.fallbacks:
+        facts = facts_map.get(behavior.name)
+        if facts is None:
             continue
         touched = tuple(analysis.touches[behavior.name])
-        memo_key = _memo_key(runtime, behavior, analysis,
-                             lowering.channel_modes, deferred_channels)
-        cached = _SOURCE_MEMO.get(memo_key)
-        ns = None
-        if cached is not None:
-            source, recipe = cached
-        else:
-            compiler = _BehaviorCompiler(runtime, behavior, analysis,
-                                         lowering.channel_modes,
-                                         deferred_channels)
-            try:
-                source, ns = compiler.compile()
-            except CompileFallback as exc:
-                lowering.fallbacks[behavior.name] = str(exc)
-                continue
-            recipe = tuple(compiler.recipe)
-            _SOURCE_MEMO.put(memo_key, (source, recipe))
+        key = (_scalar_bounds, CHUNK_CLOCKS, facts.key)
+        unit = UNITS.get(key) if _SOURCE_TRANSFORM is None else None
+        if unit is not None:
+            lowering.units[behavior.name] = (unit, touched)
+            continue
+        compiler = _BehaviorCompiler(runtime, behavior, analysis,
+                                     lowering.channel_modes,
+                                     deferred_channels)
+        try:
+            source, bound[behavior.name] = compiler.compile()
+        except CompileFallback as exc:
+            lowering.fallbacks[behavior.name] = str(exc)
+            continue
         if _SOURCE_TRANSFORM is not None:
             source = _SOURCE_TRANSFORM(behavior.name, source)
-        lowering.units[behavior.name] = (source, recipe, touched)
-        if ns is not None:
-            bound[behavior.name] = (ns, _code(spec, behavior, source))
+        fresh.append((key, facts, source, tuple(compiler.recipe), touched))
+
+    # One span per lowering, opened whether or not a unit was missing,
+    # so span counts do not depend on what the table already holds.
+    with obs_span("sim.validate", category="sim", system=spec.name):
+        proofs = [validate_behavior(facts, source)
+                  for _, facts, source, _, _ in fresh]
+    for (key, facts, source, recipe, touched), (tree, verdict) in zip(
+            fresh, proofs):
+        unit = Unit(source, recipe,
+                    compile(tree, f"<compiled {facts.name}>", "exec"),
+                    verdict)
+        if _SOURCE_TRANSFORM is None:
+            UNITS.put(key, unit)
+        lowering.units[facts.name] = (unit, touched)
     # Deterministic rendering everywhere the dict is iterated (MANIFEST,
     # run reports, SimResult.fallbacks): sorted by process name.
     lowering.fallbacks = dict(sorted(lowering.fallbacks.items()))
-    return lowering, analysis, bound
+    return lowering
 
 
 def compile_spec(runtime) -> CompiledProgram:
     """Compile every compilable behavior of a
     :class:`~repro.sim.runtime.RefinedSimulation`.
 
-    The lowering is memoized on the spec under :func:`_plan_key`; a
-    hit only rebinds each generated source's namespace to ``runtime``,
-    as does a miss whose source came from :data:`_SOURCE_MEMO`.
-    Under a :class:`source_transform` (the codegen defect corpus) every
-    call lowers afresh."""
+    The lowering is memoized on the spec under :func:`_plan_key`, its
+    units in :data:`UNITS`; a unit not built for ``runtime`` only has
+    its namespace rebound to it.  Under a :class:`source_transform`
+    (the codegen defect corpus) every call lowers afresh and nothing is
+    stored."""
     spec = runtime.spec
-    program = CompiledProgram()
-    bound: Dict[str, tuple] = {}
+    bound: Dict[str, dict] = {}
 
     def lower() -> Lowering:
         with obs_span("sim.compile", category="sim", system=spec.name):
-            lowering, program.analysis, fresh = _lower(runtime)
-        bound.update(fresh)
-        return lowering
+            return _lower(runtime, bound)
 
     if _SOURCE_TRANSFORM is None:
         lowering = spec.memoized(_plan_key(runtime), lower)
     else:
         lowering = lower()
-    program.lowering = lowering
-    program.channel_modes = lowering.channel_modes
-    program.fallbacks = dict(lowering.fallbacks)
+    program = CompiledProgram(channel_modes=lowering.channel_modes,
+                              fallbacks=dict(lowering.fallbacks),
+                              lowering=lowering)
     pair_map = None
     for behavior in spec.behaviors:
-        unit = lowering.units.get(behavior.name)
-        if unit is None:
+        entry = lowering.units.get(behavior.name)
+        if entry is None:
             continue
-        source, recipe, touched = unit
-        ns, code = bound.get(behavior.name, (None, None))
+        unit, touched = entry
+        ns = bound.get(behavior.name)
         if ns is None:
             if pair_map is None:
                 pair_map = _pair_map(runtime)
-            ns = _rebind(runtime, behavior, recipe, pair_map, touched)
-            code = _code(spec, behavior, source)
-        exec(code, ns)
+            ns = _rebind(runtime, behavior, unit.recipe, pair_map,
+                         touched)
+        exec(unit.code, ns)
         program.processes[behavior.name] = ns["run"]  # type: ignore
-        program.sources[behavior.name] = source
+        program.sources[behavior.name] = unit.source
     return program

@@ -72,6 +72,18 @@ class TestUnusableArguments:
         assert err.startswith("error: ")
         assert argv[-1] in err
 
+    def test_unusable_sim_source_dir_fails_before_the_flow(self, tmp_path,
+                                                           capsys):
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        target = str(regular / "sub")
+        assert main(["synth", "flc", "--simulate", "--backend", "compiled",
+                     "--emit-sim-source", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {target}: "
+                                "Not a directory\n")
+
     @pytest.mark.parametrize("argv", [
         ["explain", "flc", "--top", "-1"],
         ["explain", "flc", "--top", "0"],

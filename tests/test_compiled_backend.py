@@ -455,12 +455,12 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# Codegen source memoization
+# Codegen unit table
 
 
 class TestSourceMemo:
-    """Re-elaborating an equal design point reuses the memoized
-    generated source (only the namespace is rebound to the new
+    """Re-elaborating an equal design point reuses the lowered unit
+    from the unit table (only the namespace is rebound to the new
     runtime) and still matches the interpreter observable-for-
     observable."""
 

@@ -2,11 +2,12 @@
 
 Validating a refined spec and then simulating it on the compiled
 backend under the same plan lowers it once: the second runtime only
-rebinds namespaces, runs the very sources translation validation
-judged and takes its report.  A different plan -- a flight recorder,
-signal tracing, a fault plan, another schedule or another arbiter --
-gets a lowering of its own.  The validator parses each generated source
-once and builds every obligation as ``ast`` nodes.
+rebinds namespaces and runs the very units translation validation
+judged.  A different plan -- a flight recorder, signal tracing, a fault
+plan, another schedule or another arbiter -- gets a lowering of its
+own.  Each generated source is parsed once; the validator judges that
+tree, builds every obligation as ``ast`` nodes, and the code object is
+compiled from the same tree.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ import weakref
 import pytest
 
 from repro import obs
-from repro.analysis.tv import checker, validate_program, validate_refined
+from repro.analysis.tv import validate_program, validate_refined
 from repro.analysis.tv.mutations import CORPUS
 from repro.busgen.split import plan_buses
 from repro.explore.systems import load_system
+from repro.fifo import FifoTable
 from repro.obs.flight import FlightRecorder
+from repro.protocols import get_protocol
 from repro.protogen.refine import refine_system
 from repro.sim.arbiter import TdmaArbiter
-from repro.sim.compiled import source_transform
+from repro.sim.compiled import codegen, source_transform
 from repro.sim.faults import Fault, FaultKind, FaultPlan
 from repro.sim.runtime import RefinedSimulation, simulate
 from tests.test_compiled_backend import _assert_results_agree
@@ -47,12 +50,13 @@ def test_validate_then_simulate_lowers_once(name):
         result = sim.run()
     assert len(tracer.spans_named("sim.compile")) == 1
     assert report.all_validated
-    assert sim.tv_report is report
+    assert sim.tv_report.verdicts == report.verdicts
     lowering = sim.compiled.lowering
-    assert lowering.report is report
     assert sim.compiled.sources
     for behavior, source in sim.compiled.sources.items():
-        assert source is lowering.units[behavior][0]
+        unit, _ = lowering.units[behavior]
+        assert source is unit.source
+        assert report.verdicts[behavior] is unit.verdict
     assert result.fallbacks == {}
     _assert_results_agree(simulate(spec, schedule=schedule), result)
 
@@ -101,12 +105,17 @@ def test_each_plan_gets_its_own_lowering(plan):
 def test_a_source_transform_lowers_afresh():
     spec, schedule = _refined("flc")
     validate_refined(spec, schedule=schedule)
+    stored = dict(codegen.UNITS._entries)
     with source_transform(lambda name, source: source):
         with obs.tracing() as tracer:
             sim = RefinedSimulation(spec, schedule=schedule,
                                     backend="compiled")
     assert len(tracer.spans_named("sim.compile")) == 1
-    assert sim.compiled.lowering.report is sim.tv_report
+    assert len(tracer.spans_named("sim.validate")) == 1
+    assert sim.tv_report.all_validated
+    assert codegen.UNITS._entries == stored
+    for unit, _ in sim.compiled.lowering.units.values():
+        assert all(unit is not kept for kept in stored.values())
 
 
 def test_the_lowering_keeps_no_runtime_alive():
@@ -117,7 +126,9 @@ def test_the_lowering_keeps_no_runtime_alive():
     del sim
     gc.collect()
     assert runtime() is None
-    assert lowering.units and lowering.report.all_validated
+    assert lowering.units
+    assert all(unit.verdict.validated
+               for unit, _ in lowering.units.values())
 
 
 def _count_parses(monkeypatch):
@@ -134,16 +145,25 @@ def _count_parses(monkeypatch):
 
 @pytest.mark.parametrize("name", ["flc", "answering-machine", "ethernet"])
 def test_validation_parses_each_generated_source_once(monkeypatch, name):
+    """Construction plus validation parse each source once, and every
+    code object is compiled from a parsed tree, never from text."""
     spec, schedule = _refined(name, protection="parity")
-    with source_transform(lambda behavior, source: source):
-        sim = RefinedSimulation(spec, schedule=schedule,
-                                backend="compiled",
-                                validate_compiled=False)
-    monkeypatch.setattr(checker, "_CACHE", type(checker._CACHE)(1024))
+    monkeypatch.setattr(codegen, "UNITS", FifoTable(codegen.UNITS.limit))
     calls = _count_parses(monkeypatch)
+    compiled = []
+
+    def counting_compile(source, *args, **kwargs):
+        compiled.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(codegen, "compile", counting_compile,
+                        raising=False)
+    sim = RefinedSimulation(spec, schedule=schedule, backend="compiled")
     report = validate_program(sim)
     assert report.all_validated and report.obligations()
     assert sorted(calls) == sorted(sim.compiled.sources.values())
+    assert len(compiled) == len(calls)
+    assert all(isinstance(tree, ast.Module) for tree in compiled)
 
 
 #: (code, message, line) of the corpus refutations as parsed
@@ -188,8 +208,6 @@ def test_corpus_refutations_are_unchanged(monkeypatch):
     seen = {}
     for defect in CORPUS.defects:
         spec, schedule, transform = defect.build()
-        monkeypatch.setattr(checker, "_CACHE",
-                            type(checker._CACHE)(1024))
         calls = _count_parses(monkeypatch)
         report, _ = _validate_build(spec, schedule, transform)
         monkeypatch.undo()
@@ -200,3 +218,55 @@ def test_corpus_refutations_are_unchanged(monkeypatch):
             for verdict in report.refutations()
             for d in verdict.diagnostics]
     assert seen == CORPUS_REFUTATIONS
+
+
+#: The differential test's design points: each protocol unprotected,
+#: and full handshake under each protection.
+UNIT_POINTS = [(protocol, None) for protocol in (
+    "full_handshake", "half_handshake", "fixed_delay", "burst_handshake")
+] + [("full_handshake", protection) for protection in ("parity", "crc8")]
+
+#: Its plans: plain, each observer and a fault plan, plus a schedule
+#: and an arbiter change, which alter the contested set and the
+#: deferral of fused channels.
+UNIT_PLANS = {
+    "plain": lambda spec, schedule: dict(schedule=schedule),
+    "bit_flip": lambda spec, schedule: dict(
+        schedule=schedule,
+        faults=FaultPlan([Fault(kind=FaultKind.BIT_FLIP, bus=_bus(spec))])),
+    **{name: PLANS[name] for name in
+       ("recorder", "trace", "unscheduled", "tdma")},
+}
+
+
+@pytest.mark.parametrize("name", ["flc", "answering-machine", "ethernet"])
+def test_a_served_unit_equals_a_fresh_build(monkeypatch, name):
+    """Over every design point and plan of a system, sharing one unit
+    table, each unit a runtime gets -- served or built -- equals the
+    one an empty table builds for that runtime: source, binding recipe,
+    verdict and code."""
+    monkeypatch.setattr(codegen, "UNITS", FifoTable(codegen.UNITS.limit))
+    loaded = load_system(name)
+    seen, served = set(), 0
+    for protocol, protection in UNIT_POINTS:
+        spec = refine_system(
+            loaded.system,
+            plan_buses(loaded.groups, get_protocol(protocol)),
+            protection=protection)
+        for plan in UNIT_PLANS.values():
+            sim = RefinedSimulation(spec, backend="compiled",
+                                    **plan(spec, loaded.schedule))
+            units = sim.compiled.lowering.units
+            with monkeypatch.context() as fresh_table:
+                fresh_table.setattr(codegen, "UNITS", FifoTable(1))
+                fresh = codegen._lower(sim, {}).units
+            assert units.keys() == fresh.keys()
+            for behavior, (unit, _) in units.items():
+                other = fresh[behavior][0]
+                assert unit.source == other.source
+                assert unit.recipe == other.recipe
+                assert unit.verdict == other.verdict
+                assert unit.code == other.code
+                served += id(unit) in seen
+                seen.add(id(unit))
+    assert served

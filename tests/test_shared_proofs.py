@@ -29,7 +29,6 @@ from repro.analysis.product import (
     proof_key,
     with_fsm_transform,
 )
-from repro.analysis.tv import checker as tv_checker
 from repro.busgen.split import plan_buses
 from repro.explore.systems import load_system
 from repro.fifo import FifoTable
@@ -241,8 +240,7 @@ def test_fifo_table_evicts_oldest_first():
 
 def test_process_tables_keep_their_limits():
     assert PROOFS.clean.limit == product.PROOF_TABLE_LIMIT == 1024
-    assert tv_checker._CACHE.limit == 1024
-    assert codegen._SOURCE_MEMO.limit == 512
+    assert codegen.UNITS.limit == codegen.UNIT_TABLE_LIMIT == 1024
 
 
 def test_proof_table_never_exceeds_its_limit():

@@ -27,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.tv import (checker, pyparse,
-                               replay_backend_divergence, validate_refined)
+from repro.analysis.tv import (pyparse, replay_backend_divergence,
+                               validate_refined)
 from repro.analysis.tv.mutations import CORPUS, _counter_spec, _validate_build
 from repro.analysis.tv.pyparse import Renamer, alpha_equal
 from repro.busgen.split import plan_buses
@@ -39,7 +39,7 @@ from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
 from repro.protocols import FIXED_DELAY, get_protocol
 from repro.protogen.refine import generate_protocol, refine_system
-from repro.sim.compiled import source_transform
+from repro.sim.compiled import codegen, source_transform
 from repro.sim.runtime import RefinedSimulation, simulate
 from repro.spec.behavior import Behavior
 from repro.spec.expr import BinOp, Ref
@@ -256,8 +256,6 @@ def test_forced_unsound_elision_is_refuted_p803(monkeypatch):
     """Widen the codegen's range certificate so it (unsoundly) elides
     the wrap of an overflowing 8-bit loop variable: the validator must
     refute P803 and the counterexample must replay."""
-    from repro.sim.compiled import codegen
-
     monkeypatch.setattr(codegen, "_scalar_bounds",
                         lambda dtype: (-10**9, 10**9))
     refined = _loop_spec(8, True, 200)
@@ -328,7 +326,7 @@ def _assert_agrees_with_dump(actual, expected, ren_a, ren_e, judge):
 @pytest.fixture
 def recorded_alpha_equal(monkeypatch):
     """Route every checker comparison through the dump cross-check,
-    with the verdict cache emptied so every process is really proven.
+    with the unit table emptied so every process is really proven.
     Yields the running ``[unequal pairs, equal pairs]`` tally."""
     tally = [0, 0]
 
@@ -338,7 +336,7 @@ def recorded_alpha_equal(monkeypatch):
         tally[got] += 1
         return got
 
-    monkeypatch.setattr(checker, "_CACHE", FifoTable(checker._CACHE.limit))
+    monkeypatch.setattr(codegen, "UNITS", FifoTable(codegen.UNITS.limit))
     monkeypatch.setattr(pyparse, "alpha_equal", checked)
     yield tally
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Trust gate for the compiled simulation backend.
 
-Two checks over every built-in system at every protection level:
+Three checks over every built-in system at every protection level:
 
 1. **Proof**: the translation validator (:mod:`repro.analysis.tv`)
    must discharge every obligation of every lowered process -- no
@@ -15,8 +15,12 @@ Two checks over every built-in system at every protection level:
    :class:`~repro.obs.flight.FlightRecorder` attached (which sends
    every compiled transfer through the bus's own word loop) and
    compares the transaction logs and the whole flight journal.
+3. **Unit table**: every check runs twice, first with the compiled
+   backend's unit table (:data:`repro.sim.compiled.codegen.UNITS`)
+   emptied, then with it warm; the generated sources, MANIFEST lines
+   and verdicts of the two passes must be identical.
 
-A failure in either means the backend could silently produce wrong
+A failure in any of them means the backend could silently produce wrong
 results, so the script exits non-zero and CI fails the build.  That
 the validator can still notice a miscompile is the codegen-defect
 corpus' job (:mod:`repro.analysis.tv.mutations`, run by ``make
@@ -37,7 +41,8 @@ from repro.errors import ReproError
 from repro.explore.systems import BUILTIN_SYSTEMS, load_system
 from repro.obs.flight import FlightRecorder
 from repro.protogen.refine import refine_system
-from repro.sim.runtime import BACKENDS, simulate
+from repro.sim.compiled import codegen
+from repro.sim.runtime import BACKENDS, RefinedSimulation, simulate
 
 PROTECTIONS = (None, "parity", "crc8")
 
@@ -71,8 +76,10 @@ def _observed_failures(refined, schedule):
     return [name for name in interp if interp[name] != compiled[name]]
 
 
-def check_system(name: str) -> int:
-    """Proof + agreement for one system; returns failure count."""
+def check_system(name: str, lowered: dict) -> int:
+    """Proof + agreement for one system; returns failure count and
+    records, per protection, the sources, MANIFEST lines and verdicts
+    of its compiled lowering in ``lowered``."""
     failures = 0
     loaded = load_system(name)
     schedule = loaded.schedule
@@ -82,6 +89,10 @@ def check_system(name: str) -> int:
                                 protection=protection)
 
         report = validate_refined(refined, schedule=schedule)
+        program = RefinedSimulation(refined, schedule=schedule,
+                                    backend="compiled").compiled
+        lowered[label] = (program.sources, program.describe(),
+                          report.verdict_lines())
         refuted = [n for n, v in report.verdicts.items() if v.refuted]
         demoted = [n for n, v in report.verdicts.items()
                    if v.status == "fallback"]
@@ -118,12 +129,25 @@ def check_system(name: str) -> int:
 def main(argv) -> int:
     systems = argv or list(BUILTIN_SYSTEMS)
     failures = 0
+    passes = []
     try:
-        for name in systems:
-            failures += check_system(name)
+        for table in ("emptied", "warm"):
+            print(f"unit table {table}:")
+            if table == "emptied":
+                codegen.UNITS.clear()
+            lowered: dict = {}
+            for name in systems:
+                failures += check_system(name, lowered)
+            passes.append(lowered)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    cold, warm = passes
+    for label in cold:
+        if cold[label] != warm.get(label):
+            failures += 1
+            print(f"FAIL {label} sources, MANIFEST or verdicts differ "
+                  "between an emptied and a warm unit table")
     if failures:
         print(f"\n{failures} check(s) FAILED")
         return 1

@@ -106,10 +106,12 @@ sim-source-examples: ## dump the compiled backend's generated Python
 		--simulate --backend compiled \
 		--emit-sim-source observability/sim-source/flc-parity
 
-verify-all:       ## verify every built-in system's refinement
+verify-all:       ## verify every built-in system's refinement, and gcd's
 	PYTHONPATH=src $(PYTHON) -m repro.cli synth flc --verify
 	PYTHONPATH=src $(PYTHON) -m repro.cli synth answering-machine --verify
 	PYTHONPATH=src $(PYTHON) -m repro.cli synth ethernet --verify
+	PYTHONPATH=src $(PYTHON) -m repro.cli synth \
+		examples/specs/gcd_accelerator.spec --simulate --verify
 
 verify-examples:  ## temporal model checking on the built-in systems,
                   ## plus a witness write/replay round trip

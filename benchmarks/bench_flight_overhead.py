@@ -16,12 +16,17 @@ The recorder's design claim is two-sided:
 
 Both measurements are *paired in-process* (interleaved best-of-N of
 the two variants in the same interpreter), so the gate measures the
-recorder, not the CI machine.
+recorder, not the CI machine.  Wall time still carries host noise, so
+the "detached is free" claim is also checked by a count that cannot
+drift: under ``cProfile`` an attached recorder adds no call anywhere in
+the simulator, and its own calls per run do not grow with the workload.
 
 Writes ``benchmarks/reports/flight_overhead.txt`` and
 ``BENCH_flight_overhead.json`` (consumed by the CI regression gate).
 """
 
+import cProfile
+import pstats
 import time
 
 from benchmarks._report import format_table, write_json_report, write_report
@@ -39,6 +44,11 @@ KERNEL_MESSAGES = 6000
 KERNEL_WORDS = 8
 #: Interleaved repetitions per variant; best-of wall time is compared.
 REPEATS = 7
+#: Repetitions of the kernel-level pair: its 3% gate sits close to
+#: host noise, so it takes more samples before the best-of.
+KERNEL_REPEATS = 15
+#: Messages of the profiled kernel runs (call counts need no size).
+PROFILE_MESSAGES = 50
 #: Detached/kernel-level gate: the recorder must stay under +3%.
 KERNEL_GATE = 1.03
 #: Attached full-instrumentation sanity bound (informative ratio is
@@ -46,7 +56,7 @@ KERNEL_GATE = 1.03
 ATTACHED_BOUND = 3.0
 
 
-def _run_handshake(recorder=None):
+def _run_handshake(recorder=None, messages=KERNEL_MESSAGES):
     """The ``bench_kernel_scaling`` producer/consumer pair: a pure
     kernel workload where no recorder hook sits on the hot path."""
     start = Signal("START")
@@ -54,7 +64,7 @@ def _run_handshake(recorder=None):
     data = Signal("DATA")
 
     def producer():
-        for message in range(KERNEL_MESSAGES):
+        for message in range(messages):
             for word in range(KERNEL_WORDS):
                 data.set((message + word + 1) & 0xFFFF)
                 start.set(1)
@@ -66,7 +76,7 @@ def _run_handshake(recorder=None):
 
     def consumer():
         received = 0
-        total = KERNEL_MESSAGES * KERNEL_WORDS
+        total = messages * KERNEL_WORDS
         while received < total:
             yield WaitOn(start, lambda: start.value == 1)
             received += 1
@@ -114,13 +124,41 @@ def _paired_best_of(fn, make_recorder, repeats=REPEATS):
     return best_plain, best_attached, payload
 
 
+def _call_counts(recorder, messages):
+    """Profiled kernel run: ``(calls per simulator function, total
+    calls into the flight recorder package)``."""
+    profile = cProfile.Profile()
+    profile.enable()
+    _run_handshake(recorder, messages)
+    profile.disable()
+    simulator, recorder_calls = {}, 0
+    for (filename, line, name), row in pstats.Stats(profile).stats.items():
+        path = filename.replace("\\", "/")
+        if "/repro/obs/flight/" in path:
+            recorder_calls += row[1]
+        elif "/repro/sim/" in path:
+            simulator[(path, line, name)] = row[1]
+    return simulator, recorder_calls
+
+
 _SECTIONS = {}
+
+
+def test_recorder_adds_no_calls_on_the_kernel_hot_path():
+    """Host-independent form of the 3% gate: attaching the recorder
+    changes no simulator call count, and the recorder's own calls are
+    a per-run constant, not a per-clock cost."""
+    plain, _ = _call_counts(None, PROFILE_MESSAGES)
+    attached, small = _call_counts(FlightRecorder(), PROFILE_MESSAGES)
+    _, large = _call_counts(FlightRecorder(), 2 * PROFILE_MESSAGES)
+    assert plain and attached == plain
+    assert 0 < small == large
 
 
 def test_kernel_level_recorder_is_under_three_percent():
     """An attached recorder off the hot path costs < 3% wall time."""
-    plain, attached, recorder = _paired_best_of(_run_handshake,
-                                                FlightRecorder)
+    plain, attached, recorder = _paired_best_of(
+        _run_handshake, FlightRecorder, KERNEL_REPEATS)
     assert plain[1] == attached[1], "recorder changed the schedule"
     assert recorder.end_clock == attached[1]
     # No bus in this workload: the journal must stay empty.
@@ -140,7 +178,7 @@ def test_kernel_level_recorder_is_under_three_percent():
     }
     lines = [f"Flight recorder, kernel-level workload "
              f"({KERNEL_MESSAGES} messages x {KERNEL_WORDS} words, "
-             f"best of {REPEATS}):", ""]
+             f"best of {KERNEL_REPEATS}):", ""]
     lines += format_table(
         ["variant", "wall s", "clocks"],
         [["detached", round(plain[0], 4), plain[1]],

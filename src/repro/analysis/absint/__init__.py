@@ -22,7 +22,6 @@ from repro.analysis.absint.rates import (
     ChannelStaticBounds,
     StaticRateModel,
     refined_channel_bounds,
-    static_channel_bounds,
     static_group_bounds,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "analyze_refined_values",
     "check_value_flow",
     "refined_channel_bounds",
-    "static_channel_bounds",
     "static_group_bounds",
 ]

@@ -37,7 +37,7 @@ ever mutated (the same contract as the other analysis passes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.absint.domain import AbsVal, type_range
 from repro.obs.tracer import count as obs_count
@@ -74,9 +74,10 @@ _NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "/=", "/=": "="}
 _MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "/=": "/="}
 
 
-@dataclass(frozen=True)
-class TripBounds:
-    """Proven iteration bounds of one loop; ``hi is None`` = unbounded."""
+class TripBounds(NamedTuple):
+    """Proven iteration bounds of one loop; ``hi is None`` = unbounded.
+    A tuple, so :meth:`ValueAnalysis.trip_bounds` is a trip lookup of
+    :func:`repro.spec.access.fold`."""
 
     lo: int
     hi: Optional[int]

@@ -1,26 +1,27 @@
 """Statically proven channel access-count, bit-volume and rate bounds.
 
-:mod:`repro.spec.access` counts accesses with *concrete* loop trip
-counts (``For`` bounds are constant; ``While`` trusts its declared
-``trip_count`` hint).  This module re-derives the same counts as sound
-**intervals** ``[lo, hi]`` using trip bounds proven by the
-abstract-interpretation engine:
+Every count and clock here comes from :func:`repro.spec.access.fold`,
+the one cost model behind channel extraction and the performance
+estimator, run under the trip bounds the abstract-interpretation engine
+proves instead of the ``--@ trips`` pragma:
 
 * ``For`` trip counts are exact (constant bounds) -- ``lo == hi``;
 * ``While`` trips come from :class:`~repro.analysis.absint.engine
   .TripBounds` (``hi is None`` = no finite bound proven);
-* both arms of an ``If`` contribute ``[0, hi]`` -- either may be
-  skipped, so only the upper bound survives.
+* either arm of an ``If`` may be skipped: its sites count ``[0, hi]``
+  and it costs 1 plus its shorter arm at the low end, 1 plus its longer
+  arm at the high end.
 
-Two counting front-ends are provided.  :func:`static_group_bounds`
-counts direct accesses in the *original* behaviors (the busgen-side
-view, mirroring :func:`repro.spec.access.analyze_behavior` site by site
-so tight bounds reproduce the measured counts exactly).
-:func:`refined_channel_bounds` counts generated accessor-procedure calls
-in a *refined* spec (the view the simulator realizes one transaction per
-call, which is what the soundness gate cross-validates).
+Two front-ends differ only in the fold's site kind.
+:func:`static_group_bounds` counts direct accesses in the *original*
+behaviors (the busgen-side view; tight bounds reproduce the measured
+counts exactly).  :func:`refined_channel_bounds` counts generated
+accessor-procedure calls in a *refined* spec (the simulator realizes one
+transaction per call, which is what the soundness gate cross-validates).
+Each channel's bounds also carry its accessor's clocks outside the
+channel's own bus: computation, plus transfers on any other bus.
 
-:class:`StaticRateModel` turns bit-volume bounds into **rate bounds**:
+:class:`StaticRateModel` turns them into **rate bounds**:
 ``rate_bounds(channel, width) -> (lo, hi)`` bits/time-unit, where the
 upper rate divides the maximum bit volume by the *shortest* provable
 accessor lifetime and vice versa.  ``demand_bounds`` sums them into a
@@ -30,25 +31,27 @@ proven bracket around the Equation-1 demand, which bus generation's
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.absint.engine import (
-    TripBounds,
-    ValueAnalysis,
     analyze_behavior,
     analyze_refined_values,
 )
 from repro.channels.channel import Channel
 from repro.channels.group import ChannelGroup
-from repro.estimate.perf import PerformanceEstimator
+from repro.estimate.perf import transfer_clocks
 from repro.protocols import Protocol
-from repro.spec.access import Direction
-from repro.spec.behavior import Behavior
-from repro.spec.stmt import Assign, Call, For, If, Stmt, While
-from repro.spec.variable import Variable
+from repro.spec.access import (
+    Cost,
+    Interval,
+    accessor_calls,
+    add_hi,
+    fold,
+    mul_hi,
+    variable_sites,
+)
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ class ChannelStaticBounds:
     #: ``None`` when no finite bound could be proven (unbounded loop).
     accesses_hi: Optional[int]
     message_bits: int
+    #: Clocks the channel's accessor spends outside transfers on the
+    #: channel's own bus: its lifetime less that bus's traffic.
+    accessor_clocks: Interval = (0, None)
 
     @property
     def bounded(self) -> bool:
@@ -71,9 +77,7 @@ class ChannelStaticBounds:
 
     @property
     def bits_hi(self) -> Optional[int]:
-        if self.accesses_hi is None:
-            return None
-        return self.accesses_hi * self.message_bits
+        return mul_hi(self.accesses_hi, self.message_bits)
 
     def contains_accesses(self, count: int) -> bool:
         """Soundness predicate: a measured access count is in bounds."""
@@ -93,126 +97,28 @@ class ChannelStaticBounds:
                 f" x {self.message_bits} bits")
 
 
-def _mul_hi(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """Upper-bound product where ``None`` means unbounded (0 absorbs)."""
-    if a == 0 or b == 0:
-        return 0
-    if a is None or b is None:
-        return None
-    return a * b
-
-
-@dataclass(frozen=True)
-class _Site:
-    variable: Variable
-    direction: Direction
-    lo: int
-    hi: Optional[int]
-
-
-TripLookup = Callable[[While], TripBounds]
-
-
-def _iter_interval_sites(body: Sequence[Stmt], lo: int, hi: Optional[int],
-                         trips: TripLookup) -> Iterator[_Site]:
-    """Interval-counted access sites; mirrors ``access._iter_sites``."""
-    for stmt in body:
-        if isinstance(stmt, While):
-            bounds = trips(stmt)
-            # Condition evaluated once per iteration plus the final
-            # failing test: trips + 1 times.
-            for read in stmt.cond.reads():
-                yield _Site(read.variable, Direction.READ,
-                            lo * (bounds.lo + 1),
-                            _mul_hi(hi, None if bounds.hi is None
-                                    else bounds.hi + 1))
-            yield from _iter_interval_sites(
-                stmt.body, lo * bounds.lo, _mul_hi(hi, bounds.hi), trips)
-            continue
-        if isinstance(stmt, Assign):
-            yield _Site(stmt.target.variable, Direction.WRITE, lo, hi)
-        if isinstance(stmt, Call):
-            for result in stmt.results:
-                yield _Site(result.variable, Direction.WRITE, lo, hi)
-        for read in stmt.reads():
-            yield _Site(read.variable, Direction.READ, lo, hi)
-        if isinstance(stmt, If):
-            # Either arm may be skipped at runtime: lower bound 0.
-            yield from _iter_interval_sites(stmt.then_body, 0, hi, trips)
-            yield from _iter_interval_sites(stmt.else_body, 0, hi, trips)
-        elif isinstance(stmt, For):
-            yield from _iter_interval_sites(
-                stmt.body, lo * stmt.trip_count,
-                _mul_hi(hi, stmt.trip_count), trips)
-
-
-def _trip_lookup(analysis: ValueAnalysis) -> TripLookup:
-    return analysis.trip_bounds
-
-
-def static_channel_bounds(channel: Channel,
-                          analysis: Optional[ValueAnalysis] = None,
-                          ) -> ChannelStaticBounds:
-    """Bounds of one channel from its accessor's original body."""
-    if analysis is None:
-        analysis = analyze_behavior(channel.accessor)
-    lo_total = 0
-    hi_total: Optional[int] = 0
-    for site in _iter_interval_sites(channel.accessor.body, 1, 1,
-                                     _trip_lookup(analysis)):
-        if site.variable is not channel.variable:
-            continue
-        if site.direction is not channel.direction:
-            continue
-        lo_total += site.lo
-        hi_total = None if (hi_total is None or site.hi is None) \
-            else hi_total + site.hi
-    return ChannelStaticBounds(
-        channel_name=channel.name,
-        accesses_lo=lo_total,
-        accesses_hi=hi_total,
-        message_bits=channel.message_bits,
-    )
-
-
 def static_group_bounds(group: ChannelGroup,
                         ) -> Dict[str, ChannelStaticBounds]:
-    """Bounds of every member channel, keyed by channel name.
-
-    Behavior analyses are shared across channels of the same accessor.
-    """
-    analyses: Dict[int, ValueAnalysis] = {}
+    """Bounds of every member channel, keyed by channel name: one fold
+    per accessor, under the trip bounds of its modular value analysis
+    (shared variables havocked, as nothing else is known before
+    refinement)."""
+    costs: Dict[int, Cost] = {}
     out: Dict[str, ChannelStaticBounds] = {}
     for channel in group:
-        key = id(channel.accessor)
-        if key not in analyses:
-            analyses[key] = analyze_behavior(channel.accessor)
-        out[channel.name] = static_channel_bounds(channel, analyses[key])
+        accessor = channel.accessor
+        cost = costs.get(id(accessor))
+        if cost is None:
+            remote = frozenset(sibling.variable
+                               for sibling in group.channels_of(accessor))
+            cost = fold(accessor.body,
+                        analyze_behavior(accessor).trip_bounds,
+                        variable_sites, remote)
+            costs[id(accessor)] = cost
+        out[channel.name] = ChannelStaticBounds(
+            channel.name, *cost.accesses(channel.variable, channel.direction),
+            channel.message_bits, cost.clocks)
     return out
-
-
-def _iter_call_counts(body: Sequence[Stmt], lo: int, hi: Optional[int],
-                      trips: TripLookup,
-                      ) -> Iterator[Tuple[Channel, int, Optional[int]]]:
-    """Interval-counted accessor-procedure calls in a refined body."""
-    for stmt in body:
-        if isinstance(stmt, Call):
-            procedure = stmt.procedure
-            channel = getattr(procedure, "channel", None)
-            role = getattr(getattr(procedure, "role", None), "value", None)
-            if channel is not None and role == "accessor":
-                yield channel, lo, hi
-        elif isinstance(stmt, If):
-            yield from _iter_call_counts(stmt.then_body, 0, hi, trips)
-            yield from _iter_call_counts(stmt.else_body, 0, hi, trips)
-        elif isinstance(stmt, For):
-            yield from _iter_call_counts(
-                stmt.body, lo * stmt.trip_count,
-                _mul_hi(hi, stmt.trip_count), trips)
-        elif isinstance(stmt, While):
-            bounds = trips(stmt)
-            yield from _iter_call_counts(
-                stmt.body, lo * bounds.lo, _mul_hi(hi, bounds.hi), trips)
 
 
 def refined_channel_bounds(spec) -> Dict[str, ChannelStaticBounds]:
@@ -227,34 +133,31 @@ def refined_channel_bounds(spec) -> Dict[str, ChannelStaticBounds]:
 
 
 def _refined_channel_bounds(spec) -> Dict[str, ChannelStaticBounds]:
-    analysis = analyze_refined_values(spec)
-    totals: Dict[str, Tuple[int, Optional[int]]] = {}
-    channels: Dict[str, Channel] = {}
+    trips = analyze_refined_values(spec).trip_bounds
+    costs = {behavior.name: fold(behavior.body, trips, accessor_calls)
+             for behavior in spec.behaviors}
+    # Per channel: its bus, its call interval and the clocks of those
+    # calls as built.
+    rows = []
     for bus in spec.buses:
         for channel in bus.group:
-            channels[channel.name] = channel
-            totals[channel.name] = (0, 0)
-    for behavior in spec.behaviors:
-        for channel, lo, hi in _iter_call_counts(
-                behavior.body, 1, 1, _trip_lookup(analysis)):
-            current = totals.get(channel.name)
-            if current is None:
-                channels[channel.name] = channel
-                current = (0, 0)
-            total_lo, total_hi = current
-            totals[channel.name] = (
-                total_lo + lo,
-                None if (total_hi is None or hi is None) else total_hi + hi,
-            )
-    return {
-        name: ChannelStaticBounds(
-            channel_name=name,
-            accesses_lo=lo,
-            accesses_hi=hi,
-            message_bits=channels[name].message_bits,
-        )
-        for name, (lo, hi) in sorted(totals.items())
-    }
+            lo, hi = costs[channel.accessor.name].counts.get(channel.name,
+                                                             (0, 0))
+            per_message = transfer_clocks(
+                bus.procedures[channel.name].layout.total_bits,
+                bus.structure.width, bus.structure.protocol)
+            rows.append((bus, channel, (lo, hi),
+                         (lo * per_message, mul_hi(hi, per_message))))
+    out: Dict[str, ChannelStaticBounds] = {}
+    for bus, channel, calls, _ in rows:
+        lo, hi = costs[channel.accessor.name].clocks
+        for other_bus, other, _, (traffic_lo, traffic_hi) in rows:
+            if other.accessor.name == channel.accessor.name \
+                    and other_bus is not bus:
+                lo, hi = lo + traffic_lo, add_hi(hi, traffic_hi)
+        out[channel.name] = ChannelStaticBounds(
+            channel.name, *calls, channel.message_bits, (lo, hi))
+    return dict(sorted(out.items()))
 
 
 class StaticRateModel:
@@ -264,16 +167,14 @@ class StaticRateModel:
     depends on access counts, so the model evaluates it at both ends of
     the proven count intervals: the *upper* rate bound divides maximum
     bits by the minimum lifetime, the *lower* bound minimum bits by the
-    maximum lifetime (``0.0`` when some sibling channel is unbounded and
-    the lifetime has no finite ceiling).
+    maximum lifetime (``0.0`` when the lifetime has no finite ceiling:
+    an unbounded loop in the accessor).
     """
 
     def __init__(self, group: ChannelGroup, protocol: Protocol,
-                 estimator: Optional[PerformanceEstimator] = None,
                  bounds: Optional[Dict[str, ChannelStaticBounds]] = None):
         self.group = group
         self.protocol = protocol
-        self.estimator = estimator or PerformanceEstimator()
         self.bounds = bounds if bounds is not None \
             else static_group_bounds(group)
 
@@ -285,33 +186,18 @@ class StaticRateModel:
                                          channel.message_bits)
         return bounds
 
-    def _patched_siblings(self, accessor: Behavior,
-                          end: str) -> Optional[List[Channel]]:
-        """Sibling channels with accesses pinned to one interval end;
-        ``None`` when pinning to an unbounded upper end."""
-        patched: List[Channel] = []
-        for sibling in self.group.channels_of(accessor):
-            bounds = self.channel_bounds(sibling)
-            count = bounds.accesses_lo if end == "lo" else bounds.accesses_hi
-            if count is None:
-                return None
-            clone = copy.copy(sibling)
-            clone.accesses = count
-            patched.append(clone)
-        return patched
-
     def lifetime_bounds(self, channel: Channel,
                         width: int) -> Tuple[int, Optional[int]]:
-        """Provable ``[lo, hi]`` accessor lifetime in clocks."""
-        low_traffic = self._patched_siblings(channel.accessor, "lo")
-        high_traffic = self._patched_siblings(channel.accessor, "hi")
-        assert low_traffic is not None  # lower counts are always finite
-        lifetime_lo = self.estimator.lifetime_clocks(
-            channel.accessor, low_traffic, width, self.protocol)
-        lifetime_hi = None if high_traffic is None \
-            else self.estimator.lifetime_clocks(
-                channel.accessor, high_traffic, width, self.protocol)
-        return lifetime_lo, lifetime_hi
+        """Provable ``[lo, hi]`` accessor lifetime in clocks: its clocks
+        outside this bus plus every sibling channel's transfers."""
+        lo, hi = self.channel_bounds(channel).accessor_clocks
+        for sibling in self.group.channels_of(channel.accessor):
+            bounds = self.channel_bounds(sibling)
+            per_message = transfer_clocks(sibling.message_bits, width,
+                                          self.protocol)
+            lo += bounds.accesses_lo * per_message
+            hi = add_hi(hi, mul_hi(bounds.accesses_hi, per_message))
+        return lo, hi
 
     def rate_bounds(self, channel: Channel,
                     width: int) -> Tuple[float, float]:

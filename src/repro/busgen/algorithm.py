@@ -168,7 +168,7 @@ def generate_bus(group: ChannelGroup,
         # Imported lazily: repro.analysis.absint imports this module's
         # downstream consumers during package init.
         from repro.analysis.absint.rates import StaticRateModel
-        static_model = StaticRateModel(group, protocol, estimator)
+        static_model = StaticRateModel(group, protocol)
 
     with obs_span("busgen.generate_bus", group=group.name,
                   protocol=protocol.name, rate_mode=rates,

@@ -7,10 +7,12 @@ statement IR:
 
 ``exec_clocks(P, w) = comp_clocks(P) + comm_clocks(P, w)``
 
-* **Computation clocks** follow the statement cost model documented in
-  :mod:`repro.spec.stmt` (one control step per statement, loops pay one
-  clock of overhead per iteration).  ``If`` costs its *worst-case*
-  branch, the standard conservative choice for constraint checking.
+* **Computation clocks** come from :func:`repro.spec.access.fold`, the
+  one cost model shared with access counting and the static rate
+  bounds: one control step per statement, loops pay one clock of
+  overhead per iteration.  The point estimate takes each ``While``'s
+  trip pragma and the longer arm of each ``If``, the standard
+  conservative choice for constraint checking.
 * **Communication clocks**: every access to a remote variable is one
   message of ``message_bits`` bits; a ``w``-bit bus moves it in
   ``ceil(message_bits / w)`` words of ``protocol.delay_clocks`` clocks
@@ -19,30 +21,34 @@ statement IR:
   the FLC channels -- "bus widths greater than 23 pins do not yield any
   further improvements").
 
-The estimator is intentionally the *same model* the simulator realizes,
-so tests can assert estimate == measurement on branch-free workloads.
+:func:`process_clocks` bounds one process of a built design as an
+interval, under either trip lookup: the point estimate under the
+pragma (its upper end), and a range every execution falls in under the
+abstract interpreter's proven trips.  The estimator is the *same model*
+the simulator realizes, so on branch- and ``While``-free processes the
+interval is a point and equals the measurement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from repro.errors import EstimationError
 from repro.channels.channel import Channel
 from repro.protocols import Protocol
-from repro.spec.behavior import Behavior
-from repro.spec.stmt import (
-    Assign,
-    Call,
-    For,
-    If,
-    Nop,
-    Stmt,
-    WaitClocks,
-    While,
+from repro.spec.access import (
+    Interval,
+    TripLookup,
+    add_hi,
+    fold,
+    mul_hi,
+    pragma_trips,
+    variable_sites,
 )
+from repro.spec.behavior import Behavior
+from repro.spec.stmt import Stmt
 
 
 def transfer_clocks(bits: int, width: int, protocol: Protocol) -> int:
@@ -66,7 +72,8 @@ def transfer_clocks(bits: int, width: int, protocol: Protocol) -> int:
 
 def comp_clocks_body(body: Sequence[Stmt],
                      remote: frozenset = frozenset()) -> int:
-    """Computation clocks of a statement list (communication excluded).
+    """Computation clocks of a statement list (communication excluded),
+    under the trip pragma.
 
     ``remote`` holds the variables that live on another module.  An
     assignment *into* a remote variable is pure communication after
@@ -76,29 +83,42 @@ def comp_clocks_body(body: Sequence[Stmt],
     inside an expression still leave the computation statement behind
     (``IR <= MEMtemp``), so those statements keep their clock.
     """
-    total = 0
-    for stmt in body:
-        total += _comp_clocks_stmt(stmt, remote)
-    return total
+    return fold(body, pragma_trips, variable_sites, remote).clocks[1]
 
 
-def _comp_clocks_stmt(stmt: Stmt, remote: frozenset) -> int:
-    if isinstance(stmt, Assign):
-        return 0 if stmt.target.variable in remote else 1
-    if isinstance(stmt, If):
-        return 1 + max(comp_clocks_body(stmt.then_body, remote),
-                       comp_clocks_body(stmt.else_body, remote))
-    if isinstance(stmt, For):
-        return stmt.trip_count * (1 + comp_clocks_body(stmt.body, remote))
-    if isinstance(stmt, While):
-        return stmt.trip_count * (1 + comp_clocks_body(stmt.body, remote)) + 1
-    if isinstance(stmt, WaitClocks):
-        return stmt.clocks
-    if isinstance(stmt, (Call, Nop)):
-        # Calls are communication; their cost is counted by comm_clocks
-        # from the channel traffic, not here.
-        return 0
-    raise EstimationError(f"cannot estimate statement {stmt!r}")
+class ProcessClocks(NamedTuple):
+    """Clock intervals of one process: computation and transfers."""
+
+    comp: Interval
+    comm: Interval
+
+    @property
+    def total(self) -> Interval:
+        return self.comp[0] + self.comm[0], add_hi(self.comp[1],
+                                                   self.comm[1])
+
+
+def process_clocks(spec, behavior: Behavior,
+                   trips: TripLookup) -> ProcessClocks:
+    """Clocks of one original behavior as built in a refined spec: its
+    computation interval, and per channel it accesses the count interval
+    times :func:`transfer_clocks` of the message layout the bus actually
+    moves (a ``--tighten-fields`` layout moves fewer bits than the
+    channel's declared message)."""
+    channels = [(channel, bus) for bus in spec.buses
+                for channel in bus.group if channel.accessor is behavior]
+    cost = fold(behavior.body, trips, variable_sites,
+                frozenset(channel.variable for channel, _ in channels))
+    comm_lo, comm_hi = 0, 0
+    for channel, bus in channels:
+        count_lo, count_hi = cost.accesses(channel.variable,
+                                           channel.direction)
+        per_message = transfer_clocks(
+            bus.procedures[channel.name].layout.total_bits,
+            bus.structure.width, bus.structure.protocol)
+        comm_lo += count_lo * per_message
+        comm_hi = add_hi(comm_hi, mul_hi(count_hi, per_message))
+    return ProcessClocks(cost.clocks, (comm_lo, comm_hi))
 
 
 @dataclass(frozen=True)

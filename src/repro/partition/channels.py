@@ -3,7 +3,9 @@
 After partitioning, "variables ... mapped to a different module" are
 accessed "over channels" (Figure 1).  Extraction walks every behavior's
 static access summaries and creates one :class:`~repro.channels.Channel`
-per (behavior, remote variable, direction) with a non-zero access count.
+per (behavior, remote variable, direction) with an access site -- even
+one whose estimated count is 0 (a loop whose trip pragma says 0 may
+still run, and refinement rewrites every site into a channel call).
 
 Channels are named ``ch0, ch1, ...`` in deterministic order (behavior
 declaration order, then variable name, then direction) so repeated runs
@@ -35,8 +37,6 @@ def extract_channels(partition: Partition, prefix: str = "ch",
         for summary in analyze_behavior(behavior):
             variable_module = partition.module_of(summary.variable)
             if variable_module is behavior_module:
-                continue
-            if summary.count == 0:
                 continue
             channels.append(Channel.from_access(
                 name=f"{prefix}{index}",

@@ -9,21 +9,20 @@ interface area -- into one plain-text report.  Used by the CLI's
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.estimate.area import estimate_bus_area
-from repro.estimate.perf import PerformanceEstimator
+from repro.estimate.perf import process_clocks
 from repro.protogen.refine import RefinedBus, RefinedSpec
+from repro.spec.access import pragma_trips
 
 
 def _rule(width: int = 72) -> str:
     return "-" * width
 
 
-def bus_report(bus: RefinedBus,
-               estimator: Optional[PerformanceEstimator] = None) -> str:
+def bus_report(bus: RefinedBus) -> str:
     """Report one generated bus."""
-    estimator = estimator or PerformanceEstimator()
     structure = bus.structure
     group = bus.group
     lines: List[str] = []
@@ -95,24 +94,17 @@ def bus_report(bus: RefinedBus,
     return "\n".join(lines)
 
 
-def performance_report(spec: RefinedSpec,
-                       estimator: Optional[PerformanceEstimator] = None,
-                       ) -> str:
-    """Per-process execution estimates across all of the spec's buses."""
-    estimator = estimator or PerformanceEstimator()
+def performance_report(spec: RefinedSpec) -> str:
+    """Per-process execution estimates across all of the spec's buses:
+    the trip-pragma point of :func:`repro.estimate.perf.process_clocks`."""
     lines = [_rule(), "PROCESS PERFORMANCE (estimated)", _rule()]
-    all_channels = [c for bus in spec.buses for c in bus.group]
     header = (f"  {'process':<16} {'comp clk':>9} {'comm clk':>9} "
               f"{'total':>9}")
     lines.append(header)
     lines.append("  " + _rule(len(header) - 2))
     for behavior in spec.original.behaviors:
-        comp = estimator.comp_clocks(behavior, all_channels)
-        comm = 0
-        for bus in spec.buses:
-            comm += estimator.comm_clocks(
-                behavior, bus.group.channels, bus.structure.width,
-                bus.structure.protocol)
+        clocks = process_clocks(spec, behavior, pragma_trips)
+        comp, comm = clocks.comp[1], clocks.comm[1]
         if comm == 0 and comp == 0:
             continue
         lines.append(f"  {behavior.name:<16} {comp:>9} {comm:>9} "
@@ -122,7 +114,6 @@ def performance_report(spec: RefinedSpec,
 
 def synthesis_report(spec: RefinedSpec) -> str:
     """The full datasheet of a refined specification."""
-    estimator = PerformanceEstimator()
     parts = [
         _rule(),
         f"INTERFACE SYNTHESIS REPORT -- {spec.name}",
@@ -132,8 +123,8 @@ def synthesis_report(spec: RefinedSpec) -> str:
     ]
     for bus in spec.buses:
         parts.append("")
-        parts.append(bus_report(bus, estimator))
+        parts.append(bus_report(bus))
     parts.append("")
-    parts.append(performance_report(spec, estimator))
+    parts.append(performance_report(spec))
     parts.append(_rule())
     return "\n".join(parts)

@@ -149,7 +149,7 @@ class _BehaviorCompiler:
         self.deferred_channels = deferred_channels
         self.lines: List[str] = []
         self.ns: Dict[str, object] = {"W": Wait}
-        self._bound: Dict[object, str] = {}
+        self._bound: Dict[tuple, str] = {}
         #: (bound name, rebind descriptor) per *new* binding, in
         #: binding order: the recipe :func:`_rebind` replays to rebuild
         #: the namespace against another runtime.
@@ -158,16 +158,17 @@ class _BehaviorCompiler:
         #: Variable -> ("native", name) | ("env", bound var name)
         #:          | ("array", alias name)
         self.modes: Dict[Variable, Tuple[str, str]] = {}
-        self._transfers: Dict[int, str] = {}
 
     # -- namespace ----------------------------------------------------
 
     def bind(self, obj: object, hint: str, rebind: tuple) -> str:
-        key = id(obj)
-        name = self._bound.get(key)
+        """The namespace name of ``obj``, bound once per descriptor: a
+        fresh bound method (``dtype.validate_index``) per access site
+        still shares one name."""
+        name = self._bound.get(rebind)
         if name is None:
             name = f"_b{len(self._bound)}_{_sanitize(hint)}"
-            self._bound[key] = name
+            self._bound[rebind] = name
             self.ns[name] = obj
             self.recipe.append((name, rebind))
         return name
@@ -354,19 +355,16 @@ class _BehaviorCompiler:
     # -- calls --------------------------------------------------------
 
     def _transfer_name(self, sim_bus, pair, deferred: bool) -> str:
-        key = id(pair)
-        name = self._transfers.get(key)
+        mode, _ = self.channel_modes[(sim_bus.name, pair.channel.name)]
+        rebind = ("transfer", sim_bus.name, pair.channel.name, mode,
+                  deferred)
+        name = self._bound.get(rebind)
         if name is None:
-            mode, _ = self.channel_modes[(sim_bus.name,
-                                          pair.channel.name)]
             storage = self.runtime.storage_for(pair.channel.variable)
             fn = make_transfer(sim_bus, pair, self.behavior.name, mode,
                                storage=storage, deferred=deferred)
             name = self.bind(
-                fn, f"xf_{_sanitize(pair.channel.name)}_{mode}",
-                ("transfer", sim_bus.name, pair.channel.name, mode,
-                 deferred))
-            self._transfers[key] = name
+                fn, f"xf_{_sanitize(pair.channel.name)}_{mode}", rebind)
         return name
 
     def _emit_call(self, stmt: Call, indent: int) -> None:

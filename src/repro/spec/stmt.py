@@ -5,17 +5,15 @@ the paper's examples need -- assignments to scalars and array elements,
 counted loops, conditionals, explicit clock waits, and (after protocol
 generation) calls to generated send/receive procedures.
 
-Two static analyses run over statements:
-
-* **access analysis** (:mod:`repro.spec.access`) walks read/write sites
-  to derive channels and their access counts, and
-* **performance estimation** (:mod:`repro.estimate.perf`) computes the
-  computation-clock total of a behavior.
-
-Both require *statically bounded* control flow, which is why ``For`` has
-constant bounds and ``While`` carries an explicit ``trip_count``
-annotation (the paper's estimator, ref [10], makes the same assumption;
-behavioral synthesis cannot schedule unbounded loops either).
+One static cost model runs over statements:
+:func:`repro.spec.access.fold` counts read/write sites (channels and
+their access counts) and computation clocks in one walk.  Its point
+estimate requires *statically bounded* control flow, which is why
+``For`` has constant bounds and ``While`` carries an explicit
+``trip_count`` annotation (the paper's estimator, ref [10], makes the
+same assumption; behavioral synthesis cannot schedule unbounded loops
+either).  Its proven bounds take ``While`` trips from the abstract
+interpreter instead.
 
 Clock-cost model (one statement per control step, the usual behavioral
 scheduling baseline):
@@ -26,7 +24,7 @@ statement      clocks
 Assign         1
 If             1 (condition evaluation) + clocks of the taken branch
 For            per iteration: 1 (index update/test) + body clocks
-While          per iteration: 1 (test) + body clocks
+While          per iteration: 1 (test) + body clocks; 1 for the final test
 WaitClocks(n)  n
 Call           the callee's transfer delay (protocol dependent)
 Nop            0

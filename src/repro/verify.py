@@ -13,8 +13,9 @@ verification:
    channel, the exact sequence of (address, value) pairs that crossed
    each bus against the golden access trace,
 4. optionally cross-check measured process clocks against the
-   analytical performance estimator (exact in the contention-free,
-   sequential-schedule case).
+   analytical performance estimator: under proven trip bounds each
+   process's clocks lie in an interval, a point on branch- and
+   ``While``-free processes (contention-free, sequential schedules).
 
 The result is a :class:`VerificationReport` that either attests
 equivalence or pinpoints the first divergence per channel/variable --
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.estimate.perf import PerformanceEstimator, transfer_clocks
+from repro.estimate.perf import process_clocks
 from repro.protogen.refine import RefinedSpec
 from repro.sim.runtime import SimResult, Stage, simulate
 from repro.spec.interp import InterpResult, run_reference
@@ -59,10 +60,12 @@ class SequenceMismatch:
 
 @dataclass(frozen=True)
 class ClockMismatch:
-    """A behavior whose measured clocks differ from the estimate."""
+    """A behavior whose measured clocks fall outside the estimated
+    interval ``[low, high]`` (``high is None``: no ceiling)."""
 
     behavior: str
-    estimated: int
+    low: int
+    high: Optional[int]
     measured: int
 
 
@@ -97,8 +100,9 @@ class VerificationReport:
             lines.append(f"  sequence {m.channel} @ {m.position}: "
                          f"golden {m.golden}, refined {m.refined}")
         for m in self.clock_mismatches:
+            high = "inf" if m.high is None else m.high
             lines.append(f"  clocks   {m.behavior}: estimated "
-                         f"{m.estimated}, measured {m.measured}")
+                         f"[{m.low}, {high}], measured {m.measured}")
         return "\n".join(lines)
 
 
@@ -159,28 +163,18 @@ def _compare_sequences(spec: RefinedSpec, golden: InterpResult,
 
 def _compare_clocks(spec: RefinedSpec, refined: SimResult,
                     report: VerificationReport) -> None:
-    estimator = PerformanceEstimator()
-    all_channels = [c for bus in spec.buses for c in bus.group]
+    # Imported lazily: the analysis package is heavy for ``import repro``.
+    from repro.analysis.absint.engine import analyze_behavior
+
     for behavior in spec.original.behaviors:
-        comp = estimator.comp_clocks(behavior, all_channels)
-        comm = 0
-        for bus in spec.buses:
-            for channel in bus.group:
-                if channel.accessor is not behavior:
-                    continue
-                # Estimate the design *as built*: a tightened message
-                # layout (--tighten-fields) moves fewer bits than the
-                # channel's declared message size.
-                pair = bus.procedures.get(channel.name)
-                bits = (pair.layout.total_bits if pair is not None
-                        else channel.message_bits)
-                comm += channel.accesses * transfer_clocks(
-                    bits, bus.structure.width, bus.structure.protocol)
-        estimated = comp + comm
         measured = refined.clocks.get(behavior.name)
-        if measured is not None and measured != estimated:
+        if measured is None:
+            continue
+        trips = analyze_behavior(behavior).trip_bounds
+        low, high = process_clocks(spec, behavior, trips).total
+        if measured < low or (high is not None and measured > high):
             report.clock_mismatches.append(
-                ClockMismatch(behavior.name, estimated, measured))
+                ClockMismatch(behavior.name, low, high, measured))
 
 
 def verify_refinement(system: SystemSpec, refined_spec: RefinedSpec,

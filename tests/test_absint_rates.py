@@ -1,6 +1,8 @@
 """Static channel-rate bounds: exactness, soundness vs. the simulator,
 ``--rates static`` bus generation, and proven field tightening."""
 
+import os
+
 import pytest
 
 from repro.analysis.absint import (
@@ -19,6 +21,7 @@ from repro.busgen.split import plan_buses
 from repro.errors import InfeasibleBusError
 from repro.explore.systems import load_system
 from repro.protogen.procedures import FieldKind
+from repro.protocols import FULL_HANDSHAKE
 from repro.protogen.refine import refine_system
 from repro.sim.runtime import simulate
 
@@ -66,6 +69,26 @@ def test_every_system_is_provably_feasible_at_its_chosen_width(name):
     for bus in refined.buses:
         model = StaticRateModel(bus.group, bus.structure.protocol)
         assert model.is_provably_feasible(bus.structure.width), bus.name
+
+
+def test_gcd_measured_rates_lie_under_the_proven_ceiling():
+    """gcd's loop runs 3 trips against its pragma of 6, and CHECKER
+    takes one arm of its if: every measured rate must still stay under
+    the proven upper rate, which therefore cannot use either the pragma
+    or the longer arm for the lifetime."""
+    loaded = load_system(os.path.join(os.path.dirname(__file__), "..",
+                                      "examples", "specs",
+                                      "gcd_accelerator.spec"))
+    group = loaded.groups[0]
+    refined = refine_system(loaded.system, [(group, 16)])
+    result = simulate(refined, schedule=loaded.schedule)
+    counts = result.buses[group.name].per_channel
+    model = StaticRateModel(group, FULL_HANDSHAKE)
+    for channel in group:
+        lifetime = result.clocks[channel.accessor.name]
+        measured = (counts[channel.name].count * channel.message_bits
+                    / (lifetime * group.clock_period))
+        assert measured <= model.rate_bounds(channel, 16)[1], channel.name
 
 
 def test_static_busgen_selects_the_measured_width_on_flc():

@@ -10,7 +10,7 @@ from repro.partition.partitioner import Partition, cluster_partition
 from repro.spec.access import Direction
 from repro.spec.behavior import Behavior
 from repro.spec.expr import Index, Ref
-from repro.spec.stmt import Assign, For
+from repro.spec.stmt import Assign, For, While
 from repro.spec.system import SystemSpec
 from repro.spec.types import ArrayType, IntType
 from repro.spec.variable import Variable
@@ -123,6 +123,32 @@ class TestChannelExtraction:
         partition.assign(behavior, m)
         partition.assign(shared, m)
         assert extract_channels(partition) == []
+
+    def test_zero_trip_pragma_still_yields_a_channel(self):
+        """A loop whose pragma says 0 trips still runs; its remote read
+        needs a channel, or refinement cannot rewrite it."""
+        from repro.protogen.refine import generate_protocol
+        from repro.verify import verify_refinement
+
+        shared = Variable("s", IntType(16), init=5)
+        count = Variable("c", IntType(16), init=0)
+        local = Variable("l", IntType(16))
+        behavior = Behavior("B", [
+            While(Ref(count) < 2, [Assign(local, Ref(shared)),
+                                   Assign(count, Ref(count) + 1)],
+                  trip_count=0),
+        ], local_variables=[count, local])
+        system = SystemSpec("sys", [behavior], [shared])
+        partition = Partition(system)
+        chip = partition.add_module("chip")
+        memory = partition.add_module("memory")
+        partition.assign(behavior, chip)
+        partition.assign(shared, memory)
+        [channel] = extract_channels(partition)
+        assert (channel.variable, channel.accesses) == (shared, 0)
+        group = default_bus_groups(partition, channels=[channel])[0]
+        refined = generate_protocol(system, group, width=16)
+        assert verify_refinement(system, refined).passed
 
     def test_module_annotations(self, fig3):
         for channel in fig3.channels:

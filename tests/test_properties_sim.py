@@ -1,23 +1,24 @@
 """Property-based end-to-end test: for randomly generated systems, the
 refined bus-based simulation computes exactly what the golden
 direct-access interpreter computes -- the paper's behavior-preservation
-claim, fuzzed."""
+claim, fuzzed -- and lands inside every static bound: channel
+transaction counts and per-process clocks."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.absint import refined_channel_bounds
 from repro.partition.channels import default_bus_groups, extract_channels
 from repro.partition.partitioner import Partition
 from repro.protocols import FIXED_DELAY, FULL_HANDSHAKE, HALF_HANDSHAKE
 from repro.protogen.refine import generate_protocol
-from repro.sim.runtime import simulate
 from repro.spec.behavior import Behavior
 from repro.spec.expr import Expr, Index, Ref, UnOp, vmax, vmin
-from repro.spec.interp import run_reference
-from repro.spec.stmt import Assign, For, If
+from repro.spec.stmt import Assign, For, If, While
 from repro.spec.system import SystemSpec
 from repro.spec.types import ArrayType, IntType
 from repro.spec.variable import Variable
+from repro.verify import verify_refinement
 
 ARRAY_LEN = 8
 
@@ -54,9 +55,13 @@ def _as_expr(value):
 
 
 @st.composite
-def statements(draw, scalars, locals_, array, depth=0):
+def statements(draw, scalars, locals_, array, counters, depth=0):
+    """A random statement.  A ``while`` counts a fresh local (declared
+    through ``counters``, never assigned elsewhere) up to a constant,
+    with a ``trip_count`` hint that may differ from its real trips."""
     kind = draw(st.sampled_from(
-        ["assign_local", "assign_remote", "assign_element", "if", "for"]
+        ["assign_local", "assign_remote", "assign_element", "if", "for",
+         "while"]
         if depth < 1 else
         ["assign_local", "assign_remote", "assign_element"]))
     expr = _as_expr(draw(expressions(scalars + locals_, array)))
@@ -67,18 +72,22 @@ def statements(draw, scalars, locals_, array, depth=0):
     if kind == "assign_element":
         index = draw(st.integers(0, ARRAY_LEN - 1))
         return Assign((array, index), expr)
+    body = draw(st.lists(
+        statements(scalars, locals_, array, counters, depth + 1),
+        min_size=1, max_size=2))
     if kind == "if":
         cond = _as_expr(draw(expressions(scalars + locals_, array)))
-        then_body = draw(st.lists(
-            statements(scalars, locals_, array, depth + 1),
-            min_size=1, max_size=2))
         else_body = draw(st.lists(
-            statements(scalars, locals_, array, depth + 1),
+            statements(scalars, locals_, array, counters, depth + 1),
             min_size=0, max_size=2))
-        return If(cond, then_body, else_body)
+        return If(cond, body, else_body)
+    if kind == "while":
+        counter = Variable(f"count{len(counters)}", IntType(16), init=0)
+        counters.append(counter)
+        return While(Ref(counter) < draw(st.integers(0, 3)),
+                     [*body, Assign(counter, Ref(counter) + 1)],
+                     trip_count=draw(st.integers(0, 5)))
     loop_var = Variable(f"loop{draw(st.integers(0, 10**6))}", IntType(16))
-    body = draw(st.lists(statements(scalars, locals_, array, depth + 1),
-                         min_size=1, max_size=2))
     return For(loop_var, 0, draw(st.integers(0, 3)), body)
 
 
@@ -97,9 +106,11 @@ def systems(draw):
         locals_ = [Variable(f"{name}_l{k}", IntType(16),
                             init=draw(st.integers(-10, 10)))
                    for k in range(2)]
-        body = draw(st.lists(statements([x], locals_, arr),
+        counters = []
+        body = draw(st.lists(statements([x], locals_, arr, counters),
                              min_size=1, max_size=4))
-        behaviors.append(Behavior(name, body, local_variables=locals_))
+        behaviors.append(Behavior(name, body,
+                                  local_variables=locals_ + counters))
     return SystemSpec("fuzz", behaviors, [x, arr])
 
 
@@ -108,8 +119,6 @@ def systems(draw):
        st.integers(min_value=1, max_value=20))
 @settings(max_examples=60, deadline=None)
 def test_refined_simulation_preserves_behavior(system, protocol, width):
-    golden = run_reference(system, order=["P", "Q"])
-
     partition = Partition(system)
     chip = partition.add_module("chip")
     memory = partition.add_module("memory")
@@ -124,5 +133,12 @@ def test_refined_simulation_preserves_behavior(system, protocol, width):
 
     refined = generate_protocol(system, group, width=width,
                                 protocol=protocol)
-    result = simulate(refined, schedule=["P", "Q"])
-    assert result.final_values == golden.final_values
+    report = verify_refinement(system, refined, schedule=["P", "Q"])
+    assert report.refined.final_values == report.golden.final_values
+    assert not report.clock_mismatches, report.describe()
+    bounds = refined_channel_bounds(refined)
+    log = report.refined.transactions.get(group.name, [])
+    for channel in group:
+        count = sum(1 for t in log if t.channel == channel.name)
+        assert bounds[channel.name].contains_accesses(count), \
+            (str(bounds[channel.name]), count)

@@ -79,6 +79,20 @@ class TestPerformanceReport:
         assert str(expected) in text
 
 
+    def test_tightened_layout_sets_comm_clocks(self, capsys):
+        """``--tighten-fields`` moves 3 words per message at width 8
+        (6 clk), so EVAL_R3's 128 sends cost 768 clocks, not the 1024
+        of the declared 23-bit message."""
+        from repro.cli import main
+
+        assert main(["synth", "flc", "--width", "8", "--tighten-fields",
+                     "--report"]) == 0
+        row = next(line.split() for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.split()[:1] == ["EVAL_R3"])
+        assert row == ["EVAL_R3", "769", "768", "1537"]
+
+
 class TestSynthesisReport:
     def test_full_report(self, refined):
         text = synthesis_report(refined)

@@ -8,6 +8,12 @@ demands **>= 5x**.  The warm run's payloads are also differentially
 proven byte-identical to a fresh compute first -- a cache that serves
 the wrong bytes quickly would be worse than no cache.
 
+A second, host-independent gate counts the bookkeeping of one more
+warm sweep: the ``repro.explore.keys.digest`` calls and the
+``json.loads`` calls per point must equal what
+``tests/test_explore.py::TestCostContract`` pins -- one digest per task
+a point builds and one parse per cache hit.
+
 Writes ``benchmarks/reports/explore.txt`` and ``BENCH_explore.json``.
 The JSON carries a ``speedup``/``speedup_floor`` pair that
 ``compare_baselines.py`` enforces in CI, alongside the usual
@@ -15,12 +21,15 @@ The JSON carries a ``speedup``/``speedup_floor`` pair that
 """
 
 import gc
+import json
 import shutil
 import tempfile
 import time
+from unittest import mock
 
 from benchmarks._report import format_table, write_json_report, write_report
 from repro.explore import ExploreCache, differential_check, expand_grid, explore
+from repro.explore import keys
 
 #: The golden FLC grid: 9 points, shared busgen prefixes per width.
 GRID = {"width": [4, 8, "auto"],
@@ -30,6 +39,11 @@ SYSTEM = "flc"
 SPEEDUP_FLOOR = 5.0
 #: Timing repeats; best-of keeps scheduler jitter out of the gate.
 REPEATS = 3
+#: Digests per warm point: its busgen, refine and sim tasks.  The
+#: partition task every point shares adds one digest per sweep.
+DIGESTS_PER_POINT = 3
+#: ``json.loads`` calls per warm point: one per stage hit.
+PARSES_PER_POINT = 4
 
 _SECTIONS = {}
 
@@ -49,6 +63,25 @@ def _best_of(fn, repeats=REPEATS):
         finally:
             gc.enable()
     return best, value
+
+
+def _counted_sweep(points, root):
+    """Calls of ``keys.digest`` and ``json.loads`` in one sweep."""
+    counts = {"digest": 0, "loads": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return mock.patch.object(owner, name, wrapper)
+
+    with counting(keys, "digest"), counting(json, "loads"):
+        report = explore(SYSTEM, points, jobs=1, cache_dir=root)
+    assert report["cache"]["stats"]["misses"] == 0
+    return counts
 
 
 class TestExploreWarmCache:
@@ -75,8 +108,19 @@ class TestExploreWarmCache:
             assert warm_report["cache"]["stats"]["writes"] == 0
             assert warm_report["pareto"]["front"] == \
                 cold_report["pareto"]["front"]
+            counts = _counted_sweep(points, root)
         finally:
             shutil.rmtree(root, ignore_errors=True)
+
+        _SECTIONS["bookkeeping"] = {
+            "digests": counts["digest"],
+            "digests_per_point": DIGESTS_PER_POINT,
+            "parses": counts["loads"],
+            "parses_per_point": PARSES_PER_POINT,
+        }
+        assert counts == {
+            "digest": 1 + DIGESTS_PER_POINT * len(points),
+            "loads": PARSES_PER_POINT * len(points)}, counts
 
         speedup = wall_cold / wall_warm
         _SECTIONS["warm_gate"] = {
@@ -111,5 +155,11 @@ def test_zz_write_reports():
                   f"{gate['entries_checked']} cache entries "
                   "differentially proven byte-identical to fresh "
                   "compute"]
+    counts = _SECTIONS.get("bookkeeping")
+    if counts:
+        lines += [f"warm sweep bookkeeping: {counts['digests']} digests "
+                  f"(1 + {counts['digests_per_point']} per point), "
+                  f"{counts['parses']} entry parses "
+                  f"({counts['parses_per_point']} per point)"]
     write_report("explore", lines)
     write_json_report("explore", {"benchmark": "explore", **_SECTIONS})

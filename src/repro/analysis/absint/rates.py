@@ -19,7 +19,8 @@ counts exactly).  :func:`refined_channel_bounds` counts generated
 accessor-procedure calls in a *refined* spec (the simulator realizes one
 transaction per call, which is what the soundness gate cross-validates).
 Each channel's bounds also carry its accessor's clocks outside the
-channel's own bus: computation, plus transfers on any other bus.
+channel's own bus: computation, plus transfers on any other bus; a
+refined channel's also carry the bits its layout moves per access.
 
 :class:`StaticRateModel` turns them into **rate bounds**:
 ``rate_bounds(channel, width) -> (lo, hi)`` bits/time-unit, where the
@@ -66,6 +67,9 @@ class ChannelStaticBounds:
     #: Clocks the channel's accessor spends outside transfers on the
     #: channel's own bus: its lifetime less that bus's traffic.
     accessor_clocks: Interval = (0, None)
+    #: Bits one access moves on the bus, the layout a refined spec built
+    #: (``None``: the declared ``message_bits``): they set its clocks.
+    layout_bits: Optional[int] = None
 
     @property
     def bounded(self) -> bool:
@@ -78,6 +82,11 @@ class ChannelStaticBounds:
     @property
     def bits_hi(self) -> Optional[int]:
         return mul_hi(self.accesses_hi, self.message_bits)
+
+    @property
+    def transfer_bits(self) -> int:
+        return self.message_bits if self.layout_bits is None \
+            else self.layout_bits
 
     def contains_accesses(self, count: int) -> bool:
         """Soundness predicate: a measured access count is in bounds."""
@@ -156,7 +165,8 @@ def _refined_channel_bounds(spec) -> Dict[str, ChannelStaticBounds]:
                     and other_bus is not bus:
                 lo, hi = lo + traffic_lo, add_hi(hi, traffic_hi)
         out[channel.name] = ChannelStaticBounds(
-            channel.name, *calls, channel.message_bits, (lo, hi))
+            channel.name, *calls, channel.message_bits, (lo, hi),
+            bus.procedures[channel.name].layout.total_bits)
     return dict(sorted(out.items()))
 
 
@@ -193,7 +203,7 @@ class StaticRateModel:
         lo, hi = self.channel_bounds(channel).accessor_clocks
         for sibling in self.group.channels_of(channel.accessor):
             bounds = self.channel_bounds(sibling)
-            per_message = transfer_clocks(sibling.message_bits, width,
+            per_message = transfer_clocks(bounds.transfer_bits, width,
                                           self.protocol)
             lo += bounds.accesses_lo * per_message
             hi = add_hi(hi, mul_hi(bounds.accesses_hi, per_message))
@@ -222,11 +232,17 @@ class StaticRateModel:
         return rate_lo, rate_hi
 
     def demand_bounds(self, width: int) -> Tuple[float, float]:
-        """Proven bracket around the Equation-1 demand at one width."""
+        """Proven bracket around the Equation-1 demand at one width.  A
+        message weighs its declared bits, or fewer if its layout moves
+        fewer (a tightened field); check bits only add transfer clocks."""
         demand_lo = 0.0
         demand_hi = 0.0
         for channel in self.group:
             rate_lo, rate_hi = self.rate_bounds(channel, width)
+            bounds = self.channel_bounds(channel)
+            if bounds.transfer_bits < bounds.message_bits:
+                scale = bounds.transfer_bits / bounds.message_bits
+                rate_lo, rate_hi = rate_lo * scale, rate_hi * scale
             demand_lo += rate_lo
             demand_hi += rate_hi
         return demand_lo, demand_hi

@@ -38,6 +38,13 @@ A failed gate is recorded as a :class:`CacheIncident` and the read is
 treated as a miss -- the stage recomputes and the entry is rewritten.
 The explorer surfaces every incident in its report; a clean cache
 reports none.
+
+Cost contract: a hit parses its entry once (the gate hands back the
+payload it checked) and still passes every gate, re-encoding the
+payload once to verify its checksum; a write encodes the payload once
+and splices those bytes into an envelope byte-identical to the whole
+entry's canonical encoding.  Keys come memoized from the
+:class:`~repro.explore.keys.Keyer`: one digest per task and keyer.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ExploreError
 from repro.explore.keys import (
     Keyer,
     TaskSpec,
@@ -79,6 +87,26 @@ INCIDENT_CODES: Dict[str, str] = {
 #: killed mid-write.  The atomic tmp+rename protocol must guarantee no
 #: partial *entry* becomes visible (asserted by the crash-safety test).
 CRASH_ENV = "REPRO_EXPLORE_TEST_CRASH"
+
+
+def _checked_entry(raw: bytes) -> Dict[str, Any]:
+    """Parse an entry and run EX103's checks on it: an object of this
+    schema whose payload matches its checksum.  Raises ``ValueError``
+    naming the first check that fails."""
+    try:
+        entry = json.loads(raw)
+        if not isinstance(entry, dict):
+            raise ValueError(f"a JSON {type(entry).__name__}, not an object")
+        if entry.get("schema") != SCHEMA:
+            raise ValueError(f"schema {entry.get('schema')!r}")
+        # ExploreError: NaN and Infinity parse but do not re-encode.
+        recomputed = payload_checksum(canonical_bytes(entry["payload"]))
+        recorded = entry["payload_sha256"]
+    except (ValueError, KeyError, ExploreError) as error:
+        raise ValueError(f"unreadable envelope: {error}") from None
+    if recomputed != recorded:
+        raise ValueError("payload checksum mismatch")
+    return entry
 
 
 @dataclass(frozen=True)
@@ -170,46 +198,36 @@ class ExploreCache:
             self.stats.misses += 1
             return None, False
 
-        incident = self._gate(task, key, raw)
+        payload, incident = self._gate(task, key, raw)
         if incident is not None:
-            self._record(incident)
+            self.incidents.append(incident)
+            self.stats.incidents += 1
             self.stats.misses += 1
             return None, False
-        entry = json.loads(raw)
         self.stats.hits += 1
-        return entry["payload"], True
+        return payload, True
 
-    def _gate(self, task: TaskSpec, key: str,
-              raw: bytes) -> Optional[CacheIncident]:
-        """The cheap read gate: EX103 then EX102 then EX101."""
+    def _gate(self, task: TaskSpec, key: str, raw: bytes
+              ) -> Tuple[Any, Optional[CacheIncident]]:
+        """The cheap read gate: EX103 then EX102 then EX101.  Returns
+        the entry's payload, or the incident of the first failed
+        check."""
         try:
-            entry = json.loads(raw)
-            if entry.get("schema") != SCHEMA:
-                raise ValueError(f"schema {entry.get('schema')!r}")
-            payload = entry["payload"]
-            recorded = entry["payload_sha256"]
-        except (ValueError, KeyError, TypeError) as error:
-            return CacheIncident(EX103_CORRUPT, task.stage, key,
-                                 f"unreadable envelope: {error}")
-        if payload_checksum(payload) != recorded:
-            return CacheIncident(EX103_CORRUPT, task.stage, key,
-                                 "payload checksum mismatch")
+            entry = _checked_entry(raw)
+        except ValueError as error:
+            return None, CacheIncident(EX103_CORRUPT, task.stage, key,
+                                       str(error))
         if entry.get("salt") != self.keyer.salt:
-            return CacheIncident(
+            return None, CacheIncident(
                 EX102_STALE, task.stage, key,
                 f"entry salt {entry.get('salt')!r} != current "
                 f"{self.keyer.salt!r}")
-        inputs = self.keyer.structural_inputs(task)
-        if entry.get("inputs") != inputs:
-            return CacheIncident(
+        if entry.get("inputs") != self.keyer.structural_inputs(task):
+            return None, CacheIncident(
                 EX101_COLLISION, task.stage, key,
                 "entry inputs differ from the requesting task's "
                 "(key function lost an input?)")
-        return None
-
-    def _record(self, incident: CacheIncident) -> None:
-        self.incidents.append(incident)
-        self.stats.incidents += 1
+        return entry["payload"], None
 
     # -- write -------------------------------------------------------------
 
@@ -233,15 +251,17 @@ class ExploreCache:
         self.stats.writes += 1
 
     def _envelope_bytes(self, task: TaskSpec, payload: Any) -> bytes:
-        entry = {
-            "schema": SCHEMA,
-            "stage": task.stage,
-            "salt": self.keyer.salt,
-            "inputs": self.keyer.structural_inputs(task),
-            "payload": payload,
-            "payload_sha256": payload_checksum(payload),
-        }
-        return canonical_bytes(entry) + b"\n"
+        """``canonical_bytes(entry) + b"\\n"`` of ``payload``'s entry from
+        one encoding of the payload: ``"payload"`` sorts between the
+        ``"inputs"`` and ``"payload_sha256"`` keys, so its bytes are
+        checksummed and spliced in between."""
+        encoded = canonical_bytes(payload)
+        head = canonical_bytes({"inputs": self.keyer.structural_inputs(task)})
+        tail = canonical_bytes({"payload_sha256": payload_checksum(encoded),
+                                "salt": self.keyer.salt, "schema": SCHEMA,
+                                "stage": task.stage})
+        return b"".join((head[:-1], b',"payload":', encoded, b",",
+                         tail[1:], b"\n"))
 
     # -- maintenance -------------------------------------------------------
 
@@ -266,16 +286,11 @@ class ExploreCache:
         """
         incidents: List[CacheIncident] = []
         for stage, key in self.entries():
-            path = self._entry_path(stage, key)
+            with open(self._entry_path(stage, key), "rb") as handle:
+                raw = handle.read()
             try:
-                with open(path, "rb") as handle:
-                    entry = json.loads(handle.read())
-                if entry.get("schema") != SCHEMA:
-                    raise ValueError(f"schema {entry.get('schema')!r}")
-                if payload_checksum(entry["payload"]) != \
-                        entry["payload_sha256"]:
-                    raise ValueError("payload checksum mismatch")
-            except (ValueError, KeyError, TypeError) as error:
+                _checked_entry(raw)
+            except ValueError as error:
                 incidents.append(CacheIncident(
                     EX103_CORRUPT, stage, key, str(error)))
         return incidents

@@ -79,17 +79,17 @@ class WidthBlindKeyer(Keyer):
     structural inputs stay honest -- the real bug's shape, and what
     lets the EX101 read gate catch it."""
 
-    def key(self, task: TaskSpec) -> str:
+    def compute_key(self, task: TaskSpec) -> str:
         params = {name: value for name, value in task.params.items()
                   if name != "width"}
-        return super().key(TaskSpec(task.stage, params, task.deps))
+        return super().compute_key(TaskSpec(task.stage, params, task.deps))
 
 
 class SaltBlindKeyer(Keyer):
     """Key function that drops the code-version salt from the hash, so
     entries written under an older salt keep matching."""
 
-    def key(self, task: TaskSpec) -> str:
+    def compute_key(self, task: TaskSpec) -> str:
         return digest({"salt": None,
                        "inputs": self.structural_inputs(task)})
 

@@ -68,14 +68,12 @@ def differential_check(system: str, points: Sequence[GridPoint],
     skipped = 0
     seen: set = set()
     for point in points:
-        tasks = build_point_tasks(ctx.fingerprint, point, backend)
+        tasks = build_point_tasks(ctx.partition, point, backend)
         payloads: Dict[str, Dict[str, Any]] = {}
-        keys: Dict[str, str] = {}
         for task in tasks:
             key = cache.keyer.key(task)
-            keys[task.stage] = key
             cached_payload, hit = cache.get(task)
-            fresh = execute_task(ctx, task, payloads, keys)
+            fresh = execute_task(ctx, task, payloads, cache.keyer)
             payloads[task.stage] = fresh
             if (task.stage, key) not in seen:
                 seen.add((task.stage, key))

@@ -22,6 +22,14 @@ cache-defect corpus (:mod:`repro.explore.defects`) subclasses it to
 reproduce the classic cache bugs (a key that forgets a parameter, a
 cache that survives code changes) so the checker suite can prove it
 catches each one.
+
+Cost contract: one :func:`digest` per task per keyer.  The key is
+memoized on the :class:`TaskSpec`, so a point's repeated lookups (the
+runner's, the read gate's, the write's) and every dependency key cost
+an attribute read, not a re-digest of the chain down to the printed
+spec in the partition task.  Only the last keyer's key is kept: the
+partition task outlives every sweep's keyer, and must not collect
+them.
 """
 
 from __future__ import annotations
@@ -67,9 +75,10 @@ def digest(obj: Any) -> str:
     return hashlib.blake2b(canonical_bytes(obj), digest_size=16).hexdigest()
 
 
-def payload_checksum(payload: Any) -> str:
-    """Integrity checksum stored next to every cache payload."""
-    return hashlib.sha256(canonical_bytes(payload)).hexdigest()
+def payload_checksum(encoded: bytes) -> str:
+    """Integrity checksum stored next to every cache payload, over the
+    payload's :func:`canonical_bytes`."""
+    return hashlib.sha256(encoded).hexdigest()
 
 
 class TaskSpec:
@@ -78,16 +87,18 @@ class TaskSpec:
     ``params`` must be a canonical-JSON-able mapping; ``deps`` are the
     upstream tasks whose outputs this stage consumes.  The key is
     computed by a :class:`Keyer` (not here) so the defect corpus can
-    swap the key function without touching the graph.
+    swap the key function without touching the graph; ``keyed`` memoizes
+    the last keyer's ``(keyer, key)``, so another keyer re-keys.
     """
 
-    __slots__ = ("stage", "params", "deps")
+    __slots__ = ("stage", "params", "deps", "keyed")
 
     def __init__(self, stage: str, params: Mapping[str, Any],
                  deps: Tuple["TaskSpec", ...] = ()):
         self.stage = stage
         self.params = dict(params)
         self.deps = tuple(deps)
+        self.keyed: Optional[Tuple["Keyer", str]] = None
 
     def __repr__(self) -> str:
         return (f"TaskSpec({self.stage!r}, {self.params!r}, "
@@ -117,7 +128,14 @@ class Keyer:
         }
 
     def key(self, task: TaskSpec) -> str:
-        """The content-addressed cache key of ``task``."""
+        """The content-addressed cache key of ``task`` (memoized)."""
+        keyed = task.keyed
+        if keyed is None or keyed[0] is not self:
+            keyed = task.keyed = (self, self.compute_key(task))
+        return keyed[1]
+
+    def compute_key(self, task: TaskSpec) -> str:
+        """Digest the salt and ``task``'s structural inputs."""
         return digest({"salt": self.salt,
                        "inputs": self.structural_inputs(task)})
 

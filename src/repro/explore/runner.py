@@ -32,7 +32,7 @@ from repro import obs
 from repro.errors import ExploreError
 from repro.explore.cache import ExploreCache, NullCache
 from repro.explore.grid import GridPoint
-from repro.explore.keys import payload_checksum
+from repro.explore.keys import canonical_bytes, payload_checksum
 from repro.explore.pareto import pareto_rank
 from repro.explore.systems import cached_load
 from repro.explore.tasks import (
@@ -68,19 +68,17 @@ def execute_point(ctx: PointContext, cache: Any, point: GridPoint,
     with obs.tracing() as tracer:
         with obs.span("explore.point", category="explore",
                       point=point.label):
-            tasks = build_point_tasks(ctx.fingerprint, point, backend)
+            tasks = build_point_tasks(ctx.partition, point, backend)
             payloads: Dict[str, Dict[str, Any]] = {}
-            keys: Dict[str, str] = {}
             stages: List[Dict[str, Any]] = []
             error: Optional[Dict[str, Any]] = None
             for task in tasks:
                 key = cache.keyer.key(task)
-                keys[task.stage] = key
                 with obs.span(f"explore.{task.stage}",
                               category="explore", key=key) as handle:
                     payload, hit = cache.get(task)
                     if not hit:
-                        payload = execute_task(ctx, task, payloads, keys)
+                        payload = execute_task(ctx, task, payloads, cache.keyer)
                         cache.put(task, payload)
                     handle.set(cached=hit)
                 payloads[task.stage] = payload
@@ -221,7 +219,7 @@ def canonical_report(report: Dict[str, Any]) -> Dict[str, Any]:
                            for s in result["stages"]},
             "metrics": result["metrics"],
             "oracle_ok": (result["sim"] or {}).get("oracle_ok"),
-            "sim_sha256": (payload_checksum(result["sim"])
+            "sim_sha256": (payload_checksum(canonical_bytes(result["sim"]))
                            if result["sim"] is not None else None),
         })
     return {

@@ -31,7 +31,7 @@ from repro.channels.group import ChannelGroup
 from repro.errors import ExploreError, ReproError
 from repro.estimate.area import estimate_bus_area
 from repro.explore.grid import WIDTH_AUTO, GridPoint
-from repro.explore.keys import TaskSpec, fingerprint_system
+from repro.explore.keys import Keyer, TaskSpec, fingerprint_system
 from repro.explore.systems import LoadedSystem
 from repro.fifo import FifoTable
 from repro.protocols import get_protocol
@@ -97,11 +97,11 @@ def arbiter_factories(arbitration: str):
     return None if factory is None else _EveryBus(factory)
 
 
-def build_point_tasks(fingerprint: Dict[str, Any], point: GridPoint,
+def build_point_tasks(t_partition: TaskSpec, point: GridPoint,
                       backend: str) -> List[TaskSpec]:
-    """The task chain of one grid point, dependency-linked so shared
-    parameter prefixes share keys (and therefore cache entries)."""
-    t_partition = TaskSpec("partition", {"system": fingerprint})
+    """The task chain of one grid point below its system's partition
+    task, dependency-linked so shared parameter prefixes share keys
+    (and therefore cache entries)."""
     t_busgen = TaskSpec(
         "busgen",
         {"protocol": point.protocol, "width": point.width},
@@ -136,16 +136,19 @@ class PointContext:
 
     def __init__(self, loaded: LoadedSystem):
         self.loaded = loaded
-        self._fingerprint: Optional[Dict[str, Any]] = None
+        self._partition: Optional[TaskSpec] = None
         self._refined = FifoTable(REFINED_MEMO_LIMIT)
 
     @property
-    def fingerprint(self) -> Dict[str, Any]:
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint_system(
-                self.loaded.arg, self.loaded.system, self.loaded.groups,
-                self.loaded.schedule)
-        return self._fingerprint
+    def partition(self) -> TaskSpec:
+        """The system's partition task, built once: every point's chain
+        shares it, and with it its memoized key."""
+        if self._partition is None:
+            self._partition = TaskSpec("partition", {
+                "system": fingerprint_system(
+                    self.loaded.arg, self.loaded.system,
+                    self.loaded.groups, self.loaded.schedule)})
+        return self._partition
 
     def group_named(self, name: str) -> ChannelGroup:
         for group in self.loaded.groups:
@@ -180,7 +183,7 @@ class PointContext:
                  "separate_pins": group.total_message_pins}
                 for group in loaded.groups
             ],
-            "schedule": self.fingerprint["schedule"],
+            "schedule": self.partition.params["system"]["schedule"],
         }
 
     def compute_busgen(self, params: Dict[str, Any],
@@ -287,14 +290,14 @@ class PointContext:
 
 def execute_task(ctx: PointContext, task: TaskSpec,
                  payloads: Dict[str, Dict[str, Any]],
-                 keys: Dict[str, str]) -> Dict[str, Any]:
+                 keyer: Keyer) -> Dict[str, Any]:
     """Run one stage compute; pipeline failures become ``error``
     payloads (cached like results, so warm sweeps skip them too).
 
-    ``payloads``/``keys`` map the already-resolved upstream stages of
-    this point's chain to their payloads and cache keys; the cache key
-    indexes the in-memory refined-spec memo, so a spec is only reused
-    for the exact inputs that built it.
+    ``payloads`` maps the already-resolved upstream stages of this
+    point's chain to their payloads; the refine task's cache key (from
+    ``keyer``) indexes the in-memory refined-spec memo, so a spec is
+    only reused for the exact inputs that built it.
     """
     try:
         if task.stage == "partition":
@@ -303,9 +306,10 @@ def execute_task(ctx: PointContext, task: TaskSpec,
             return ctx.compute_busgen(task.params, payloads["partition"])
         if task.stage == "refine":
             return ctx.compute_refine(task.params, payloads["busgen"],
-                                      keys["refine"])
+                                      keyer.key(task))
         if task.stage == "sim":
-            refined = ctx.refined_for(task.deps[0], keys["refine"],
+            refine = task.deps[0]
+            refined = ctx.refined_for(refine, keyer.key(refine),
                                       payloads["busgen"])
             return ctx.compute_sim(task.params, refined)
         raise ExploreError(f"unknown stage {task.stage!r}")

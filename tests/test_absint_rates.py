@@ -91,6 +91,40 @@ def test_gcd_measured_rates_lie_under_the_proven_ceiling():
         assert measured <= model.rate_bounds(channel, 16)[1], channel.name
 
 
+def test_tightened_layout_prices_the_refined_lifetime():
+    """``--tighten-fields`` at width 8 moves 15-bit, two-word messages,
+    not the declared 23 bits: the proven lifetime must price the layout
+    as built, or its floor overshoots the measured lifetime and the rate
+    ceiling falls below the measured rate."""
+    model = build_flc()
+    plans = [(model.bus_b, 8)]
+    ranges = analyze_refined_values(
+        refine_system(model.system, plans)).finite_sent_ranges()
+    tightened = refine_system(model.system, plans, value_ranges=ranges)
+    bus = tightened.buses[0]
+    assert bus.procedures["ch1"].layout.total_bits == 15
+    bounds = refined_channel_bounds(tightened)
+    rates = StaticRateModel(bus.group, bus.structure.protocol,
+                            bounds={c.name: bounds[c.name]
+                                    for c in bus.group})
+    result = simulate(tightened, schedule=model.schedule)
+    counts = result.buses[bus.name].per_channel
+    for channel in bus.group:
+        lifetime = result.clocks[channel.accessor.name]
+        lo, hi = rates.lifetime_bounds(channel, 8)
+        assert lo <= lifetime <= hi, channel.name
+        measured = (counts[channel.name].count * channel.message_bits
+                    / (lifetime * bus.group.clock_period))
+        assert measured <= rates.rate_bounds(channel, 8)[1], channel.name
+    ch1 = bus.group.channel("ch1")
+    assert result.clocks["EVAL_R3"] == 1281
+    assert rates.lifetime_bounds(ch1, 8)[0] <= 1281
+    assert rates.rate_bounds(ch1, 8)[1] >= 128 * 23 / 1281
+    # The 23 declared bits per message would need 4.85 > 4.0: Equation
+    # 1 weighs the 15 the layout moves, so P505 passes the design.
+    assert rates.demand_bounds(8)[0] <= rates.bus_rate_at(8)
+
+
 def test_static_busgen_selects_the_measured_width_on_flc():
     """The FLC accessors are loop-bound-exact, so the proven demand
     equals the measured demand and static mode picks the same width

@@ -35,10 +35,14 @@ from repro.explore.cache import (
     EX103_CORRUPT,
     SCHEMA,
 )
+from repro.explore import cache as cache_module
+from repro.explore import keys
 from repro.explore.defects import CORPUS, SaltBlindKeyer, WidthBlindKeyer
 from repro.explore.keys import canonical_bytes, code_salt, digest
 from repro.explore.pareto import pareto_rank, render_table
-from repro.explore.tasks import build_point_tasks
+from repro.explore.runner import execute_point
+from repro.explore.systems import load_system
+from repro.explore.tasks import PointContext, build_point_tasks
 
 DEMO_GRID = ["width=1,2", "protection=none,parity"]
 
@@ -114,12 +118,12 @@ class TestKeys:
 
     def test_shared_prefixes_share_keys(self):
         keyer = Keyer()
-        fingerprint = {"system": "demo"}
+        partition = TaskSpec("partition", {"system": "demo"})
         tasks_a = build_point_tasks(
-            fingerprint, GridPoint(4, "full_handshake", "none", "fifo"),
+            partition, GridPoint(4, "full_handshake", "none", "fifo"),
             "interp")
         tasks_b = build_point_tasks(
-            fingerprint,
+            partition,
             GridPoint(4, "full_handshake", "parity", "fifo"), "interp")
         keys_a = [keyer.key(t) for t in tasks_a]
         keys_b = [keyer.key(t) for t in tasks_b]
@@ -222,11 +226,128 @@ class TestCacheGates:
         assert not hit
         assert [i.code for i in cache.incidents] == [EX101_COLLISION]
 
+    @pytest.mark.parametrize("text", ["[1,2]", '"x"', "1", "null"])
+    def test_an_entry_that_is_not_an_object_fires_ex103(self, tmp_path,
+                                                         text):
+        cache = ExploreCache(str(tmp_path))
+        task = self.put_one(cache)
+        with open(cache.path_for(task), "w") as handle:
+            handle.write(text)
+        assert cache.get(task) == (None, False)
+        assert [i.code for i in cache.incidents] == [EX103_CORRUPT]
+        assert "not an object" in cache.incidents[0].detail
+        assert [i.code for i in cache.scan()] == [EX103_CORRUPT]
+
+    @pytest.mark.parametrize("recorded", [42, None, ["x"], {"a": 1}])
+    def test_a_checksum_that_is_not_a_string_fires_ex103(self, tmp_path,
+                                                         recorded):
+        cache = ExploreCache(str(tmp_path))
+        task = self.put_one(cache)
+        path = cache.path_for(task)
+        entry = json.loads(open(path, "rb").read())
+        entry["payload_sha256"] = recorded
+        with open(path, "wb") as handle:
+            handle.write(canonical_bytes(entry))
+        assert cache.get(task) == (None, False)
+        assert [i.code for i in cache.incidents] == [EX103_CORRUPT]
+        assert [i.code for i in cache.scan()] == [EX103_CORRUPT]
+
+    def test_a_payload_that_cannot_be_reencoded_fires_ex103(self,
+                                                            tmp_path):
+        # json.loads accepts NaN; the checksum's canonical encoding
+        # does not.
+        cache = ExploreCache(str(tmp_path))
+        task = self.put_one(cache)
+        path = cache.path_for(task)
+        raw = open(path, "rb").read().replace(b'"answer":42',
+                                              b'"answer":NaN')
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        assert cache.get(task) == (None, False)
+        assert [i.code for i in cache.incidents] == [EX103_CORRUPT]
+        assert [i.code for i in cache.scan()] == [EX103_CORRUPT]
+
     def test_null_cache_never_hits(self):
         cache = NullCache()
         task = TaskSpec("busgen", {"width": 4})
         cache.put(task, {"answer": 42})
         assert cache.get(task) == (None, False)
+
+
+# ---------------------------------------------------------------------------
+# Cost contract: one digest per task, one parse per hit, one encoding
+# per write (also gated on the FLC golden grid by
+# ``benchmarks/bench_explore.py``)
+# ---------------------------------------------------------------------------
+
+def counting(monkeypatch, owner, name, record=lambda *args: True):
+    """Wrap ``owner.name``; returns the list of its recorded calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        if record(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestCostContract:
+    def test_one_digest_per_task_a_point_builds(self, tmp_path,
+                                                 monkeypatch):
+        points = demo_points()
+        digests = counting(monkeypatch, keys, "digest")
+        for _ in ("cold", "warm"):
+            digests.clear()
+            explore("_demo", points, jobs=1, cache_dir=str(tmp_path))
+            # Each point builds busgen, refine and sim tasks; the
+            # context's partition task is keyed once per sweep's keyer.
+            assert len(digests) == 1 + 3 * len(points)
+        digests.clear()
+        ctx = PointContext(load_system("_demo"))
+        execute_point(ctx, ExploreCache(str(tmp_path)), points[0],
+                      "interp")
+        assert len(digests) == 4
+
+    def test_a_hit_parses_its_entry_once(self, tmp_path, monkeypatch):
+        points = demo_points()
+        explore("_demo", points, jobs=1, cache_dir=str(tmp_path))
+        loads = counting(monkeypatch, json, "loads")
+        warm = explore("_demo", points, jobs=1, cache_dir=str(tmp_path))
+        assert warm["cache"]["stats"]["hits"] == 4 * len(points)
+        assert len(loads) == 4 * len(points)
+
+    def test_a_payload_is_encoded_once_per_write_and_per_hit(
+            self, tmp_path, monkeypatch):
+        payload = {"answer": [42, {"nested": "\u00e9"}]}
+        encodes = counting(monkeypatch, cache_module, "canonical_bytes",
+                           lambda obj: obj is payload)
+        cache = ExploreCache(str(tmp_path))
+        task = TaskSpec("busgen", {"width": 4})
+        cache.put(task, payload)
+        assert len(encodes) == 1
+        with open(cache.path_for(task), "rb") as handle:
+            raw = handle.read()
+        assert raw == canonical_bytes(json.loads(raw)) + b"\n"
+        reencodes = counting(monkeypatch, cache_module, "canonical_bytes")
+        digests = counting(monkeypatch, keys, "digest")
+        hit_payload, hit = cache.get(task)
+        assert hit and hit_payload == payload
+        assert len(reencodes) == 1 and not digests  # just the checksum
+
+    def test_two_keyers_on_one_task_each_get_their_own_key(self):
+        root = TaskSpec("partition", {"system": "demo"})
+        task = TaskSpec("busgen", {"width": 4, "protocol": "x"}, (root,))
+        keyers = [Keyer(), WidthBlindKeyer(), Keyer(salt="other")]
+        fresh = {id(k): k.compute_key(task) for k in keyers}
+        assert len(set(fresh.values())) == 3
+        for keyer in keyers + keyers[::-1]:
+            assert keyer.key(task) == fresh[id(keyer)]
+        wider = TaskSpec("busgen", {"width": 8, "protocol": "x"}, (root,))
+        assert keyers[1].key(wider) == keyers[1].key(task)
+        assert keyers[0].key(wider) != keyers[0].key(task)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +423,22 @@ class TestRunner:
                                             warm["results"]):
             assert warm_result["sim"] == cold_result["sim"]
             assert warm_result["refine"] == cold_result["refine"]
+
+    @pytest.mark.parametrize("text", ["[1,2]", '"x"', "1", "null"])
+    def test_a_non_object_entry_is_recomputed(self, tmp_path, text):
+        points = demo_points()
+        cold = explore("_demo", points, jobs=1, cache_dir=str(tmp_path))
+        cache = ExploreCache(str(tmp_path))
+        stage, key = cache.entries()[-1]
+        with open(cache._entry_path(stage, key), "w") as handle:
+            handle.write(text)
+        assert [i.code for i in cache.scan()] == [EX103_CORRUPT]
+        warm = explore("_demo", points, jobs=1, cache_dir=str(tmp_path))
+        assert [i["code"] for i in warm["cache"]["incidents"]] == \
+            [EX103_CORRUPT]
+        assert warm["cache"]["stats"]["writes"] == 1
+        assert canonical_report(warm) == canonical_report(cold)
+        assert cache.scan() == []
 
     def test_pipeline_errors_are_cached_results(self, tmp_path):
         # parity requires full_handshake: these points must fail,

@@ -1,12 +1,14 @@
 """Property-based tests (hypothesis) for the explorer's cache keys
 and the warm-equals-cold contract.
 
-Three families:
+Four families:
 
 * **key injectivity** -- distinct grid parameters must never produce
   the same task key (a collision here is exactly defect EX101);
 * **representation invariance** -- keys are functions of structure,
   not of dict insertion order or other serialization accidents;
+* **envelope splicing** -- a cache write's envelope, built around the
+  payload's one encoding, is the canonical encoding of the entry;
 * **warm == cold** -- over random small grids, a cache-warm sweep
   reproduces every field of every stage payload of a cold sweep.
 """
@@ -27,7 +29,8 @@ from repro.explore import (
     differential_check,
     explore,
 )
-from repro.explore.keys import canonical_bytes, digest
+from repro.explore.cache import SCHEMA
+from repro.explore.keys import canonical_bytes, digest, payload_checksum
 from repro.explore.tasks import build_point_tasks
 
 # ---------------------------------------------------------------------------
@@ -55,7 +58,7 @@ json_values = st.recursive(
         st.dictionaries(st.text(max_size=8), children, max_size=4)),
     max_leaves=12)
 
-FINGERPRINT = {"system": "prop-test"}
+PARTITION = TaskSpec("partition", {"system": "prop-test"})
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +69,8 @@ FINGERPRINT = {"system": "prop-test"}
 @settings(max_examples=200, deadline=None)
 def test_distinct_points_get_distinct_sim_keys(a, b):
     keyer = Keyer()
-    key_a = keyer.key(build_point_tasks(FINGERPRINT, a, "interp")[-1])
-    key_b = keyer.key(build_point_tasks(FINGERPRINT, b, "interp")[-1])
+    key_a = keyer.key(build_point_tasks(PARTITION, a, "interp")[-1])
+    key_b = keyer.key(build_point_tasks(PARTITION, b, "interp")[-1])
     assert (key_a == key_b) == (a == b)
 
 
@@ -77,7 +80,7 @@ def test_distinct_points_get_distinct_sim_keys(a, b):
 @settings(max_examples=50, deadline=None)
 def test_backend_is_part_of_the_sim_key(point, backends):
     keyer = Keyer()
-    keys = [keyer.key(build_point_tasks(FINGERPRINT, point, b)[-1])
+    keys = [keyer.key(build_point_tasks(PARTITION, point, b)[-1])
             for b in backends]
     assert (keys[0] == keys[1]) == (backends[0] == backends[1])
 
@@ -87,7 +90,7 @@ def test_backend_is_part_of_the_sim_key(point, backends):
 def test_stage_keys_are_distinct_within_a_chain(point):
     keyer = Keyer()
     keys = [keyer.key(t)
-            for t in build_point_tasks(FINGERPRINT, point, "interp")]
+            for t in build_point_tasks(PARTITION, point, "interp")]
     assert len(set(keys)) == len(keys)
 
 
@@ -96,7 +99,8 @@ def test_stage_keys_are_distinct_within_a_chain(point):
 def test_fingerprint_feeds_the_whole_chain(fingerprints):
     point = GridPoint(4, "full_handshake", "none", "fifo")
     keyer = Keyer()
-    chains = [build_point_tasks({"fp": fp}, point, "interp")
+    chains = [build_point_tasks(TaskSpec("partition", {"fp": fp}), point,
+                                "interp")
               for fp in fingerprints]
     # Canonical-bytes equality, not Python ==: JSON tells 0 from
     # False, and the keys must too.
@@ -145,6 +149,40 @@ def test_task_key_ignores_param_order(params, data):
     assert keyer.key(permuted) == keyer.key(original)
     assert keyer.structural_inputs(permuted) == \
         keyer.structural_inputs(original)
+
+
+# Strings that need escaping in JSON, non-ASCII text and ints far past
+# 64 bits: everything the spliced envelope must encode as the whole
+# entry's encoding would.
+envelope_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", "\n\t", "\u2028", "\u00e9t\u00e9",
+                     "\U0001f600", '",\"payload\":', "\x00\x1f"]))
+envelope_values = st.recursive(
+    st.one_of(st.integers(), st.integers(min_value=2**63),
+              envelope_text, st.booleans(), st.none(),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(envelope_text, children, max_size=4)),
+    max_leaves=16)
+
+
+@given(stage=envelope_text, salt=envelope_text,
+       params=st.dictionaries(envelope_text, envelope_values, max_size=4),
+       payload=envelope_values)
+@settings(max_examples=300, deadline=None)
+def test_spliced_envelope_is_the_canonical_entry(tmp_path_factory, stage,
+                                                 salt, params, payload):
+    cache = ExploreCache(str(tmp_path_factory.getbasetemp()),
+                         Keyer(salt=salt))
+    task = TaskSpec(stage, params, (TaskSpec("partition", params),))
+    entry = {"schema": SCHEMA, "stage": stage, "salt": salt,
+             "inputs": cache.keyer.structural_inputs(task),
+             "payload": payload,
+             "payload_sha256": payload_checksum(canonical_bytes(payload))}
+    assert cache._envelope_bytes(task, payload) == \
+        canonical_bytes(entry) + b"\n"
 
 
 def test_equivalent_spec_serializations_fingerprint_identically():

@@ -38,7 +38,6 @@ are never kept; they are always derived on the channel itself.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, List,
@@ -47,113 +46,25 @@ from typing import (Any, Callable, Dict, FrozenSet, Hashable, List,
 from repro.errors import AnalysisError
 from repro.fifo import FifoTable
 from repro.protocols import ProtectionPlan, Protocol
-from repro.protogen.fsm import FsmTransition, ProtocolFsm, synthesize_fsm
+# The guard/action reading is the controllers' own; re-exported here
+# for the analysis passes that import it from this module.
+from repro.protogen.fsm import (  # noqa: F401
+    _ID_DRIVE,
+    _ID_GUARD,
+    STROBE_TOKENS,
+    FsmTransition,
+    Guard,
+    ProtocolFsm,
+    StateEffects,
+    channel_controllers,
+    parse_actions,
+    parse_guard,
+    synthesize_fsm,
+)
 from repro.protogen.refine import RefinedSpec
-
-#: Events that synchronize the two sides instead of testing a level.
-STROBE_TOKENS = ("strobe", "REQ toggle", "schedule tick")
 
 #: Safety cap on explored product states.
 MAX_PRODUCT_STATES = 20_000
-
-#: ``drive DATA(hi:lo) <= field`` actions, at bit granularity.
-_DATA_DRIVE_RE = re.compile(r"^drive DATA\((\d+):(\d+)\)")
-
-#: An ID-code guard atom (``ID = "01"``) and an ID-driving action.
-_ID_GUARD = "ID = "
-_ID_DRIVE = "drive ID = "
-
-
-# ---------------------------------------------------------------------------
-# Guard / action micro-parsers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Guard:
-    """A parsed transition guard: a conjunction of atomic tests."""
-
-    #: Required control-line levels, e.g. {"START": 1, "DONE": 0}.
-    levels: Tuple[Tuple[str, int], ...] = ()
-    #: Required ID code (bit string) or None.
-    id_code: Optional[str] = None
-    #: Strobe events the guard waits on.
-    strobes: Tuple[str, ...] = ()
-    #: True for the environment's ``invoke`` event.
-    invoke: bool = False
-
-
-def parse_guard(guard: Optional[str]) -> Guard:
-    """Parse a transition guard string into a :class:`Guard`."""
-    if guard is None:
-        return Guard()
-    levels: List[Tuple[str, int]] = []
-    id_code: Optional[str] = None
-    strobes: List[str] = []
-    invoke = False
-    for raw in guard.split(" and "):
-        atom = raw.strip()
-        if not atom:
-            continue
-        if atom == "invoke":
-            invoke = True
-        elif atom in STROBE_TOKENS:
-            strobes.append(atom)
-        elif atom.startswith(_ID_GUARD):
-            id_code = atom[len(_ID_GUARD):].strip('"')
-        elif " = " in atom:
-            line, value = atom.split(" = ", 1)
-            levels.append((line.strip(), int(value.strip().strip("'"))))
-        else:
-            raise AnalysisError(f"cannot parse guard atom {atom!r}")
-    return Guard(levels=tuple(levels), id_code=id_code,
-                 strobes=tuple(strobes), invoke=invoke)
-
-
-@dataclass(frozen=True)
-class StateEffects:
-    """Everything one FSM state puts on the wires while occupied."""
-
-    #: Line assignments, e.g. {"START": 1}.
-    drives: Tuple[Tuple[str, int], ...] = ()
-    #: ID code driven onto the bus, if any.
-    id_code: Optional[str] = None
-    #: Strobe events emitted by this state.
-    strobes: Tuple[str, ...] = ()
-    #: OR of all driven DATA bit ranges, as a wire mask.
-    data_mask: int = 0
-
-    @property
-    def controls(self) -> FrozenSet[str]:
-        """Control lines driven, regardless of level: two simultaneous
-        drivers on one wire conflict even when they agree."""
-        return frozenset(line for line, _ in self.drives)
-
-
-def parse_actions(actions: Tuple[str, ...]) -> StateEffects:
-    """Extract the wire effects from a state's action strings.
-
-    DATA drives count only as a bit mask; latches and commits leave
-    the wires alone and are ignored.
-    """
-    drives: List[Tuple[str, int]] = []
-    id_code: Optional[str] = None
-    strobes: List[str] = []
-    data_mask = 0
-    for action in actions:
-        match = _DATA_DRIVE_RE.match(action)
-        if match:
-            hi, lo = int(match.group(1)), int(match.group(2))
-            data_mask |= ((1 << (hi - lo + 1)) - 1) << lo
-        elif action in STROBE_TOKENS:
-            strobes.append(action)
-        elif action.startswith(_ID_DRIVE):
-            id_code = action[len(_ID_DRIVE):].strip('"')
-        elif " <= '" in action and not action.startswith(("drive ",
-                                                          "latch ")):
-            line, value = action.split(" <= ", 1)
-            drives.append((line.strip(), int(value.strip("'"))))
-    return StateEffects(drives=tuple(drives), id_code=id_code,
-                        strobes=tuple(strobes), data_mask=data_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +494,15 @@ def _synthesize_models(spec: RefinedSpec,
     models: ChannelModels = {}
     for bus in spec.buses:
         for channel in bus.group:
-            pair = bus.procedures[channel.name]
-            accessor = synthesize_fsm(pair.accessor, bus.structure)
-            server = synthesize_fsm(pair.server, bus.structure)
-            if fsm_transform is not None:
-                accessor = fsm_transform(accessor)
-                server = fsm_transform(server)
+            if fsm_transform is None:
+                accessor, server = channel_controllers(spec, bus.name,
+                                                       channel.name)
+            else:
+                pair = bus.procedures[channel.name]
+                accessor = fsm_transform(synthesize_fsm(pair.accessor,
+                                                        bus.structure))
+                server = fsm_transform(synthesize_fsm(pair.server,
+                                                      bus.structure))
             models[(bus.name, channel.name)] = product_model(accessor,
                                                              server)
     return models

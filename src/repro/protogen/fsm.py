@@ -14,21 +14,37 @@ takes.  This module makes those controllers explicit: given a generated
 
 Uses:
 
-* the area estimator's state counts come from here (one source of
-  truth with the simulator's timing: a full-handshake word is exactly
-  two states, matching its two clocks),
+* the simulator executes these controllers: :class:`~repro.sim.bus.
+  SimBus` steps each channel's accessor FSM clocked (a state holds its
+  wire effects for one clock, then its guards are read) and its server
+  FSM reactively (it waits on the guard into its next state and fires
+  unguarded edges at once), so a full-handshake word is two states and
+  two clocks by construction,
+* the static analyzer (P1xx/P7xx) proves the same objects, read
+  through :func:`channel_controllers`' memo on the refined spec,
+* the area estimator's state counts come from here,
 * controllers export as Graphviz DOT or a text table for inspection
   and documentation.
+
+A state's actions and a transition's guard are short strings;
+:func:`parse_actions` and :func:`parse_guard` read them into wire
+effects and level/strobe tests, the one reading the simulator, the
+product automaton and the witness replay share.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import ProtocolError
+from repro.errors import AnalysisError, ProtocolError
+from repro.protocols import Protocol
 from repro.protogen.procedures import CommProcedure, Role, WordSpec
 from repro.protogen.structure import BusStructure
+
+if TYPE_CHECKING:
+    from repro.protogen.refine import RefinedSpec
 
 
 @dataclass(frozen=True)
@@ -40,6 +56,10 @@ class FsmState:
     actions: Tuple[str, ...] = ()
     is_initial: bool = False
     is_final: bool = False
+    #: Index of the bus word whose transfer this state belongs to
+    #: (None outside any word: rest, burst grant/release, the read
+    #: verdict).
+    word: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -180,6 +200,109 @@ class ProtocolFsm:
 
 
 # ---------------------------------------------------------------------------
+# Guard / action micro-parsers
+# ---------------------------------------------------------------------------
+
+#: Events that synchronize the two sides instead of testing a level.
+STROBE_TOKENS = ("strobe", "REQ toggle", "schedule tick")
+
+#: ``drive DATA(hi:lo) <= field`` actions, at bit granularity.
+_DATA_DRIVE_RE = re.compile(r"^drive DATA\((\d+):(\d+)\)")
+
+#: An ID-code guard atom (``ID = "01"``) and an ID-driving action.
+_ID_GUARD = "ID = "
+_ID_DRIVE = "drive ID = "
+
+
+@dataclass(frozen=True)
+class Guard:
+    """A parsed transition guard: a conjunction of atomic tests."""
+
+    #: Required control-line levels, e.g. {"START": 1, "DONE": 0}.
+    levels: Tuple[Tuple[str, int], ...] = ()
+    #: Required ID code (bit string) or None.
+    id_code: Optional[str] = None
+    #: Strobe events the guard waits on.
+    strobes: Tuple[str, ...] = ()
+    #: True for the environment's ``invoke`` event.
+    invoke: bool = False
+
+
+def parse_guard(guard: Optional[str]) -> Guard:
+    """Parse a transition guard string into a :class:`Guard`."""
+    if guard is None:
+        return Guard()
+    levels: List[Tuple[str, int]] = []
+    id_code: Optional[str] = None
+    strobes: List[str] = []
+    invoke = False
+    for raw in guard.split(" and "):
+        atom = raw.strip()
+        if not atom:
+            continue
+        if atom == "invoke":
+            invoke = True
+        elif atom in STROBE_TOKENS:
+            strobes.append(atom)
+        elif atom.startswith(_ID_GUARD):
+            id_code = atom[len(_ID_GUARD):].strip('"')
+        elif " = " in atom:
+            line, value = atom.split(" = ", 1)
+            levels.append((line.strip(), int(value.strip().strip("'"))))
+        else:
+            raise AnalysisError(f"cannot parse guard atom {atom!r}")
+    return Guard(levels=tuple(levels), id_code=id_code,
+                 strobes=tuple(strobes), invoke=invoke)
+
+
+@dataclass(frozen=True)
+class StateEffects:
+    """Everything one FSM state puts on the wires while occupied."""
+
+    #: Line assignments, e.g. {"START": 1}.
+    drives: Tuple[Tuple[str, int], ...] = ()
+    #: ID code driven onto the bus, if any.
+    id_code: Optional[str] = None
+    #: Strobe events emitted by this state.
+    strobes: Tuple[str, ...] = ()
+    #: OR of all driven DATA bit ranges, as a wire mask.
+    data_mask: int = 0
+
+    @property
+    def controls(self) -> FrozenSet[str]:
+        """Control lines driven, regardless of level: two simultaneous
+        drivers on one wire conflict even when they agree."""
+        return frozenset(line for line, _ in self.drives)
+
+
+def parse_actions(actions: Tuple[str, ...]) -> StateEffects:
+    """Extract the wire effects from a state's action strings.
+
+    DATA drives count only as a bit mask; latches and commits leave
+    the wires alone and are ignored.
+    """
+    drives: List[Tuple[str, int]] = []
+    id_code: Optional[str] = None
+    strobes: List[str] = []
+    data_mask = 0
+    for action in actions:
+        match = _DATA_DRIVE_RE.match(action)
+        if match:
+            hi, lo = int(match.group(1)), int(match.group(2))
+            data_mask |= ((1 << (hi - lo + 1)) - 1) << lo
+        elif action in STROBE_TOKENS:
+            strobes.append(action)
+        elif action.startswith(_ID_DRIVE):
+            id_code = action[len(_ID_DRIVE):].strip('"')
+        elif " <= '" in action and not action.startswith(("drive ",
+                                                          "latch ")):
+            line, value = action.split(" <= ", 1)
+            drives.append((line.strip(), int(value.strip("'"))))
+    return StateEffects(drives=tuple(drives), id_code=id_code,
+                        strobes=tuple(strobes), data_mask=data_mask)
+
+
+# ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------
 
@@ -211,15 +334,15 @@ def synthesize_fsm(procedure: CommProcedure,
                       protocol_name=protocol.name)
     id_bits = structure.ids.code_bits(procedure.channel.name)
     id_guard = f'ID = "{id_bits}"' if id_bits else None
+    rest = server_rest_guard(protocol)
 
     if protocol.name == "full_handshake":
-        _synth_handshake(fsm, procedure, words, id_guard,
+        _synth_handshake(fsm, procedure, words, id_guard, rest,
                          protection=structure.protection)
     elif protocol.name == "burst_handshake":
-        _synth_burst(fsm, procedure, words, id_guard)
+        _synth_burst(fsm, procedure, words, id_guard, rest)
     elif protocol.name in ("half_handshake", "fixed_delay", "hardwired"):
-        _synth_strobed(fsm, procedure, words, id_guard,
-                       has_req=("REQ" in protocol.control_lines))
+        _synth_strobed(fsm, procedure, words, id_guard, rest)
     else:
         raise ProtocolError(
             f"no FSM synthesis for protocol {protocol.name!r}")
@@ -228,9 +351,50 @@ def synthesize_fsm(procedure: CommProcedure,
     return fsm
 
 
+#: ``RefinedSpec.analysis_memo`` key of the synthesized controller pairs.
+_CONTROLLERS_KEY = "controllers"
+
+
+def channel_controllers(spec: "RefinedSpec", bus_name: str,
+                        channel_name: str
+                        ) -> Tuple[ProtocolFsm, ProtocolFsm]:
+    """The ``(accessor, server)`` controller pair of one channel,
+    memoized on ``spec``: the simulator runs the very objects the
+    analyzer proves.  Pairs are synthesized on first use, so a run
+    that never executes a channel (every transfer fused) builds none.
+    """
+    pairs = spec.memoized(_CONTROLLERS_KEY, dict)
+    key = (bus_name, channel_name)
+    pair = pairs.get(key)
+    if pair is None:
+        bus = spec.bus(bus_name)
+        procedures = bus.procedures[channel_name]
+        pair = pairs[key] = (
+            synthesize_fsm(procedures.accessor, bus.structure),
+            synthesize_fsm(procedures.server, bus.structure))
+    return pair
+
+
+def server_rest_guard(protocol: Protocol) -> str:
+    """The guard, less its ID test, on which a server leaves rest: the
+    START level of the handshake protocols (the full handshake's
+    server also waits on it between words), the word strobe of the
+    one-clock ones.  An idle simulated server waits on it before any
+    controller of its channels is synthesized."""
+    if "START" in protocol.control_lines:
+        return "START = '1'"
+    if "REQ" in protocol.control_lines:
+        return "REQ toggle"
+    return "schedule tick"
+
+
+def _with_id(guard: str, id_guard: Optional[str]) -> str:
+    return f"{guard} and {id_guard}" if id_guard else guard
+
+
 def _synth_handshake(fsm: ProtocolFsm, procedure: CommProcedure,
                      words: List[WordSpec],
-                     id_guard: Optional[str],
+                     id_guard: Optional[str], rest: str,
                      protection=None) -> None:
     """Two states per word: assert+wait-ack, then deassert+wait-idle.
 
@@ -256,11 +420,13 @@ def _synth_handshake(fsm: ProtocolFsm, procedure: CommProcedure,
                 request_actions.insert(0, f'drive {id_guard}')
             request_actions.append("START <= '1'")
             fsm.states.append(FsmState(f"W{k}_REQ",
-                                       actions=tuple(request_actions)))
+                                       actions=tuple(request_actions),
+                                       word=k))
             ack_actions = _slice_actions(procedure, word, drive=False)
             ack_actions.append("START <= '0'")
             fsm.states.append(FsmState(f"W{k}_ACK",
-                                       actions=tuple(ack_actions)))
+                                       actions=tuple(ack_actions),
+                                       word=k))
             if nack is not None and is_write and k == last:
                 fsm.transitions.append(FsmTransition(
                     f"W{k}_REQ", f"W{k}_ACK",
@@ -279,7 +445,9 @@ def _synth_handshake(fsm: ProtocolFsm, procedure: CommProcedure,
             fsm.transitions.append(FsmTransition(
                 f"W{k}_ACK", target, guard="DONE = '0'"))
         if nack is not None and is_write:
-            fsm.states.append(FsmState("RETRY", actions=("START <= '0'",)))
+            # The NACKed last word's return-to-zero half.
+            fsm.states.append(FsmState("RETRY", actions=("START <= '0'",),
+                                       word=last))
             fsm.transitions.append(FsmTransition("RETRY", "W0_REQ",
                                                  guard="DONE = '0'",
                                                  is_retry=True))
@@ -292,9 +460,7 @@ def _synth_handshake(fsm: ProtocolFsm, procedure: CommProcedure,
                                                  is_retry=True))
     else:
         fsm.states.append(FsmState("WAIT", is_initial=True, is_final=True))
-        guard = "START = '1'"
-        if id_guard:
-            guard += f" and {id_guard}"
+        guard = _with_id(rest, id_guard)
         #: Transitions entering the next word's serve state(s).
         entries = [("WAIT", guard)]
         for k, word in enumerate(words):
@@ -305,15 +471,18 @@ def _synth_handshake(fsm: ProtocolFsm, procedure: CommProcedure,
                 fsm.states.append(FsmState(
                     f"W{k}_SRV",
                     actions=tuple(serve_actions
-                                  + ["DONE <= '1'", f"{nack} <= '0'"])))
+                                  + ["DONE <= '1'", f"{nack} <= '0'"]),
+                    word=k))
                 fsm.states.append(FsmState(
                     f"W{k}_NAK",
                     actions=tuple(serve_actions
-                                  + ["DONE <= '1'", f"{nack} <= '1'"])))
+                                  + ["DONE <= '1'", f"{nack} <= '1'"]),
+                    word=k))
             else:
                 fsm.states.append(FsmState(
                     f"W{k}_SRV",
-                    actions=tuple(serve_actions + ["DONE <= '1'"])))
+                    actions=tuple(serve_actions + ["DONE <= '1'"]),
+                    word=k))
             for source, entry_guard in entries:
                 fsm.transitions.append(FsmTransition(
                     source, f"W{k}_SRV", guard=entry_guard))
@@ -324,7 +493,8 @@ def _synth_handshake(fsm: ProtocolFsm, procedure: CommProcedure,
                         source, f"W{k}_NAK", guard=entry_guard))
             drop_actions = ("DONE <= '0'", f"{nack} <= '0'") if split \
                 else ("DONE <= '0'",)
-            fsm.states.append(FsmState(f"W{k}_DROP", actions=drop_actions))
+            fsm.states.append(FsmState(f"W{k}_DROP", actions=drop_actions,
+                                       word=k))
             fsm.transitions.append(FsmTransition(
                 f"W{k}_SRV", f"W{k}_DROP", guard="START = '0'"))
             if split:
@@ -338,14 +508,13 @@ def _synth_handshake(fsm: ProtocolFsm, procedure: CommProcedure,
 
 def _synth_strobed(fsm: ProtocolFsm, procedure: CommProcedure,
                    words: List[WordSpec], id_guard: Optional[str],
-                   has_req: bool) -> None:
+                   strobe: str) -> None:
     """One state per word; the strobe (REQ toggle or schedule tick)
     advances."""
     accessor = procedure.role is Role.ACCESSOR
-    strobe = "REQ toggle" if has_req else "schedule tick"
     idle_name = "IDLE" if accessor else "WAIT"
     fsm.states.append(FsmState(idle_name, is_initial=True, is_final=True))
-    first_guard = "invoke" if accessor else _strobed_guard(strobe, id_guard)
+    first_guard = "invoke" if accessor else _with_id(strobe, id_guard)
     fsm.transitions.append(FsmTransition(idle_name, "W0", guard=first_guard))
     last = len(words) - 1
     for k, word in enumerate(words):
@@ -355,26 +524,16 @@ def _synth_strobed(fsm: ProtocolFsm, procedure: CommProcedure,
             if k == 0 and id_guard:
                 actions.insert(0, f"drive {id_guard}")
             actions.append(strobe)
-        fsm.states.append(FsmState(f"W{k}", actions=tuple(actions)))
+        fsm.states.append(FsmState(f"W{k}", actions=tuple(actions),
+                                   word=k))
         target = idle_name if k == last else f"W{k + 1}"
-        guard = None if accessor else _strobed_guard(strobe, None)
-        if k == last:
-            fsm.transitions.append(FsmTransition(f"W{k}", target,
-                                                 guard=None))
-        else:
-            fsm.transitions.append(FsmTransition(f"W{k}", target,
-                                                 guard=guard))
-
-
-def _strobed_guard(strobe: str, id_guard: Optional[str]) -> str:
-    guard = strobe
-    if id_guard:
-        guard += f" and {id_guard}"
-    return guard
+        guard = None if accessor or k == last else strobe
+        fsm.transitions.append(FsmTransition(f"W{k}", target, guard=guard))
 
 
 def _synth_burst(fsm: ProtocolFsm, procedure: CommProcedure,
-                 words: List[WordSpec], id_guard: Optional[str]) -> None:
+                 words: List[WordSpec], id_guard: Optional[str],
+                 rest: str) -> None:
     """Grant handshake, streamed words, release."""
     accessor = procedure.role is Role.ACCESSOR
     last = len(words) - 1
@@ -392,7 +551,8 @@ def _synth_burst(fsm: ProtocolFsm, procedure: CommProcedure,
             actions = _slice_actions(procedure, word, drive=True) + \
                 _slice_actions(procedure, word, drive=False)
             actions.append("strobe")
-            fsm.states.append(FsmState(f"W{k}", actions=tuple(actions)))
+            fsm.states.append(FsmState(f"W{k}", actions=tuple(actions),
+                                       word=k))
             target = "RELEASE" if k == last else f"W{k + 1}"
             fsm.transitions.append(FsmTransition(f"W{k}", target))
         fsm.states.append(FsmState("RELEASE", actions=("START <= '0'",)))
@@ -400,17 +560,16 @@ def _synth_burst(fsm: ProtocolFsm, procedure: CommProcedure,
                                              guard="DONE = '0'"))
     else:
         fsm.states.append(FsmState("WAIT", is_initial=True, is_final=True))
-        guard = "START = '1'"
-        if id_guard:
-            guard += f" and {id_guard}"
         fsm.states.append(FsmState("GRANT", actions=("DONE <= '1'",)))
-        fsm.transitions.append(FsmTransition("WAIT", "GRANT", guard=guard))
+        fsm.transitions.append(FsmTransition(
+            "WAIT", "GRANT", guard=_with_id(rest, id_guard)))
         fsm.transitions.append(FsmTransition("GRANT", "W0",
                                              guard="strobe"))
         for k, word in enumerate(words):
             actions = _slice_actions(procedure, word, drive=False) + \
                 _slice_actions(procedure, word, drive=True)
-            fsm.states.append(FsmState(f"W{k}", actions=tuple(actions)))
+            fsm.states.append(FsmState(f"W{k}", actions=tuple(actions),
+                                       word=k))
             target = "RELEASE" if k == last else f"W{k + 1}"
             fsm.transitions.append(FsmTransition(
                 f"W{k}", target,

@@ -1,26 +1,43 @@
-"""Executable buses: protocol coroutines over simulated wires.
+"""Executable buses: the synthesized protocol controllers over wires.
 
-This module turns a generated :class:`~repro.protogen.structure.BusStructure`
-into live signals and implements, as kernel coroutines, the transfer
-disciplines of every protocol descriptor:
+A generated :class:`~repro.protogen.structure.BusStructure` becomes live
+signals, and each channel's controller FSM pair
+(:func:`repro.protogen.fsm.synthesize_fsm`, the objects P1xx/P7xx
+prove, read through :func:`~repro.protogen.fsm.channel_controllers`)
+runs on them.  Each state is compiled once per bus from its parsed
+actions and guards and the bus word it moves.  One executor per side
+runs every protocol:
 
-* **full handshake** (START/DONE, 2 clocks per word) -- the paper's
-  Figure 4 procedures;
-* **half handshake / fixed delay / hardwired** (1 clock per word) -- a
-  two-phase word strobe; for the half handshake the strobe is the REQ
-  control line, for fixed-delay and hardwired buses it models the shared
-  clock edge of the statically agreed schedule (no extra wire is
-  counted).
+* the **accessor** is *clocked*: entering a state puts its wire effects
+  on the bus (a state that opens a word or announces the ID first
+  turns the data wires over) and holds them one clock; then its guards
+  are read.  A strobe is answered within its clock, so the accessor
+  latches one delta after it; a word's second state latches on entry.
+  A state without actions (rest, the read verdict) takes no clock.
+* the **server** is *reactive*: one coroutine per variable process
+  routes by the ID on the bus to a channel's FSM, waits on the guard
+  into its next state, applies that state's effects and fires
+  unguarded edges at once.  A strobe guard is an edge: the server wakes
+  on every strobe and tests the ID after waking.  The message commits
+  when the server leaves its last word.  A state entered on an
+  unguarded edge whose exit is guarded (the burst's RELEASE) applies
+  its drives once that guard holds, so DONE falls after START.
 
-Word timing is exactly ``protocol.delay_clocks`` per bus word, which is
-what makes the simulator agree clock-for-clock with the performance
-estimator (ref [10]) in the uncontended case -- the cross-check the
-test suite performs.
+Protection is one overlay on both: timeout-bounded guard waits (the
+accessor aborts the attempt, the server drops the partial message),
+the NACK/check verdict choosing the retransmitting edges (RETRY,
+VERIFY) or the NAK serve state, and the retry budget.  The overlay
+drives NACK: it rises before the acknowledge and falls at message end.
 
-Within a *read* word, the accessor drives the address wires and the
-variable process answers on the data wires of the same word (SRAM-style;
-see :mod:`repro.protogen.procedures`), so the multi-driver
-:class:`~repro.sim.signals.DataLines` resolution is exercised for real.
+The word strobe is the REQ line of the half handshake; on fixed-delay,
+hardwired and burst buses it models the schedule's clock edge and is
+not a counted wire.  Word timing is exactly ``protocol.message_clocks``
+per message, so the simulator agrees clock-for-clock with the
+performance estimator (ref [10]) in the uncontended case.  Within a
+*read* word the accessor drives the address wires and the variable
+process answers on the data wires of the same word (SRAM-style), so
+the multi-driver :class:`~repro.sim.signals.DataLines` resolution is
+exercised for real.
 """
 
 from __future__ import annotations
@@ -33,15 +50,17 @@ from typing import (
     Generator,
     List,
     Optional,
+    Tuple,
 )
 
 from repro.errors import SimulationError
-from repro.protogen.procedures import (
-    ChannelProcedures,
-    FieldKind,
-    Role,
-    WordSpec,
+from repro.protogen.fsm import (
+    ProtocolFsm,
+    parse_actions,
+    parse_guard,
+    server_rest_guard,
 )
+from repro.protogen.procedures import ChannelProcedures, FieldKind, Role
 from repro.protogen.structure import BusStructure
 from repro.protogen.varproc import VariableProcess
 from repro.sim.arbiter import Arbiter, ImmediateArbiter
@@ -95,11 +114,39 @@ class StorageAdapter:
 _W1 = Wait(1)
 _DELTA = Delta()
 
+#: What a state waits on before its next move: nothing (its edge fires
+#: at once), a line level, the server rest guard (a server process
+#: waits on it for all its channels at once), a strobe edge.
+_AT_ONCE, _LEVEL, _ENTRY, _STROBE = range(4)
+
+
+class _Step:
+    """One controller state compiled against a bus's wires."""
+
+    __slots__ = ("name", "word", "rest", "clocked", "opens", "id_code",
+                 "drives", "nacks", "strobe", "defer", "ends", "edges",
+                 "pending", "expects", "ready", "wait")
+
+
+class _Channel:
+    """A server process's view of one channel: where its FSM sits and
+    the message it is moving."""
+
+    def __init__(self, procs: ChannelProcedures, rest: _Step, lines):
+        self.procs, self.rest, self.lines = procs, rest, lines
+        self.state, self.transfer = rest, None
+
 
 class SimBus:
-    """Live signals plus protocol engines for one generated bus."""
+    """Live signals plus the controller executors for one generated bus.
+
+    ``controllers`` maps a channel name to its ``(accessor, server)``
+    FSM pair; the runtime passes the refined spec's memo.
+    """
 
     def __init__(self, structure: BusStructure, sim: Simulator,
+                 controllers: Callable[[str],
+                                       Tuple[ProtocolFsm, ProtocolFsm]],
                  arbiter: Optional[Arbiter] = None, trace: bool = False):
         self.structure = structure
         self.name = structure.name
@@ -118,9 +165,7 @@ class SimBus:
                                width=max(1, structure.id_lines))
         self.data = DataLines(f"{structure.name}.DATA", structure.width,
                               clock=clock, trace=trace)
-        #: Word strobe for 1-clock protocols.  For the half handshake it
-        #: *is* the REQ control line; otherwise it models the clock edge
-        #: of the static schedule and is not a counted wire.
+        #: Word strobe (see the module docstring).
         if "REQ" in self.controls:
             self._strobe = self.controls["REQ"]
         else:
@@ -139,35 +184,86 @@ class SimBus:
         #: Fault-tolerance policy of the generated structure (None for
         #: the paper's plain buses).
         self.protection = structure.protection
-        #: Word loop of an unprotected transfer, fixed by the protocol.
-        if self.uses_burst:
-            self._accessor_words = self._accessor_burst
-        elif self.uses_handshake:
-            self._accessor_words = self._accessor_handshake
-        else:
-            self._accessor_words = self._accessor_strobed
-
-    # ------------------------------------------------------------------
+        self._nack = self.controls[self.protection.nack_line] \
+            if self.protection is not None else None
+        #: The guard, less its ID, on which a server leaves rest.
+        self._rest = parse_guard(server_rest_guard(structure.protocol))
+        self._controllers = controllers
+        #: channel name -> (accessor rest step, lines it drives, server
+        #: rest step, lines it drives).
+        self._programs: Dict[str, tuple] = {}
 
     @property
     def width(self) -> int:
         return self.structure.width
 
-    @property
-    def uses_handshake(self) -> bool:
-        lines = self.structure.protocol.control_lines
-        return "START" in lines and "DONE" in lines
-
-    @property
-    def uses_burst(self) -> bool:
-        """Burst protocols handshake once per message, then stream."""
-        return self.uses_handshake and \
-            self.structure.protocol.setup_clocks > 0
-
     def _clear_word(self) -> None:
         """Turn the data wires over to the next word."""
         self.data.drive("accessor", 0, 0)
         self.data.drive("server", 0, 0)
+
+    def _program(self, procs: ChannelProcedures) -> tuple:
+        """The channel's controller pair, compiled on first use."""
+        program = self._programs.get(procs.channel.name)
+        if program is None:
+            plan = self.protection
+            accessor, server = self._controllers(procs.channel.name)
+            program = self._programs[procs.channel.name] = (
+                self._compile(accessor, plan and plan.timeout_clocks)
+                + self._compile(server, plan and plan.timeout_clocks + 1))
+        return program
+
+    def _compile(self, fsm: ProtocolFsm, timeout: Optional[int]) -> tuple:
+        """``fsm`` as linked steps -> ``(rest step, control lines its
+        states drive)``.  The protection overlay reads the NACK line as
+        its verdict and drives it itself: it is no guard level or drive
+        of a step."""
+        nack = self.protection.nack_line if self.protection else None
+        steps = {state.name: _Step() for state in fsm.states}
+        words = {state.name: state.word for state in fsm.states}
+        last = max(w for w in words.values() if w is not None)
+        lines: Dict[str, Signal] = {}
+        for state in fsm.states:
+            step, effects = steps[state.name], parse_actions(state.actions)
+            into = [t for t in fsm.transitions if t.target == state.name]
+            out = fsm.successors(state.name)
+            step.name, step.word, step.rest = \
+                state.name, state.word, state.is_initial
+            step.clocked, step.strobe = \
+                bool(state.actions), bool(effects.strobes)
+            # A state opens its word when entered from outside it (or
+            # anew on a retry edge); the message ends on leaving its
+            # last word; an unguarded entry defers the drives (module
+            # docstring).
+            step.opens = state.word is not None and any(
+                t.is_retry or words[t.source] != state.word for t in into)
+            step.ends = state.word == last and any(
+                words[t.target] != last for t in out)
+            step.defer = all(t.guard is None for t in into)
+            step.id_code = int(effects.id_code, 2) \
+                if effects.id_code else None
+            step.drives = tuple((self.controls[line], level)
+                                for line, level in effects.drives
+                                if line != nack)
+            step.nacks = (nack, 1) in effects.drives
+            lines.update((signal.name, signal) for signal, _ in step.drives)
+            guards = [parse_guard(t.guard) for t in out]
+            step.edges = [(steps[t.target], dict(g.levels).get(nack),
+                           t.is_retry) for t, g in zip(out, guards)]
+            # A generated state's edges share their tests but for the
+            # NACK verdict.
+            guard = guards[0]
+            levels = tuple((self.controls[line], level)
+                           for line, level in guard.levels if line != nack)
+            step.pending = _STROBE if guard.strobes else _ENTRY \
+                if guard.invoke or levels and \
+                guard.levels == self._rest.levels \
+                else _LEVEL if levels else _AT_ONCE
+            step.expects = levels[0] if levels else None
+            step.ready = step.wait = None
+            if step.pending is _LEVEL:
+                step.ready, step.wait = _level_test(levels, timeout)
+        return steps[fsm.initial_state().name], tuple(lines.values())
 
     # ------------------------------------------------------------------
     # Accessor side
@@ -195,7 +291,6 @@ class SimBus:
         else:
             message = layout.pack(address, 0) if layout.has_address else 0
 
-        code = self.structure.ids.code(channel.name)
         words = layout.words(self.width)
         start_time = self.sim.now
 
@@ -208,15 +303,10 @@ class SimBus:
         else:
             flight = None
 
-        retries = 0
         if self.injector is not None:
             self.injector.begin_attempt(self.name)
-        if self.protection is not None:
-            received, retries = yield from self._accessor_protected(
-                procs, code, words, message, flight)
-        else:
-            received = yield from self._accessor_words(
-                code, words, message, flight)
+        received, retries = yield from self._accessor(procs, words,
+                                                      message, flight)
 
         if channel.is_write:
             result: Optional[int] = None
@@ -248,227 +338,130 @@ class SimBus:
         bare_words = max(1, -(-bare_bits // self.width))
         return layout.word_count(self.width) - bare_words
 
-    def _accessor_handshake(self, code: int, words: List[WordSpec],
-                            message: int, flight=None) -> Generator:
-        """Full handshake: 2 clocks per word (Figure 4's SendCHx body)."""
-        start = self.controls["START"]
-        done = self.controls["DONE"]
-        injector = self.injector
-        recorder = self.recorder
-        received = 0
-        for word in words:
-            if injector is not None:
-                injector.begin_word(self.name, word.index)
-            value, mask = word.drive(Role.ACCESSOR, message)
-            self._clear_word()
-            self.id_lines.set(code)
-            self.data.drive("accessor", value, mask)
-            start.set(1)
-            if flight is not None:
-                recorder.on_word_start(flight, self.sim.now, word.index)
-            yield _W1
-            if done.value != 1:
+    def _accessor(self, procs: ChannelProcedures, words, message: int,
+                  flight) -> Generator:
+        """The clocked executor: the accessor FSM from rest back to rest
+        -> ``(received, retries)``.  Raises :class:`SimulationError`
+        when a guard fails on an unprotected bus or the retry budget
+        runs dry -- a fault is *never* absorbed silently."""
+        rest, lines = self._program(procs)[:2]
+        sim, data, strobe, nack = self.sim, self.data, self._strobe, \
+            self._nack
+        injector, recorder, plan = self.injector, self.recorder, \
+            self.protection
+        code = self.structure.ids.code(procs.channel.name)
+        if plan is not None:
+            if plan.retry_step < 1:
                 raise SimulationError(
-                    f"bus {self.structure.name}: DONE not asserted one "
-                    f"clock after START (word {word.index}, ID {code}); "
-                    "is the variable process running?"
-                )
-            received |= word.gather(Role.SERVER, self.data.value)
-            if flight is not None:
-                recorder.on_data_phase(flight, self.sim.now, word.index)
-            start.set(0)
-            yield _W1
-            if done.value != 0:
-                raise SimulationError(
-                    f"bus {self.structure.name}: DONE stuck high after "
-                    f"START fell (word {word.index}, ID {code})"
-                )
-            if flight is not None:
-                recorder.on_handshake_phase(flight, self.sim.now,
-                                            word.index)
-        return received
-
-    def _accessor_burst(self, code: int, words: List[WordSpec],
-                        message: int, flight=None) -> Generator:
-        """Burst: one START/DONE handshake per message (2 clocks), then
-        words stream at one per clock on the strobe."""
-        start = self.controls["START"]
-        done = self.controls["DONE"]
-        recorder = self.recorder
-        # Grant phase: announce the burst.
-        self._clear_word()
-        self.id_lines.set(code)
-        start.set(1)
-        yield _W1
-        if done.value != 1:
-            raise SimulationError(
-                f"bus {self.structure.name}: burst grant not acknowledged "
-                f"(ID {code}); is the variable process running?"
-            )
-        if flight is not None:
-            recorder.on_setup(flight, self.sim.now)
-        # Stream phase: one word per clock.
-        injector = self.injector
-        received = 0
-        for word in words:
-            if injector is not None:
-                injector.begin_word(self.name, word.index)
-            value, mask = word.drive(Role.ACCESSOR, message)
-            self._clear_word()
-            self.data.drive("accessor", value, mask)
-            self._strobe.set(self._strobe.value + 1)
-            if flight is not None:
-                recorder.on_word_start(flight, self.sim.now, word.index)
-            yield _DELTA
-            received |= word.gather(Role.SERVER, self.data.value)
-            yield _W1
-            if flight is not None:
-                recorder.on_data_phase(flight, self.sim.now, word.index)
-        # Release phase.
-        start.set(0)
-        yield _W1
-        if done.value != 0:
-            raise SimulationError(
-                f"bus {self.structure.name}: DONE stuck high after burst "
-                f"release (ID {code})"
-            )
-        if flight is not None:
-            recorder.on_release(flight, self.sim.now)
-        return received
-
-    def _accessor_strobed(self, code: int, words: List[WordSpec],
-                          message: int, flight=None) -> Generator:
-        """Two-phase strobe: 1 clock per word (half handshake /
-        fixed delay / hardwired)."""
-        injector = self.injector
-        recorder = self.recorder
-        received = 0
-        for word in words:
-            if injector is not None:
-                injector.begin_word(self.name, word.index)
-            value, mask = word.drive(Role.ACCESSOR, message)
-            self._clear_word()
-            self.id_lines.set(code)
-            self.data.drive("accessor", value, mask)
-            self._strobe.set(self._strobe.value + 1)
-            if flight is not None:
-                recorder.on_word_start(flight, self.sim.now, word.index)
-            yield _DELTA
-            # The server answered within this clock's passes.
-            received |= word.gather(Role.SERVER, self.data.value)
-            yield _W1
-            if flight is not None:
-                recorder.on_data_phase(flight, self.sim.now, word.index)
-        return received
-
-    def _accessor_protected(self, procs: ChannelProcedures, code: int,
-                            words: List[WordSpec],
-                            message: int, flight=None) -> Generator:
-        """Protected full handshake: timeout-bounded waits, a NACK
-        sample on writes, check-field verification on reads, and
-        bounded whole-message retransmission.
-
-        Returns ``(received, retries)``.  Raises
-        :class:`SimulationError` when the retry budget runs dry -- a
-        fault is *never* absorbed silently.
-        """
-        plan = self.protection
-        layout = procs.layout
-        is_write = procs.channel.is_write
-        start = self.controls["START"]
-        done = self.controls["DONE"]
-        nack = self.controls[plan.nack_line]
-        injector = self.injector
-        recorder = self.recorder
-        timeout = plan.timeout_clocks
-        if plan.retry_step < 1:
-            raise SimulationError(
-                f"bus {self.structure.name}: protection retry_step must "
-                f"be >= 1, got {plan.retry_step} (the retry budget "
-                "would never shrink)"
-            )
-        budget = plan.max_retries
+                    f"bus {self.name}: protection retry_step must be >= "
+                    f"1, got {plan.retry_step} (the retry budget would "
+                    "never shrink)")
+            budget = plan.max_retries
         retries = 0
+        step = None
         while True:
-            if retries and injector is not None:
-                injector.begin_attempt(self.name)
-            if flight is not None:
-                recorder.on_attempt_begin(flight, self.sim.now)
-            failure: Optional[str] = None
-            received = 0
-            nacked = False
-            for word in words:
+            if step is None:                    # a new attempt
+                step, received, nacked = rest.edges[0][0], 0, False
+                if plan is not None and flight is not None:
+                    recorder.on_attempt_begin(flight, sim.now)
+            k = step.word
+            if k is not None and not step.opens:
+                # A word's second clock latches what the first brought.
+                received |= words[k].gather(Role.SERVER, data.value)
+                if flight is not None:
+                    recorder.on_data_phase(flight, sim.now, k)
+                nacked = nacked or (nack is not None and nack.value == 1)
+            if step.opens:
                 if injector is not None:
-                    injector.begin_word(self.name, word.index)
-                value, mask = word.drive(Role.ACCESSOR, message)
+                    injector.begin_word(self.name, k)
+                value, mask = words[k].drive(Role.ACCESSOR, message)
+            if step.opens or step.id_code is not None:
                 self._clear_word()
-                self.id_lines.set(code)
-                self.data.drive("accessor", value, mask)
-                start.set(1)
-                if flight is not None:
-                    recorder.on_word_start(flight, self.sim.now,
-                                           word.index)
-                yield _W1
-                if done.value != 1:
-                    yield WaitOn((done,), lambda: done.value == 1,
-                                 timeout=timeout)
-                if done.value != 1:
-                    failure = (f"DONE never rose (word {word.index}, "
-                               f"ID {code})")
-                    break
-                received |= word.gather(Role.SERVER, self.data.value)
-                if flight is not None:
-                    recorder.on_data_phase(flight, self.sim.now,
-                                           word.index)
-                if nack.value == 1:
-                    nacked = True
-                start.set(0)
-                yield _W1
-                if done.value != 0:
-                    yield WaitOn((done,), lambda: done.value == 0,
-                                 timeout=timeout)
-                if done.value != 0:
-                    failure = (f"DONE never fell (word {word.index}, "
-                               f"ID {code})")
-                    break
-                if flight is not None:
-                    recorder.on_handshake_phase(flight, self.sim.now,
-                                                word.index)
+            if step.id_code is not None:
+                self.id_lines.set(step.id_code)
+            if step.opens:
+                data.drive("accessor", value, mask)
+            for signal, level in step.drives:
+                signal.set(level)
+            if step.strobe:
+                strobe.set(strobe.value + 1)
+            if step.opens and flight is not None:
+                recorder.on_word_start(flight, sim.now, k)
+            if step.strobe:
+                # The server answers within the strobe's clock.
+                yield _DELTA
+                received |= words[k].gather(Role.SERVER, data.value)
+            yield _W1
+            if step.strobe and flight is not None:
+                recorder.on_data_phase(flight, sim.now, k)
+
+            failure = None
+            if step.ready is not None and not step.ready():
+                line, level = step.expects
+                if plan is None:
+                    raise SimulationError(
+                        f"bus {self.name}: {line.name} not "
+                        f"{'asserted' if level else 'released'} one clock "
+                        f"after the accessor entered {step.name} (ID "
+                        f"{code}); is the variable process running?")
+                yield step.wait
+                if not step.ready():
+                    failure = (f"{line.name.rsplit('.', 1)[-1]} never "
+                               f"{'rose' if level else 'fell'} ("
+                               + ("" if k is None else f"word {k}, ")
+                               + f"ID {code})")
             if failure is None:
-                if is_write and nacked:
+                target, _, retry = next(
+                    edge for edge in step.edges if edge[1] is None
+                    or edge[1] == (nacked or nack.value == 1))
+                if flight is not None:
+                    if k is None:
+                        (recorder.on_release if target.rest
+                         else recorder.on_setup)(flight, sim.now)
+                    elif not step.opens:
+                        recorder.on_handshake_phase(flight, sim.now, k)
+                if not (target.clocked or target.rest):
+                    # The read verdict: the response's check field.
+                    accept = procs.layout.check_ok(message | received)
+                    target, _, retry = next(
+                        edge for edge in target.edges if edge[2] != accept)
+                if target.rest:
+                    return received, retries
+                step = target
+                if not retry:
+                    continue
+                if procs.channel.is_write:
                     failure = "server NACKed the message (check mismatch)"
                     if flight is not None:
-                        recorder.on_nack(flight, self.sim.now, failure)
-                elif not is_write \
-                        and not layout.check_ok(message | received):
+                        recorder.on_nack(flight, sim.now, failure)
+                else:
                     failure = "response check mismatch"
                     if flight is not None:
-                        recorder.on_check_fail(flight, self.sim.now,
-                                               failure)
-                else:
-                    return received, retries
-            # Abort the attempt and resynchronize: the server's timed
-            # mid-message wait (timeout + 1) expires inside our idle
-            # window (timeout + 2), so it discards any partial transfer
-            # before the retransmission begins.
-            start.set(0)
+                        recorder.on_check_fail(flight, sim.now, failure)
+
+            # Protection: abort the attempt and resynchronize.  The
+            # server's timed mid-message wait (timeout + 1) expires
+            # inside our idle window (timeout + 2), so it discards any
+            # partial transfer before the retransmission begins.
+            for signal in lines:
+                signal.set(0)
             self._clear_word()
             budget -= plan.retry_step
             retries += 1
             if budget < 0:
                 if flight is not None:
-                    recorder.on_giveup(flight, self.sim.now, failure,
-                                       retries)
+                    recorder.on_giveup(flight, sim.now, failure, retries)
                 raise SimulationError(
-                    f"bus {self.structure.name}: channel "
-                    f"{procs.channel.name} gave up after {retries} "
-                    f"failed attempt(s): {failure} (retry budget "
-                    f"{plan.max_retries} exhausted)"
-                )
+                    f"bus {self.name}: channel {procs.channel.name} gave "
+                    f"up after {retries} failed attempt(s): {failure} "
+                    f"(retry budget {plan.max_retries} exhausted)")
             if flight is not None:
-                recorder.on_attempt_failed(flight, self.sim.now,
-                                           failure, retries)
-            yield Wait(timeout + 2)
+                recorder.on_attempt_failed(flight, sim.now, failure,
+                                           retries)
+            yield Wait(plan.timeout_clocks + 2)
+            if injector is not None:
+                injector.begin_attempt(self.name)
+            step = None
 
     # ------------------------------------------------------------------
     # Server side (variable processes)
@@ -477,161 +470,138 @@ class SimBus:
     def variable_server(self, process: VariableProcess,
                         storage: StorageAdapter) -> Generator:
         """Daemon coroutine: the executable form of a generated variable
-        process (Figure 5's ``Xproc``/``MEMproc``)."""
+        process (Figure 5's ``Xproc``/``MEMproc``), the reactive
+        executor over its channels' server FSMs.  An idle server waits
+        on the rest guard, untimed even when protected (an idle bus
+        schedules no timers); a channel is compiled when a message
+        first routes to it."""
         services: Dict[int, ChannelProcedures] = {
             self.structure.ids.code(s.channel.name): s
             for s in process.services
         }
-        if self.protection is not None:
-            yield from self._server_protected(process.name, services,
-                                              storage)
-        elif self.uses_burst:
-            yield from self._server_burst(process.name, services, storage)
-        elif self.uses_handshake:
-            yield from self._server_handshake(process.name, services,
-                                              storage)
-        else:
-            yield from self._server_strobed(process.name, services, storage)
+        channels: Dict[int, _Channel] = {}
+        plan, nack = self.protection, self._nack
+        id_lines, strobe = self.id_lines, self._strobe
+        seen = strobe.value
+        strobe_wait = WaitOn((strobe,), lambda: strobe.value != seen)
+        entry = _STROBE if self._rest.strobes else _ENTRY
+        if entry is _ENTRY:
+            ((line, level),) = self._rest.levels
+            request = self.controls[line]
 
-    def _server_handshake(self, name: str,
-                          services: Dict[int, ChannelProcedures],
-                          storage: StorageAdapter) -> Generator:
-        start = self.controls["START"]
-        done = self.controls["DONE"]
-        id_lines = self.id_lines
-        in_progress: Dict[int, _ServerTransfer] = {}
+            def ready() -> bool:
+                return request.value == level \
+                    and id_lines.value in services
+
+            idle = WaitOn((request, id_lines), ready)
+            if plan is not None:
+                mid_message = WaitOn((request, id_lines), ready,
+                                     timeout=plan.timeout_clocks + 1)
+        active: Optional[_Channel] = None
         while True:
-            yield WaitOn(
-                (start, id_lines),
-                lambda: start.value == 1 and id_lines.value in services,
-            )
-            code = id_lines.value
-            transfer = in_progress.get(code)
-            if transfer is None:
-                transfer = _ServerTransfer(services[code], self.width,
-                                           storage)
-                in_progress[code] = transfer
-            transfer.handle_word(self.data)
-            done.set(1)
-            yield WaitOn((start,), lambda: start.value == 0)
-            done.set(0)
-            if transfer.complete:
-                transfer.commit()
-                del in_progress[code]
-
-    def _server_protected(self, name: str,
-                          services: Dict[int, ChannelProcedures],
-                          storage: StorageAdapter) -> Generator:
-        """Protected full-handshake server: verifies the check field on
-        writes (raising NACK before DONE so both land in one delta),
-        commits only clean messages, and recovers from stuck or
-        abandoned handshakes via timeout-bounded mid-message waits.
-
-        Between messages the wait is untimed, so an idle protected bus
-        schedules no timers -- protection is zero-cost when nothing is
-        in flight.
-        """
-        plan = self.protection
-        start = self.controls["START"]
-        done = self.controls["DONE"]
-        nack = self.controls[plan.nack_line]
-        id_lines = self.id_lines
-        timeout = plan.timeout_clocks
-        in_progress: Dict[int, _ServerTransfer] = {}
-
-        def ready() -> bool:
-            return start.value == 1 and id_lines.value in services
-
-        while True:
-            if in_progress:
-                yield WaitOn((start, id_lines), ready, timeout=timeout + 1)
-                if not ready():
-                    # The accessor abandoned the message (its own
-                    # timeout fired); drop the partial transfer.
-                    in_progress.clear()
+            pending = entry if active is None else active.state.pending
+            if pending is _LEVEL:
+                channel, state = active, active.state
+                yield state.wait
+                if not state.ready():
+                    # Protection: START wedged high (stuck-at fault or
+                    # lost fall).  Abort the message and wait out the
+                    # accessor's abort window before accepting a
+                    # retransmission.
+                    for signal in channel.lines:
+                        signal.set(0)
                     nack.set(0)
+                    channel.state, channel.transfer = channel.rest, None
+                    active = None
+                    yield state.wait
                     continue
             else:
-                yield WaitOn((start, id_lines), ready)
-            code = id_lines.value
-            transfer = in_progress.get(code)
-            if transfer is None:
-                transfer = _ServerTransfer(services[code], self.width,
-                                           storage)
-                in_progress[code] = transfer
-            # A dropped or delayed fall can leave DONE wedged high;
-            # clear it so the acknowledge below is a real edge.  This
-            # is a no-op on a clean handshake.
-            done.set(0)
-            transfer.handle_word(self.data)
-            if transfer.complete and not transfer.check_ok():
-                nack.set(1)
-            done.set(1)
-            yield WaitOn((start,), lambda: start.value == 0,
-                         timeout=timeout + 1)
-            if start.value != 0:
-                # START wedged high (stuck-at fault or lost fall):
-                # abort the message and wait out the accessor's abort
-                # window before accepting a retransmission.
-                done.set(0)
-                nack.set(0)
-                in_progress.pop(code, None)
-                yield WaitOn((start,), lambda: start.value == 0,
-                             timeout=timeout + 1)
-                continue
-            done.set(0)
-            if transfer.complete:
+                if pending is _STROBE:
+                    seen = strobe.value
+                    yield strobe_wait
+                elif plan is not None and any(
+                        c.transfer is not None for c in channels.values()):
+                    yield mid_message
+                    if not ready():
+                        # The accessor abandoned the message (its own
+                        # timeout fired); drop the partial transfer.
+                        for channel in channels.values():
+                            channel.state = channel.rest
+                            channel.transfer = None
+                        nack.set(0)
+                        continue
+                else:
+                    yield idle
+                code = id_lines.value
+                if code not in services:
+                    continue
+                channel = channels.get(code)
+                if channel is None:
+                    _, _, rest, lines = self._program(services[code])
+                    channel = channels[code] = _Channel(services[code],
+                                                        rest, lines)
+                if channel.state.pending is not pending:
+                    continue
+            active = self._serve(channel, storage)
+
+    def _serve(self, channel: _Channel,
+               storage: StorageAdapter) -> Optional[_Channel]:
+        """Fire ``channel``'s enabled edge, then every unguarded edge
+        after it.  Returns the channel when it next waits on a guard of
+        its own, None when it waits on the rest guard."""
+        nack = self._nack
+        state = channel.state
+        while True:
+            if state.defer:
+                for signal, level in state.drives:
+                    signal.set(level)
+            if state.rest:
+                channel.transfer = _ServerTransfer(channel.procs,
+                                                   self.width, storage)
+            transfer = channel.transfer
+            if state.ends:
                 if transfer.check_ok():
                     transfer.commit()
-                nack.set(0)
-                del in_progress[code]
-
-    def _server_burst(self, name: str,
-                      services: Dict[int, ChannelProcedures],
-                      storage: StorageAdapter) -> Generator:
-        start = self.controls["START"]
-        done = self.controls["DONE"]
-        id_lines = self.id_lines
-        strobe = self._strobe
-        while True:
-            yield WaitOn(
-                (start, id_lines),
-                lambda: start.value == 1 and id_lines.value in services,
-            )
-            code = id_lines.value
-            done.set(1)
-            transfer = _ServerTransfer(services[code], self.width, storage)
-            last_strobe = strobe.value
-            while not transfer.complete:
-                yield WaitOn((strobe,),
-                             lambda: strobe.value != last_strobe)
-                last_strobe = strobe.value
+                if nack is not None:
+                    nack.set(0)
+                channel.transfer = None
+            target = state.edges[0][0]
+            if target.opens:
+                if nack is not None:
+                    # A dropped or delayed fall can leave DONE wedged
+                    # high; clear it so the acknowledge below is a
+                    # real edge.  A no-op on a clean handshake.
+                    for signal, level in target.drives:
+                        if level:
+                            signal.set(0)
                 transfer.handle_word(self.data)
-            transfer.commit()
-            yield WaitOn((start,), lambda: start.value == 0)
-            done.set(0)
+                if len(state.edges) > 1:
+                    # The check verdict picks the accept or NAK state.
+                    refuse = transfer.complete and not transfer.check_ok()
+                    target = next(edge[0] for edge in state.edges
+                                  if edge[0].nacks == refuse)
+            if target.nacks:
+                nack.set(1)
+            if not target.defer:
+                for signal, level in target.drives:
+                    signal.set(level)
+            channel.state = state = target
+            if state.pending is not _AT_ONCE:
+                return None if state.pending is _ENTRY else channel
 
-    def _server_strobed(self, name: str,
-                        services: Dict[int, ChannelProcedures],
-                        storage: StorageAdapter) -> Generator:
-        strobe = self._strobe
-        last_strobe = strobe.value
-        in_progress: Dict[int, _ServerTransfer] = {}
-        while True:
-            yield WaitOn((strobe,), lambda: strobe.value != last_strobe)
-            last_strobe = strobe.value
-            code = self.id_lines.value
-            if code not in services:
-                continue
-            transfer = in_progress.get(code)
-            if transfer is None:
-                transfer = _ServerTransfer(services[code], self.width,
-                                           storage)
-                in_progress[code] = transfer
-            transfer.handle_word(self.data)
-            if transfer.complete:
-                transfer.commit()
-                del in_progress[code]
+
+def _level_test(levels, timeout: Optional[int]) -> tuple:
+    """``(ready, wait)``: whether ``levels`` hold, and the kernel
+    request sleeping until they do (within ``timeout`` if protected)."""
+    ((signal, level),) = levels if len(levels) == 1 else ((None, None),)
+
+    def ready() -> bool:
+        if signal is not None:
+            return signal.value == level
+        return all(line.value == value for line, value in levels)
+
+    return ready, WaitOn(tuple(line for line, _ in levels), ready,
+                         timeout=timeout)
 
 
 class _ServerTransfer:

@@ -49,8 +49,6 @@ def plan_channel(sim_bus: SimBus, pair, contested,
         if protection.retry_step < 1:
             return INTERP, ("malformed protection plan (retry_step < 1); "
                             "interpreter raises the exact diagnostic")
-        if not sim_bus.uses_handshake or sim_bus.uses_burst:
-            return INTERP, "protected non-handshake protocol shape"
     blockers: List[str] = []
     if recorder is not None:
         blockers.append("flight recorder attached")

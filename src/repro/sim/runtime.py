@@ -43,6 +43,7 @@ from typing import (
 from repro.errors import SimulationError
 from repro.obs.simmetrics import SimMetrics
 from repro.obs.tracer import span as obs_span
+from repro.protogen.fsm import channel_controllers
 from repro.protogen.procedures import CommProcedure
 from repro.protogen.refine import RefinedSpec
 from repro.sim.analysis import (
@@ -238,6 +239,8 @@ class RefinedSimulation:
             factory = factories.get(refined_bus.name)
             arbiter = factory(self.sim, members) if factory else None
             sim_bus = SimBus(refined_bus.structure, self.sim,
+                             functools.partial(channel_controllers, spec,
+                                               refined_bus.name),
                              arbiter=arbiter, trace=trace)
             if recorder is not None:
                 sim_bus.recorder = recorder

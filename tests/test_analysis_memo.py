@@ -21,6 +21,7 @@ from repro.analysis.mc import verify_refined
 from repro.analysis.mutations import CORPUS, build_target
 from repro.busgen.split import plan_buses
 from repro.explore.systems import load_system
+from repro.protogen import fsm
 from repro.protogen.refine import refine_system
 
 SYSTEMS = ["flc", "answering-machine", "ethernet"]
@@ -130,7 +131,7 @@ def test_lint_and_verify_share_one_controller_model_per_channel(
             return real(*args)
         monkeypatch.setattr(owner, attr, wrapper)
 
-    counting(product, "synthesize_fsm")
+    counting(fsm, "synthesize_fsm")
     counting(product._Explorer, "__init__")
     counting(product._Explorer, "_moves")
     analyze_refined(spec)

@@ -79,6 +79,9 @@ explain-examples: ## flight-recorder explanations of the built-in systems
 	PYTHONPATH=src $(PYTHON) -m repro.cli explain answering-machine
 	PYTHONPATH=src $(PYTHON) -m repro.cli explain ethernet
 	PYTHONPATH=src $(PYTHON) -m repro.cli explain flc --protection crc8
+	PYTHONPATH=src $(PYTHON) -m repro.cli explain answering-machine \
+		--protocol burst_handshake
+	PYTHONPATH=src $(PYTHON) -m repro.cli explain flc --protocol fixed_delay
 
 explore-examples: ## memoized design-space sweeps (with differential
                   ## cache proof) on the three case-study systems

@@ -1,48 +1,49 @@
 """Executable buses: the synthesized protocol controllers over wires.
 
 A generated :class:`~repro.protogen.structure.BusStructure` becomes live
-signals, and each channel's controller FSM pair
-(:func:`repro.protogen.fsm.synthesize_fsm`, the objects P1xx/P7xx
-prove, read through :func:`~repro.protogen.fsm.channel_controllers`)
+signals, and each channel's controller FSM pair -- the objects P1xx/P7xx
+prove, read through :func:`~repro.protogen.fsm.channel_controllers` --
 runs on them.  Each state is compiled once per bus from its parsed
-actions and guards and the bus word it moves.  One executor per side
+actions and guards and the bus word it moves; one executor per side
 runs every protocol:
 
 * the **accessor** is *clocked*: entering a state puts its wire effects
-  on the bus (a state that opens a word or announces the ID first
-  turns the data wires over) and holds them one clock; then its guards
-  are read.  A strobe is answered within its clock, so the accessor
-  latches one delta after it; a word's second state latches on entry.
-  A state without actions (rest, the read verdict) takes no clock.
+  on the bus and holds them one clock, then its guards are read.  A
+  state that opens a word or announces the ID first turns the data
+  wires over; a strobe is answered within its clock (the accessor
+  latches one delta after it); a word's second state latches on entry
+  what the first clock brought; a state without actions (rest, the
+  read verdict) takes no clock.
 * the **server** is *reactive*: one coroutine per variable process
   routes by the ID on the bus to a channel's FSM, waits on the guard
   into its next state, applies that state's effects and fires
-  unguarded edges at once.  A strobe guard is an edge: the server wakes
-  on every strobe and tests the ID after waking.  The message commits
-  when the server leaves its last word.  A state entered on an
+  unguarded edges at once.  A strobe guard is an edge: the server
+  wakes on every strobe and tests the ID after waking.  The message
+  commits when the server leaves its last word.  A state entered on an
   unguarded edge whose exit is guarded (the burst's RELEASE) applies
   its drives once that guard holds, so DONE falls after START.
 
-Protection is one overlay on both: timeout-bounded guard waits (the
-accessor aborts the attempt, the server drops the partial message),
-the NACK/check verdict choosing the retransmitting edges (RETRY,
-VERIFY) or the NAK serve state, and the retry budget.  The overlay
-drives NACK: it rises before the acknowledge and falls at message end.
+Protection is one overlay on both: guard waits bounded by the plan's
+timeout (the accessor aborts the attempt, the server drops the partial
+message), the NACK/check verdict choosing the retransmitting edges
+(RETRY, VERIFY) or the NAK serve state, and the retry budget.  The
+overlay drives NACK: it rises before the acknowledge and falls when
+the message ends.
 
 The word strobe is the REQ line of the half handshake; on fixed-delay,
 hardwired and burst buses it models the schedule's clock edge and is
-not a counted wire.  Word timing is exactly ``protocol.message_clocks``
-per message, so the simulator agrees clock-for-clock with the
-performance estimator (ref [10]) in the uncontended case.  Within a
-*read* word the accessor drives the address wires and the variable
-process answers on the data wires of the same word (SRAM-style), so
-the multi-driver :class:`~repro.sim.signals.DataLines` resolution is
-exercised for real.
+not a counted wire.  A message takes exactly ``protocol.message_clocks``
+clocks, so the simulator agrees clock-for-clock with the performance
+estimator (ref [10]) when uncontended.  In a *read* word the accessor
+drives the address wires and the variable process answers on the data
+wires of the same word, exercising the multi-driver
+:class:`~repro.sim.signals.DataLines` resolution for real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -123,9 +124,9 @@ _AT_ONCE, _LEVEL, _ENTRY, _STROBE = range(4)
 class _Step:
     """One controller state compiled against a bus's wires."""
 
-    __slots__ = ("name", "word", "rest", "clocked", "opens", "id_code",
-                 "drives", "nacks", "strobe", "defer", "ends", "edges",
-                 "pending", "expects", "ready", "wait")
+    __slots__ = ("name", "word", "rest", "decides", "opens", "ends",
+                 "defer", "id_code", "drives", "nacks", "strobe", "edges",
+                 "pending", "expects", "wait")
 
 
 class _Channel:
@@ -206,63 +207,73 @@ class SimBus:
         """The channel's controller pair, compiled on first use."""
         program = self._programs.get(procs.channel.name)
         if program is None:
-            plan = self.protection
+            timeout = self.protection and self.protection.timeout_clocks
             accessor, server = self._controllers(procs.channel.name)
             program = self._programs[procs.channel.name] = (
-                self._compile(accessor, plan and plan.timeout_clocks)
-                + self._compile(server, plan and plan.timeout_clocks + 1))
+                self._compile(accessor, timeout)
+                + self._compile(server, timeout and timeout + 1))
         return program
 
     def _compile(self, fsm: ProtocolFsm, timeout: Optional[int]) -> tuple:
         """``fsm`` as linked steps -> ``(rest step, control lines its
-        states drive)``.  The protection overlay reads the NACK line as
-        its verdict and drives it itself: it is no guard level or drive
-        of a step."""
+        states drive)``.  The NACK line is the protection overlay's: it
+        is read as the verdict and driven by the overlay, never a
+        step's guard level or drive."""
         nack = self.protection.nack_line if self.protection else None
         steps = {state.name: _Step() for state in fsm.states}
-        words = {state.name: state.word for state in fsm.states}
-        last = max(w for w in words.values() if w is not None)
+        word = {state.name: state.word for state in fsm.states}
+        last = max(w for w in word.values() if w is not None)
+        into: Dict[str, list] = {name: [] for name in steps}
+        out: Dict[str, list] = {name: [] for name in steps}
+        for transition in fsm.transitions:
+            into[transition.target].append(transition)
+            out[transition.source].append(transition)
+        # Word after word repeats the same texts and level tests.
+        effects_of, guard_of = lru_cache()(parse_actions), \
+            lru_cache()(parse_guard)
+        level_wait = lru_cache()(lambda levels: _level_wait(levels, timeout))
         lines: Dict[str, Signal] = {}
         for state in fsm.states:
-            step, effects = steps[state.name], parse_actions(state.actions)
-            into = [t for t in fsm.transitions if t.target == state.name]
-            out = fsm.successors(state.name)
+            step, effects = steps[state.name], effects_of(state.actions)
             step.name, step.word, step.rest = \
                 state.name, state.word, state.is_initial
-            step.clocked, step.strobe = \
-                bool(state.actions), bool(effects.strobes)
+            step.decides = not state.actions and not state.is_initial
             # A state opens its word when entered from outside it (or
             # anew on a retry edge); the message ends on leaving its
-            # last word; an unguarded entry defers the drives (module
-            # docstring).
+            # last word; an unguarded entry defers the drives.
             step.opens = state.word is not None and any(
-                t.is_retry or words[t.source] != state.word for t in into)
+                t.is_retry or word[t.source] != state.word
+                for t in into[state.name])
             step.ends = state.word == last and any(
-                words[t.target] != last for t in out)
-            step.defer = all(t.guard is None for t in into)
+                word[t.target] != last for t in out[state.name])
+            step.defer = all(t.guard is None for t in into[state.name])
             step.id_code = int(effects.id_code, 2) \
                 if effects.id_code else None
             step.drives = tuple((self.controls[line], level)
                                 for line, level in effects.drives
                                 if line != nack)
-            step.nacks = (nack, 1) in effects.drives
             lines.update((signal.name, signal) for signal, _ in step.drives)
-            guards = [parse_guard(t.guard) for t in out]
-            step.edges = [(steps[t.target], dict(g.levels).get(nack),
-                           t.is_retry) for t, g in zip(out, guards)]
+            step.nacks = (nack, 1) in effects.drives
+            step.strobe = bool(effects.strobes)
+            guards = [guard_of(t.guard) for t in out[state.name]]
+            step.edges = tuple(
+                (steps[t.target], dict(g.levels).get(nack), t.is_retry)
+                for t, g in zip(out[state.name], guards))
             # A generated state's edges share their tests but for the
             # NACK verdict.
             guard = guards[0]
             levels = tuple((self.controls[line], level)
                            for line, level in guard.levels if line != nack)
-            step.pending = _STROBE if guard.strobes else _ENTRY \
-                if guard.invoke or levels and \
-                guard.levels == self._rest.levels \
-                else _LEVEL if levels else _AT_ONCE
+            if guard.strobes:
+                step.pending = _STROBE
+            elif guard.invoke or levels and \
+                    guard.levels == self._rest.levels:
+                step.pending = _ENTRY
+            else:
+                step.pending = _LEVEL if levels else _AT_ONCE
             step.expects = levels[0] if levels else None
-            step.ready = step.wait = None
-            if step.pending is _LEVEL:
-                step.ready, step.wait = _level_test(levels, timeout)
+            step.wait = level_wait(levels) if step.pending is _LEVEL \
+                else None
         return steps[fsm.initial_state().name], tuple(lines.values())
 
     # ------------------------------------------------------------------
@@ -365,38 +376,42 @@ class SimBus:
                 if plan is not None and flight is not None:
                     recorder.on_attempt_begin(flight, sim.now)
             k = step.word
-            if k is not None and not step.opens:
-                # A word's second clock latches what the first brought.
-                received |= words[k].gather(Role.SERVER, data.value)
-                if flight is not None:
-                    recorder.on_data_phase(flight, sim.now, k)
-                nacked = nacked or (nack is not None and nack.value == 1)
             if step.opens:
                 if injector is not None:
                     injector.begin_word(self.name, k)
                 value, mask = words[k].drive(Role.ACCESSOR, message)
-            if step.opens or step.id_code is not None:
                 self._clear_word()
-            if step.id_code is not None:
-                self.id_lines.set(step.id_code)
-            if step.opens:
+                if step.id_code is not None:
+                    self.id_lines.set(step.id_code)
                 data.drive("accessor", value, mask)
+            elif k is not None:
+                # A word's second clock latches what the first brought.
+                received |= words[k].gather(Role.SERVER, data.value)
+                if flight is not None:
+                    recorder.on_data_phase(flight, sim.now, k)
+                if nack is not None and nack.value == 1:
+                    nacked = True
+            elif step.id_code is not None:
+                self._clear_word()
+                self.id_lines.set(step.id_code)
             for signal, level in step.drives:
                 signal.set(level)
             if step.strobe:
                 strobe.set(strobe.value + 1)
-            if step.opens and flight is not None:
+            if flight is not None and step.opens:
                 recorder.on_word_start(flight, sim.now, k)
             if step.strobe:
                 # The server answers within the strobe's clock.
                 yield _DELTA
                 received |= words[k].gather(Role.SERVER, data.value)
-            yield _W1
-            if step.strobe and flight is not None:
-                recorder.on_data_phase(flight, sim.now, k)
+                yield _W1
+                if flight is not None:
+                    recorder.on_data_phase(flight, sim.now, k)
+            else:
+                yield _W1
 
             failure = None
-            if step.ready is not None and not step.ready():
+            if step.wait is not None and not step.wait.predicate():
                 line, level = step.expects
                 if plan is None:
                     raise SimulationError(
@@ -405,22 +420,25 @@ class SimBus:
                         f"after the accessor entered {step.name} (ID "
                         f"{code}); is the variable process running?")
                 yield step.wait
-                if not step.ready():
+                if not step.wait.predicate():
                     failure = (f"{line.name.rsplit('.', 1)[-1]} never "
                                f"{'rose' if level else 'fell'} ("
                                + ("" if k is None else f"word {k}, ")
                                + f"ID {code})")
             if failure is None:
-                target, _, retry = next(
-                    edge for edge in step.edges if edge[1] is None
-                    or edge[1] == (nacked or nack.value == 1))
+                target, verdict, retry = step.edges[0]
+                if verdict is not None:
+                    # The attempt's NACK verdict picks the edge.
+                    verdict = 1 if nacked or nack.value == 1 else 0
+                    target, _, retry = next(
+                        edge for edge in step.edges if edge[1] == verdict)
                 if flight is not None:
                     if k is None:
                         (recorder.on_release if target.rest
                          else recorder.on_setup)(flight, sim.now)
                     elif not step.opens:
                         recorder.on_handshake_phase(flight, sim.now, k)
-                if not (target.clocked or target.rest):
+                if target.decides:
                     # The read verdict: the response's check field.
                     accept = procs.layout.check_ok(message | received)
                     target, _, retry = next(
@@ -501,9 +519,9 @@ class SimBus:
         while True:
             pending = entry if active is None else active.state.pending
             if pending is _LEVEL:
-                channel, state = active, active.state
-                yield state.wait
-                if not state.ready():
+                channel, wait = active, active.state.wait
+                yield wait
+                if plan is not None and not wait.predicate():
                     # Protection: START wedged high (stuck-at fault or
                     # lost fall).  Abort the message and wait out the
                     # accessor's abort window before accepting a
@@ -513,7 +531,7 @@ class SimBus:
                     nack.set(0)
                     channel.state, channel.transfer = channel.rest, None
                     active = None
-                    yield state.wait
+                    yield wait
                     continue
             else:
                 if pending is _STROBE:
@@ -590,18 +608,19 @@ class SimBus:
                 return None if state.pending is _ENTRY else channel
 
 
-def _level_test(levels, timeout: Optional[int]) -> tuple:
-    """``(ready, wait)``: whether ``levels`` hold, and the kernel
-    request sleeping until they do (within ``timeout`` if protected)."""
-    ((signal, level),) = levels if len(levels) == 1 else ((None, None),)
+def _level_wait(levels, timeout: Optional[int]) -> WaitOn:
+    """The kernel request sleeping until ``levels`` hold (bounded by
+    ``timeout`` when protected); its predicate tests them."""
+    if len(levels) == 1:
+        ((signal, level),) = levels
 
-    def ready() -> bool:
-        if signal is not None:
+        def ready() -> bool:
             return signal.value == level
-        return all(line.value == value for line, value in levels)
-
-    return ready, WaitOn(tuple(line for line, _ in levels), ready,
-                         timeout=timeout)
+    else:
+        def ready() -> bool:
+            return all(line.value == value for line, value in levels)
+    return WaitOn(tuple(line for line, _ in levels), ready,
+                  timeout=timeout)
 
 
 class _ServerTransfer:

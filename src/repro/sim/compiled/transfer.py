@@ -15,11 +15,10 @@ Two tiers, decided per channel at compile time:
   attached.
 
 * **interp** -- everything observed (recorder, ``trace=True`` or a
-  fault injector), every contested channel, and protected transfers
-  the fused tier cannot stand in for (burst or non-handshake shapes,
-  malformed plans) run :meth:`repro.sim.bus.SimBus.accessor_transfer`
-  itself, so the words on the wires come from the bus's one definition
-  of each protocol.
+  fault injector), every contested channel, and malformed protection
+  plans run :meth:`repro.sim.bus.SimBus.accessor_transfer` itself, so
+  the words on the wires come from the synthesized controllers the
+  bus executes.
 """
 
 from __future__ import annotations

@@ -11,6 +11,14 @@
   transaction is an accepted run from the rest state back to it, and a
   failed attempt is a prefix of a run, closed by a retry edge or by a
   timeout abort.
+* **Clock contract** -- over protocol x width x layout (protected
+  layouts included), the accessor FSM's clean path has exactly
+  ``protocol.message_clocks(words)`` clocked states, the fused tier's
+  single ``Wait``, and one executor transfer takes exactly that long.
+* **One definition, synthesized once** -- the simulator runs the
+  controller pair memoized on the spec: a fully fused compiled run
+  synthesizes none, an interpreter run one per procedure, and none
+  after the analyzer already did.
 """
 
 from __future__ import annotations
@@ -19,8 +27,13 @@ import re
 from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import analyze_refined
 from repro.analysis.product import channel_models
+from repro.channels.channel import Channel
+from repro.channels.group import ChannelGroup
 from repro.obs.flight import FlightRecorder
 from repro.obs.flight.recorder import (
     CHECK_FAIL,
@@ -38,8 +51,20 @@ from repro.obs.flight.recorder import (
     WORD_DONE,
     WORD_START,
 )
-from repro.protogen.fsm import FsmTransition, ProtocolFsm
-from repro.sim.runtime import simulate
+from repro.protocols import PROTECTIONS, PROTOCOLS, ProtectionPlan
+from repro.protogen import fsm as fsm_module
+from repro.protogen.fsm import FsmTransition, ProtocolFsm, synthesize_fsm
+from repro.protogen.procedures import make_procedures
+from repro.protogen.structure import make_structure
+from repro.protogen.varproc import VariableProcess
+from repro.sim.bus import SimBus, StorageAdapter
+from repro.sim.compiled.transfer import FUSED, _fused_shape
+from repro.sim.kernel import Simulator
+from repro.sim.runtime import RefinedSimulation, simulate
+from repro.spec.access import Direction
+from repro.spec.behavior import Behavior
+from repro.spec.types import ArrayType, IntType
+from repro.spec.variable import Variable
 from tests import golden_util
 
 PROTOCOL_SLUGS = sorted(golden_util.PROTOCOL_GOLDENS)
@@ -229,3 +254,130 @@ def test_exhausted_retry_budget_conforms():
     recorder.finish(0)
     outcomes = _assert_conforms(refined, recorder)
     assert outcomes.get("gave_up", 0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Clock contract: FSM path == fused Wait == executor clocks
+# ---------------------------------------------------------------------------
+
+def _clean_paths(fsm: ProtocolFsm) -> List[List[str]]:
+    """Every path from rest back to rest that takes no retry edge."""
+    initial = fsm.initial_state().name
+    paths: List[List[str]] = []
+
+    def walk(state: str, path: List[str]) -> None:
+        for t in fsm.successors(state):
+            if t.is_retry or t.target in path:
+                continue
+            if t.target == initial:
+                paths.append(path)
+            else:
+                walk(t.target, path + [t.target])
+
+    walk(initial, [])
+    return paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(protocol=st.sampled_from(sorted(PROTOCOLS)),
+       protection=st.sampled_from([None, "parity", "crc8"]),
+       width=st.integers(1, 24),
+       data_bits=st.integers(1, 16),
+       array=st.booleans(),
+       write=st.booleans(),
+       channels=st.integers(1, 3),
+       seed=st.integers(0, 1 << 16))
+def test_clean_path_is_the_message_clocks(protocol, protection, width,
+                                          data_bits, array, write,
+                                          channels, seed):
+    protocol = PROTOCOLS[protocol]
+    if protection is not None and protocol.name != "full_handshake":
+        protection = None           # only the full handshake is protected
+    if not protocol.shareable:
+        channels = 1
+    variable = Variable("v", ArrayType(IntType(data_bits), 16) if array
+                        else IntType(data_bits))
+    direction = Direction.WRITE if write else Direction.READ
+    group = ChannelGroup("g", [Channel(f"ch{i}", Behavior(f"B{i}"),
+                                       variable, direction, 1)
+                               for i in range(channels)])
+    plan = ProtectionPlan(PROTECTIONS[protection]) if protection else None
+    pair = make_procedures(group.channels[0], protocol, protection=plan)
+    if not protocol.shareable:
+        width = max(width, pair.layout.total_bits)
+    structure = make_structure("B", group, width, protocol,
+                               protection=plan)
+    accessor = synthesize_fsm(pair.accessor, structure)
+    server = synthesize_fsm(pair.server, structure)
+
+    paths = _clean_paths(accessor)
+    assert len(paths) == 1, paths
+    clocked = [name for name in paths[0] if accessor.state(name).actions]
+    sim = Simulator()
+    bus = SimBus(structure, sim, lambda name: (accessor, server))
+    words, clocks, data_mask = _fused_shape(bus, pair.layout)
+    assert clocks == protocol.message_clocks(words)
+    assert len(clocked) == clocks, (clocked, words)
+    for state in accessor.states + server.states:
+        word = re.match(r"W(\d+)", state.name)
+        assert state.word == (int(word.group(1)) if word else
+                              words - 1 if state.name == "RETRY" else None)
+
+    address = seed % 16 if array else None
+    value = seed & data_mask
+    stored = {address: 0 if write else value}
+    storage = StorageAdapter(stored.__getitem__, stored.__setitem__)
+    process = VariableProcess("vproc", variable, (pair,))
+    sim.add_process("vproc", bus.variable_server(process, storage),
+                    daemon=True)
+    got = []
+
+    def body():
+        got.append((yield from bus.accessor_transfer(
+            pair, "B0", address, value if write else None)))
+
+    sim.add_process("B0", body())
+    sim.run()
+    (transaction,) = bus.transactions
+    assert transaction.clocks == clocks
+    assert stored[address] == value
+    assert got == [None if write else value]
+
+
+# ---------------------------------------------------------------------------
+# One controller definition, synthesized once per procedure
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def synthesis_calls(monkeypatch):
+    calls = []
+    real = fsm_module.synthesize_fsm
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fsm_module, "synthesize_fsm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("slug", golden_util.GOLDEN_SYSTEMS)
+def test_simulator_synthesizes_each_controller_once(slug, synthesis_calls):
+    loaded, refined = golden_util.refined_system(slug)
+    procedures = sum(2 * len(list(bus.group)) for bus in refined.buses)
+
+    fused = RefinedSimulation(refined, schedule=loaded.schedule,
+                              backend="compiled")
+    assert {mode for mode, _ in fused.compiled.channel_modes.values()} \
+        == {FUSED}
+    fused.run()
+    assert synthesis_calls == []
+
+    simulate(refined, schedule=loaded.schedule)
+    assert len(synthesis_calls) == procedures
+
+    _, analyzed = golden_util.refined_system(slug)
+    analyze_refined(analyzed)
+    before = len(synthesis_calls)
+    simulate(analyzed, schedule=loaded.schedule)
+    assert len(synthesis_calls) == before

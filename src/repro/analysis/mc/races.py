@@ -4,7 +4,7 @@ Two granularities:
 
 * **Intra-channel** -- over the reachable states of the counter-extended
   product graph, intersect the accessor's and server's per-state wire
-  effects (:class:`repro.analysis.product.StateEffects`).  A control line
+  effects (:class:`repro.protogen.fsm.StateEffects`).  A control line
   driven by both sides in one reachable state is a race outright (two
   drivers on one wire conflict even when the levels agree); DATA bit
   ranges conflict when the masks overlap on the *same* word -- the

@@ -77,7 +77,7 @@ class _Bench:
     """The wire harness one channel pair drives during replay."""
 
     def __init__(self, accessor, server, width: int):
-        from repro.analysis.product import parse_actions, parse_guard
+        from repro.protogen.fsm import parse_actions, parse_guard
 
         self.accessor = accessor
         self.server = server
@@ -143,7 +143,7 @@ class _Bench:
 def _check_guard(bench: _Bench, side: str, guard_text: Optional[str],
                  ) -> Optional[str]:
     """None when the guard holds on the modelled levels, else why not."""
-    from repro.analysis.product import parse_guard
+    from repro.protogen.fsm import parse_guard
 
     guard = parse_guard(guard_text)
     for line, level in guard.levels:

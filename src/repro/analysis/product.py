@@ -46,21 +46,10 @@ from typing import (Any, Callable, Dict, FrozenSet, Hashable, List,
 from repro.errors import AnalysisError
 from repro.fifo import FifoTable
 from repro.protocols import ProtectionPlan, Protocol
-# The guard/action reading is the controllers' own; re-exported here
-# for the analysis passes that import it from this module.
-from repro.protogen.fsm import (  # noqa: F401
-    _ID_DRIVE,
-    _ID_GUARD,
-    STROBE_TOKENS,
-    FsmTransition,
-    Guard,
-    ProtocolFsm,
-    StateEffects,
-    channel_controllers,
-    parse_actions,
-    parse_guard,
-    synthesize_fsm,
-)
+from repro.protogen.fsm import (ID_DRIVE, ID_GUARD, FsmTransition, Guard,
+                                ProtocolFsm, StateEffects,
+                                channel_controllers, parse_actions,
+                                parse_guard, synthesize_fsm)
 from repro.protogen.refine import RefinedSpec
 
 #: Safety cap on explored product states.
@@ -371,18 +360,18 @@ def proof_key(accessor: ProtocolFsm, server: ProtocolFsm) -> str:
         return codes.setdefault(code.strip('"'), f"#{len(codes)}")
 
     def guard_key(guard: Optional[str]) -> Optional[str]:
-        if guard is None or _ID_GUARD not in guard:
+        if guard is None or ID_GUARD not in guard:
             return guard
         atoms = guard.split(" and ")
         for k, raw in enumerate(atoms):
             atom = raw.strip()
-            if atom.startswith(_ID_GUARD):
-                atoms[k] = _ID_GUARD + renamed(atom[len(_ID_GUARD):])
+            if atom.startswith(ID_GUARD):
+                atoms[k] = ID_GUARD + renamed(atom[len(ID_GUARD):])
         return " and ".join(atoms)
 
     def action_key(action: str) -> str:
-        if action.startswith(_ID_DRIVE):
-            return _ID_DRIVE + renamed(action[len(_ID_DRIVE):])
+        if action.startswith(ID_DRIVE):
+            return ID_DRIVE + renamed(action[len(ID_DRIVE):])
         return action
 
     def fsm_key(fsm: ProtocolFsm) -> Tuple:

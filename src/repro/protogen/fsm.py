@@ -14,22 +14,19 @@ takes.  This module makes those controllers explicit: given a generated
 
 Uses:
 
-* the simulator executes these controllers: :class:`~repro.sim.bus.
-  SimBus` steps each channel's accessor FSM clocked (a state holds its
-  wire effects for one clock, then its guards are read) and its server
-  FSM reactively (it waits on the guard into its next state and fires
-  unguarded edges at once), so a full-handshake word is two states and
-  two clocks by construction,
+* the simulator executes these controllers (:class:`~repro.sim.bus.
+  SimBus`): the accessor clocked (a state holds its wire effects for
+  one clock, then its guards are read), the server reactively (it
+  fires an edge as soon as its guard holds), so a full-handshake word
+  is two states and two clocks by construction,
 * the static analyzer (P1xx/P7xx) proves the same objects, read
   through :func:`channel_controllers`' memo on the refined spec,
 * the area estimator's state counts come from here,
-* controllers export as Graphviz DOT or a text table for inspection
-  and documentation.
+* controllers export as Graphviz DOT or a text table.
 
-A state's actions and a transition's guard are short strings;
-:func:`parse_actions` and :func:`parse_guard` read them into wire
-effects and level/strobe tests, the one reading the simulator, the
-product automaton and the witness replay share.
+:func:`parse_actions` and :func:`parse_guard` read a state's actions
+and a transition's guard into wire effects and tests, for the
+simulator, the product automaton and the witness replay alike.
 """
 
 from __future__ import annotations
@@ -210,8 +207,8 @@ STROBE_TOKENS = ("strobe", "REQ toggle", "schedule tick")
 _DATA_DRIVE_RE = re.compile(r"^drive DATA\((\d+):(\d+)\)")
 
 #: An ID-code guard atom (``ID = "01"``) and an ID-driving action.
-_ID_GUARD = "ID = "
-_ID_DRIVE = "drive ID = "
+ID_GUARD = "ID = "
+ID_DRIVE = "drive ID = "
 
 
 @dataclass(frozen=True)
@@ -244,8 +241,8 @@ def parse_guard(guard: Optional[str]) -> Guard:
             invoke = True
         elif atom in STROBE_TOKENS:
             strobes.append(atom)
-        elif atom.startswith(_ID_GUARD):
-            id_code = atom[len(_ID_GUARD):].strip('"')
+        elif atom.startswith(ID_GUARD):
+            id_code = atom[len(ID_GUARD):].strip('"')
         elif " = " in atom:
             line, value = atom.split(" = ", 1)
             levels.append((line.strip(), int(value.strip().strip("'"))))
@@ -292,8 +289,8 @@ def parse_actions(actions: Tuple[str, ...]) -> StateEffects:
             data_mask |= ((1 << (hi - lo + 1)) - 1) << lo
         elif action in STROBE_TOKENS:
             strobes.append(action)
-        elif action.startswith(_ID_DRIVE):
-            id_code = action[len(_ID_DRIVE):].strip('"')
+        elif action.startswith(ID_DRIVE):
+            id_code = action[len(ID_DRIVE):].strip('"')
         elif " <= '" in action and not action.startswith(("drive ",
                                                           "latch ")):
             line, value = action.split(" <= ", 1)

@@ -3,47 +3,34 @@
 A generated :class:`~repro.protogen.structure.BusStructure` becomes live
 signals, and each channel's controller FSM pair -- the objects P1xx/P7xx
 prove, read through :func:`~repro.protogen.fsm.channel_controllers` --
-runs on them.  Each state is compiled once per bus from its parsed
-actions and guards and the bus word it moves; one executor per side
+runs on them, each state compiled once per bus.  One executor per side
 runs every protocol:
 
-* the **accessor** is *clocked*: entering a state puts its wire effects
-  on the bus and holds them one clock, then its guards are read.  A
-  state that opens a word or announces the ID first turns the data
-  wires over; a strobe is answered within its clock (the accessor
-  latches one delta after it); a word's second state latches on entry
-  what the first clock brought; a state without actions (rest, the
-  read verdict) takes no clock.
+* the **accessor** is *clocked*: a state puts its wire effects on the
+  bus and holds them one clock, then its guards are read.  A strobe is
+  answered within its clock (the accessor latches one delta after it);
+  a word's second state latches what its first clock brought; a state
+  without actions (rest, the read verdict) takes no clock.
 * the **server** is *reactive*: one coroutine per variable process
-  routes by the ID on the bus to a channel's FSM, waits on the guard
-  into its next state, applies that state's effects and fires
-  unguarded edges at once.  A strobe guard is an edge: the server
-  wakes on every strobe and tests the ID after waking.  The message
-  commits when the server leaves its last word.  A state entered on an
-  unguarded edge whose exit is guarded (the burst's RELEASE) applies
-  its drives once that guard holds, so DONE falls after START.
+  routes by the ID on the bus, waits on the guard into its next state
+  and fires unguarded edges at once.  A strobe guard is an edge: the
+  server wakes on every strobe and tests the ID after waking.
 
 Protection is one overlay on both: guard waits bounded by the plan's
-timeout (the accessor aborts the attempt, the server drops the partial
-message), the NACK/check verdict choosing the retransmitting edges
-(RETRY, VERIFY) or the NAK serve state, and the retry budget.  The
-overlay drives NACK: it rises before the acknowledge and falls when
-the message ends.
-
-The word strobe is the REQ line of the half handshake; on fixed-delay,
-hardwired and burst buses it models the schedule's clock edge and is
-not a counted wire.  A message takes exactly ``protocol.message_clocks``
-clocks, so the simulator agrees clock-for-clock with the performance
-estimator (ref [10]) when uncontended.  In a *read* word the accessor
-drives the address wires and the variable process answers on the data
-wires of the same word, exercising the multi-driver
-:class:`~repro.sim.signals.DataLines` resolution for real.
+timeout, the NACK/check verdict choosing the retransmitting edges, and
+the retry budget.  The word strobe is the REQ line of the half
+handshake; on the other buses it models the schedule's clock edge and
+is not a counted wire.  A message takes exactly
+``protocol.message_clocks`` clocks, so the simulator agrees with the
+performance estimator (ref [10]) when uncontended.  In a *read* word
+the accessor drives the address wires and the variable process answers
+on the data wires, exercising :class:`~repro.sim.signals.DataLines`'
+multi-driver resolution for real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -190,8 +177,6 @@ class SimBus:
         #: The guard, less its ID, on which a server leaves rest.
         self._rest = parse_guard(server_rest_guard(structure.protocol))
         self._controllers = controllers
-        #: channel name -> (accessor rest step, lines it drives, server
-        #: rest step, lines it drives).
         self._programs: Dict[str, tuple] = {}
 
     @property
@@ -204,7 +189,9 @@ class SimBus:
         self.data.drive("server", 0, 0)
 
     def _program(self, procs: ChannelProcedures) -> tuple:
-        """The channel's controller pair, compiled on first use."""
+        """The channel's controller pair, compiled on first use ->
+        ``(accessor rest step, lines it drives, server rest step, lines
+        it drives)``."""
         program = self._programs.get(procs.channel.name)
         if program is None:
             timeout = self.protection and self.protection.timeout_clocks
@@ -216,10 +203,9 @@ class SimBus:
 
     def _compile(self, fsm: ProtocolFsm, timeout: Optional[int]) -> tuple:
         """``fsm`` as linked steps -> ``(rest step, control lines its
-        states drive)``.  The NACK line is the protection overlay's: it
-        is read as the verdict and driven by the overlay, never a
-        step's guard level or drive."""
-        nack = self.protection.nack_line if self.protection else None
+        states drive)``.  NACK is the protection overlay's line: read as
+        the verdict and driven by the overlay, never by a step."""
+        nack = self.protection and self.protection.nack_line
         steps = {state.name: _Step() for state in fsm.states}
         word = {state.name: state.word for state in fsm.states}
         last = max(w for w in word.values() if w is not None)
@@ -228,34 +214,29 @@ class SimBus:
         for transition in fsm.transitions:
             into[transition.target].append(transition)
             out[transition.source].append(transition)
-        # Word after word repeats the same texts and level tests.
-        effects_of, guard_of = lru_cache()(parse_actions), \
-            lru_cache()(parse_guard)
-        level_wait = lru_cache()(lambda levels: _level_wait(levels, timeout))
-        lines: Dict[str, Signal] = {}
         for state in fsm.states:
-            step, effects = steps[state.name], effects_of(state.actions)
+            step, effects = steps[state.name], parse_actions(state.actions)
             step.name, step.word, step.rest = \
                 state.name, state.word, state.is_initial
             step.decides = not state.actions and not state.is_initial
             # A state opens its word when entered from outside it (or
             # anew on a retry edge); the message ends on leaving its
-            # last word; an unguarded entry defers the drives.
+            # last word.  A state entered only on unguarded edges (the
+            # burst's RELEASE) applies its drives once its own guard
+            # holds, so DONE falls after START.
             step.opens = state.word is not None and any(
                 t.is_retry or word[t.source] != state.word
                 for t in into[state.name])
             step.ends = state.word == last and any(
                 word[t.target] != last for t in out[state.name])
             step.defer = all(t.guard is None for t in into[state.name])
-            step.id_code = int(effects.id_code, 2) \
-                if effects.id_code else None
+            step.id_code = effects.id_code and int(effects.id_code, 2)
             step.drives = tuple((self.controls[line], level)
                                 for line, level in effects.drives
                                 if line != nack)
-            lines.update((signal.name, signal) for signal, _ in step.drives)
             step.nacks = (nack, 1) in effects.drives
             step.strobe = bool(effects.strobes)
-            guards = [guard_of(t.guard) for t in out[state.name]]
+            guards = [parse_guard(t.guard) for t in out[state.name]]
             step.edges = tuple(
                 (steps[t.target], dict(g.levels).get(nack), t.is_retry)
                 for t, g in zip(out[state.name], guards))
@@ -264,17 +245,16 @@ class SimBus:
             guard = guards[0]
             levels = tuple((self.controls[line], level)
                            for line, level in guard.levels if line != nack)
-            if guard.strobes:
-                step.pending = _STROBE
-            elif guard.invoke or levels and \
-                    guard.levels == self._rest.levels:
-                step.pending = _ENTRY
-            else:
-                step.pending = _LEVEL if levels else _AT_ONCE
+            step.pending = _STROBE if guard.strobes else _ENTRY \
+                if guard.invoke or levels and \
+                guard.levels == self._rest.levels \
+                else _LEVEL if levels else _AT_ONCE
             step.expects = levels[0] if levels else None
-            step.wait = level_wait(levels) if step.pending is _LEVEL \
-                else None
-        return steps[fsm.initial_state().name], tuple(lines.values())
+            step.wait = _level_wait(levels, timeout) \
+                if step.pending is _LEVEL else None
+        lines = dict.fromkeys(signal for step in steps.values()
+                              for signal, _ in step.drives)
+        return steps[fsm.initial_state().name], tuple(lines)
 
     # ------------------------------------------------------------------
     # Accessor side
@@ -283,84 +263,33 @@ class SimBus:
     def accessor_transfer(self, procs: ChannelProcedures, initiator: str,
                           address: Optional[int],
                           data: Optional[int]) -> Generator:
-        """Coroutine performing one whole message transfer.
-
-        ``data`` is the raw encoded value for writes, ``None`` for
-        reads.  Returns the raw received data for reads (via the
-        generator's return value; call with ``yield from``).
-
-        The caller must hold the bus (arbiter) for the duration.
+        """Coroutine performing one whole message transfer (call with
+        ``yield from``): the clocked executor, stepping the accessor FSM
+        from rest back to rest.  ``data`` is the raw encoded value for
+        writes, ``None`` for reads, which return the raw received data.
+        The caller must hold the bus (arbiter).  A guard failing on an
+        unprotected bus, or a spent retry budget, raises
+        :class:`SimulationError`: a fault is *never* absorbed silently.
         """
-        channel = procs.channel
-        layout = procs.layout
+        channel, layout = procs.channel, procs.layout
         if channel.is_write:
             if data is None:
                 raise SimulationError(
-                    f"channel {channel.name}: write transfer needs data"
-                )
+                    f"channel {channel.name}: write transfer needs data")
             message = layout.pack(address, data)
         else:
             message = layout.pack(address, 0) if layout.has_address else 0
-
         words = layout.words(self.width)
-        start_time = self.sim.now
-
-        recorder = self.recorder
-        if recorder is not None:
-            flight = recorder.on_transfer_start(
-                self.name, channel.name, initiator, start_time,
-                len(words), self._check_extra_words(layout),
-                channel.direction)
-        else:
-            flight = None
-
-        if self.injector is not None:
-            self.injector.begin_attempt(self.name)
-        received, retries = yield from self._accessor(procs, words,
-                                                      message, flight)
-
-        if channel.is_write:
-            result: Optional[int] = None
-            logged_data = data
-        else:
-            data_field = layout.field(FieldKind.DATA)
-            assert data_field is not None
-            result = (received >> data_field.offset) & \
-                ((1 << data_field.bits) - 1)
-            logged_data = result
-        transaction = Transaction(
-            start_time=start_time, end_time=self.sim.now,
-            channel=channel.name, direction=channel.direction,
-            address=address, data=logged_data or 0, initiator=initiator,
-            retries=retries, words=len(words),
-        )
-        self.transactions.append(transaction)
-        if flight is not None:
-            recorder.on_commit(flight, self.sim.now, retries)
-        return result
-
-    def _check_extra_words(self, layout) -> int:
-        """Whole bus words the CHECK field appends to the message --
-        the protection bucket's unit of account."""
-        check = layout.field(FieldKind.CHECK)
-        if check is None:
-            return 0
-        bare_bits = layout.total_bits - check.bits
-        bare_words = max(1, -(-bare_bits // self.width))
-        return layout.word_count(self.width) - bare_words
-
-    def _accessor(self, procs: ChannelProcedures, words, message: int,
-                  flight) -> Generator:
-        """The clocked executor: the accessor FSM from rest back to rest
-        -> ``(received, retries)``.  Raises :class:`SimulationError`
-        when a guard fails on an unprotected bus or the retry budget
-        runs dry -- a fault is *never* absorbed silently."""
-        rest, lines = self._program(procs)[:2]
-        sim, data, strobe, nack = self.sim, self.data, self._strobe, \
+        sim, wires, strobe, nack = self.sim, self.data, self._strobe, \
             self._nack
         injector, recorder, plan = self.injector, self.recorder, \
             self.protection
-        code = self.structure.ids.code(procs.channel.name)
+        start_time = sim.now
+        flight = None if recorder is None else recorder.on_transfer_start(
+            self.name, channel.name, initiator, start_time, len(words),
+            self._check_extra_words(layout), channel.direction)
+        if injector is not None:
+            injector.begin_attempt(self.name)
         if plan is not None:
             if plan.retry_step < 1:
                 raise SimulationError(
@@ -368,8 +297,9 @@ class SimBus:
                     f"1, got {plan.retry_step} (the retry budget would "
                     "never shrink)")
             budget = plan.max_retries
-        retries = 0
-        step = None
+        rest, lines = self._program(procs)[:2]
+        code = self.structure.ids.code(channel.name)
+        retries, step = 0, None
         while True:
             if step is None:                    # a new attempt
                 step, received, nacked = rest.edges[0][0], 0, False
@@ -383,14 +313,13 @@ class SimBus:
                 self._clear_word()
                 if step.id_code is not None:
                     self.id_lines.set(step.id_code)
-                data.drive("accessor", value, mask)
+                wires.drive("accessor", value, mask)
             elif k is not None:
                 # A word's second clock latches what the first brought.
-                received |= words[k].gather(Role.SERVER, data.value)
+                received |= words[k].gather(Role.SERVER, wires.value)
                 if flight is not None:
                     recorder.on_data_phase(flight, sim.now, k)
-                if nack is not None and nack.value == 1:
-                    nacked = True
+                nacked = nacked or nack is not None and nack.value == 1
             elif step.id_code is not None:
                 self._clear_word()
                 self.id_lines.set(step.id_code)
@@ -403,12 +332,10 @@ class SimBus:
             if step.strobe:
                 # The server answers within the strobe's clock.
                 yield _DELTA
-                received |= words[k].gather(Role.SERVER, data.value)
-                yield _W1
-                if flight is not None:
-                    recorder.on_data_phase(flight, sim.now, k)
-            else:
-                yield _W1
+                received |= words[k].gather(Role.SERVER, wires.value)
+            yield _W1
+            if step.strobe and flight is not None:
+                recorder.on_data_phase(flight, sim.now, k)
 
             failure = None
             if step.wait is not None and not step.wait.predicate():
@@ -429,9 +356,9 @@ class SimBus:
                 target, verdict, retry = step.edges[0]
                 if verdict is not None:
                     # The attempt's NACK verdict picks the edge.
-                    verdict = 1 if nacked or nack.value == 1 else 0
                     target, _, retry = next(
-                        edge for edge in step.edges if edge[1] == verdict)
+                        edge for edge in step.edges
+                        if edge[1] == (nacked or nack.value == 1))
                 if flight is not None:
                     if k is None:
                         (recorder.on_release if target.rest
@@ -440,22 +367,21 @@ class SimBus:
                         recorder.on_handshake_phase(flight, sim.now, k)
                 if target.decides:
                     # The read verdict: the response's check field.
-                    accept = procs.layout.check_ok(message | received)
+                    accept = layout.check_ok(message | received)
                     target, _, retry = next(
                         edge for edge in target.edges if edge[2] != accept)
                 if target.rest:
-                    return received, retries
+                    break
                 step = target
                 if not retry:
                     continue
-                if procs.channel.is_write:
+                if channel.is_write:
                     failure = "server NACKed the message (check mismatch)"
-                    if flight is not None:
-                        recorder.on_nack(flight, sim.now, failure)
                 else:
                     failure = "response check mismatch"
-                    if flight is not None:
-                        recorder.on_check_fail(flight, sim.now, failure)
+                if flight is not None:
+                    (recorder.on_nack if channel.is_write
+                     else recorder.on_check_fail)(flight, sim.now, failure)
 
             # Protection: abort the attempt and resynchronize.  The
             # server's timed mid-message wait (timeout + 1) expires
@@ -470,9 +396,9 @@ class SimBus:
                 if flight is not None:
                     recorder.on_giveup(flight, sim.now, failure, retries)
                 raise SimulationError(
-                    f"bus {self.name}: channel {procs.channel.name} gave "
-                    f"up after {retries} failed attempt(s): {failure} "
-                    f"(retry budget {plan.max_retries} exhausted)")
+                    f"bus {self.name}: channel {channel.name} gave up "
+                    f"after {retries} failed attempt(s): {failure} (retry "
+                    f"budget {plan.max_retries} exhausted)")
             if flight is not None:
                 recorder.on_attempt_failed(flight, sim.now, failure,
                                            retries)
@@ -480,6 +406,30 @@ class SimBus:
             if injector is not None:
                 injector.begin_attempt(self.name)
             step = None
+
+        if channel.is_write:
+            result, logged = None, data
+        else:
+            data_field = layout.field(FieldKind.DATA)
+            result = logged = (received >> data_field.offset) & \
+                ((1 << data_field.bits) - 1)
+        self.transactions.append(Transaction(
+            start_time=start_time, end_time=sim.now, channel=channel.name,
+            direction=channel.direction, address=address, data=logged or 0,
+            initiator=initiator, retries=retries, words=len(words)))
+        if flight is not None:
+            recorder.on_commit(flight, sim.now, retries)
+        return result
+
+    def _check_extra_words(self, layout) -> int:
+        """Whole bus words the CHECK field appends to the message --
+        the protection bucket's unit of account."""
+        check = layout.field(FieldKind.CHECK)
+        if check is None:
+            return 0
+        bare_bits = layout.total_bits - check.bits
+        bare_words = max(1, -(-bare_bits // self.width))
+        return layout.word_count(self.width) - bare_words
 
     # ------------------------------------------------------------------
     # Server side (variable processes)
@@ -493,10 +443,8 @@ class SimBus:
         on the rest guard, untimed even when protected (an idle bus
         schedules no timers); a channel is compiled when a message
         first routes to it."""
-        services: Dict[int, ChannelProcedures] = {
-            self.structure.ids.code(s.channel.name): s
-            for s in process.services
-        }
+        services = {self.structure.ids.code(s.channel.name): s
+                    for s in process.services}
         channels: Dict[int, _Channel] = {}
         plan, nack = self.protection, self._nack
         id_lines, strobe = self.id_lines, self._strobe
@@ -512,9 +460,8 @@ class SimBus:
                     and id_lines.value in services
 
             idle = WaitOn((request, id_lines), ready)
-            if plan is not None:
-                mid_message = WaitOn((request, id_lines), ready,
-                                     timeout=plan.timeout_clocks + 1)
+            mid_message = plan and WaitOn((request, id_lines), ready,
+                                          timeout=plan.timeout_clocks + 1)
         active: Optional[_Channel] = None
         while True:
             pending = entry if active is None else active.state.pending
@@ -555,9 +502,8 @@ class SimBus:
                     continue
                 channel = channels.get(code)
                 if channel is None:
-                    _, _, rest, lines = self._program(services[code])
-                    channel = channels[code] = _Channel(services[code],
-                                                        rest, lines)
+                    channel = channels[code] = _Channel(
+                        services[code], *self._program(services[code])[2:])
                 if channel.state.pending is not pending:
                     continue
             active = self._serve(channel, storage)
@@ -566,7 +512,8 @@ class SimBus:
                storage: StorageAdapter) -> Optional[_Channel]:
         """Fire ``channel``'s enabled edge, then every unguarded edge
         after it.  Returns the channel when it next waits on a guard of
-        its own, None when it waits on the rest guard."""
+        its own, None when it waits on the rest guard.  The message
+        commits when the server leaves its last word."""
         nack = self._nack
         state = channel.state
         while True:
@@ -594,7 +541,8 @@ class SimBus:
                             signal.set(0)
                 transfer.handle_word(self.data)
                 if len(state.edges) > 1:
-                    # The check verdict picks the accept or NAK state.
+                    # The check verdict picks the accept or NAK state;
+                    # NACK rises before the acknowledge.
                     refuse = transfer.complete and not transfer.check_ok()
                     target = next(edge[0] for edge in state.edges
                                   if edge[0].nacks == refuse)

@@ -230,7 +230,8 @@ class SimBus:
             step.ends = state.word == last and any(
                 word[t.target] != last for t in out[state.name])
             step.defer = all(t.guard is None for t in into[state.name])
-            step.id_code = effects.id_code and int(effects.id_code, 2)
+            step.id_code = int(effects.id_code, 2) \
+                if effects.id_code else None
             step.drives = tuple((self.controls[line], level)
                                 for line, level in effects.drives
                                 if line != nack)
@@ -245,10 +246,13 @@ class SimBus:
             guard = guards[0]
             levels = tuple((self.controls[line], level)
                            for line, level in guard.levels if line != nack)
-            step.pending = _STROBE if guard.strobes else _ENTRY \
-                if guard.invoke or levels and \
-                guard.levels == self._rest.levels \
-                else _LEVEL if levels else _AT_ONCE
+            if guard.strobes:
+                step.pending = _STROBE
+            elif guard.invoke or levels and \
+                    guard.levels == self._rest.levels:
+                step.pending = _ENTRY
+            else:
+                step.pending = _LEVEL if levels else _AT_ONCE
             step.expects = levels[0] if levels else None
             step.wait = _level_wait(levels, timeout) \
                 if step.pending is _LEVEL else None

@@ -8,8 +8,8 @@ communication protocols can be verified" becomes executable:
   statement IR with the documented clock costs;
 * every generated variable process becomes a daemon serving its
   channels over the live bus signals;
-* ``Call`` statements run the real protocol coroutines -- arbitration,
-  ID lines, word slicing, handshakes and all.
+* ``Call`` statements run the bus's synthesized controllers --
+  arbitration, ID lines, word slicing, handshakes and all.
 
 Typed values cross the bus as raw bit patterns: the accessor encodes
 (two's complement for signed integers), the variable process decodes,

@@ -561,18 +561,11 @@ class SimBus:
 
 
 def _level_wait(levels, timeout: Optional[int]) -> WaitOn:
-    """The kernel request sleeping until ``levels`` hold (bounded by
-    ``timeout`` when protected); its predicate tests them."""
-    if len(levels) == 1:
-        ((signal, level),) = levels
-
-        def ready() -> bool:
-            return signal.value == level
-    else:
-        def ready() -> bool:
-            return all(line.value == value for line, value in levels)
-    return WaitOn(tuple(line for line, _ in levels), ready,
-                  timeout=timeout)
+    """The kernel request sleeping until the one line a generated level
+    guard tests holds its level (bounded by ``timeout`` when
+    protected); its predicate tests it."""
+    ((signal, level),) = levels
+    return WaitOn((signal,), lambda: signal.value == level, timeout=timeout)
 
 
 class _ServerTransfer:

@@ -31,6 +31,7 @@ multi-driver resolution for real.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -214,8 +215,38 @@ class SimBus:
         for transition in fsm.transitions:
             into[transition.target].append(transition)
             out[transition.source].append(transition)
+
+        # Word after word repeats the same action and guard texts.
+        @lru_cache(maxsize=None)
+        def effects_of(actions: Tuple[str, ...]) -> tuple:
+            """``(ID code, drives, raises NACK, strobes)`` of a state."""
+            effects = parse_actions(actions)
+            return (int(effects.id_code, 2) if effects.id_code else None,
+                    tuple((self.controls[line], level)
+                          for line, level in effects.drives if line != nack),
+                    (nack, 1) in effects.drives, bool(effects.strobes))
+
+        @lru_cache(maxsize=None)
+        def guard_of(text: Optional[str]) -> tuple:
+            """``(NACK verdict, what the guard waits on, the line level
+            it tests, the wait)``."""
+            guard = parse_guard(text)
+            levels = tuple((self.controls[line], level)
+                           for line, level in guard.levels if line != nack)
+            if guard.strobes:
+                pending = _STROBE
+            elif guard.invoke or levels and \
+                    guard.levels == self._rest.levels:
+                pending = _ENTRY
+            else:
+                pending = _LEVEL if levels else _AT_ONCE
+            return (dict(guard.levels).get(nack), pending,
+                    levels[0] if levels else None,
+                    _level_wait(levels, timeout) if pending is _LEVEL
+                    else None)
+
         for state in fsm.states:
-            step, effects = steps[state.name], parse_actions(state.actions)
+            step = steps[state.name]
             step.name, step.word, step.rest = \
                 state.name, state.word, state.is_initial
             step.decides = not state.actions and not state.is_initial
@@ -230,32 +261,14 @@ class SimBus:
             step.ends = state.word == last and any(
                 word[t.target] != last for t in out[state.name])
             step.defer = all(t.guard is None for t in into[state.name])
-            step.id_code = int(effects.id_code, 2) \
-                if effects.id_code else None
-            step.drives = tuple((self.controls[line], level)
-                                for line, level in effects.drives
-                                if line != nack)
-            step.nacks = (nack, 1) in effects.drives
-            step.strobe = bool(effects.strobes)
-            guards = [parse_guard(t.guard) for t in out[state.name]]
-            step.edges = tuple(
-                (steps[t.target], dict(g.levels).get(nack), t.is_retry)
-                for t, g in zip(out[state.name], guards))
+            step.id_code, step.drives, step.nacks, step.strobe = \
+                effects_of(state.actions)
+            guards = [guard_of(t.guard) for t in out[state.name]]
+            step.edges = tuple((steps[t.target], guard[0], t.is_retry)
+                               for t, guard in zip(out[state.name], guards))
             # A generated state's edges share their tests but for the
             # NACK verdict.
-            guard = guards[0]
-            levels = tuple((self.controls[line], level)
-                           for line, level in guard.levels if line != nack)
-            if guard.strobes:
-                step.pending = _STROBE
-            elif guard.invoke or levels and \
-                    guard.levels == self._rest.levels:
-                step.pending = _ENTRY
-            else:
-                step.pending = _LEVEL if levels else _AT_ONCE
-            step.expects = levels[0] if levels else None
-            step.wait = _level_wait(levels, timeout) \
-                if step.pending is _LEVEL else None
+            step.pending, step.expects, step.wait = guards[0][1:]
         lines = dict.fromkeys(signal for step in steps.values()
                               for signal, _ in step.drives)
         return steps[fsm.initial_state().name], tuple(lines)
@@ -337,12 +350,14 @@ class SimBus:
                 # The server answers within the strobe's clock.
                 yield _DELTA
                 received |= words[k].gather(Role.SERVER, wires.value)
-            yield _W1
-            if step.strobe and flight is not None:
-                recorder.on_data_phase(flight, sim.now, k)
+                yield _W1
+                if flight is not None:
+                    recorder.on_data_phase(flight, sim.now, k)
+            else:
+                yield _W1
 
-            failure = None
-            if step.wait is not None and not step.wait.predicate():
+            failure, wait = None, step.wait
+            if wait is not None and not wait.predicate():
                 line, level = step.expects
                 if plan is None:
                     raise SimulationError(
@@ -350,8 +365,8 @@ class SimBus:
                         f"{'asserted' if level else 'released'} one clock "
                         f"after the accessor entered {step.name} (ID "
                         f"{code}); is the variable process running?")
-                yield step.wait
-                if not step.wait.predicate():
+                yield wait
+                if not wait.predicate():
                     failure = (f"{line.name.rsplit('.', 1)[-1]} never "
                                f"{'rose' if level else 'fell'} ("
                                + ("" if k is None else f"word {k}, ")

@@ -44,10 +44,9 @@ def plan_channel(sim_bus: SimBus, pair, contested,
     for fused).
     """
     protection = sim_bus.protection
-    if protection is not None:
-        if protection.retry_step < 1:
-            return INTERP, ("malformed protection plan (retry_step < 1); "
-                            "interpreter raises the exact diagnostic")
+    if protection is not None and protection.retry_step < 1:
+        return INTERP, ("malformed protection plan (retry_step < 1); "
+                        "interpreter raises the exact diagnostic")
     blockers: List[str] = []
     if recorder is not None:
         blockers.append("flight recorder attached")
